@@ -5,6 +5,7 @@
 // large a fleet one monitoring node can score (and journal) in real time.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <span>
@@ -15,9 +16,13 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/fleet.h"
+#include "core/predictor.h"
 #include "core/scorer.h"
 #include "data/matrix.h"
+#include "data/split.h"
+#include "data/training.h"
 #include "eval/detection.h"
+#include "obs/metrics.h"
 #include "reliability/raid.h"
 #include "sim/generator.h"
 #include "smart/features.h"
@@ -141,6 +146,39 @@ void BM_TreePredictBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_TreePredictBatch);
 
+// The forest preset (40 trees over the CT settings) as it is deployed:
+// trained on a simulated family-W fleet and scored over that fleet's
+// feature rows in the fleet engine's block shape — 256-row predict_batch
+// calls on one thread. (A forest fit to make_training_matrix's diagonal
+// boundary grows trees many times deeper than the preset's.)
+void BM_ForestPredictBatch(benchmark::State& state) {
+  sim::FleetConfig fleet;
+  fleet.observation_weeks = 3;
+  fleet.families.push_back({sim::family_w_profile(), 400, 60});
+  const auto ds = sim::generate_fleet_window(fleet, 0, 3);
+  const auto split = data::split_dataset(ds, {});
+  const core::PredictorConfig config = core::forest_config();
+  core::FailurePredictor predictor(config);
+  predictor.fit(ds, split);
+  const core::SampleScorer& model = predictor.scorer();
+  const auto m = data::build_training_matrix(ds, split, config.training);
+  const auto nf = static_cast<std::size_t>(m.cols());
+  const std::size_t block = core::FleetScorerConfig{}.block_rows;
+  std::vector<double> out(m.rows());
+  for (auto _ : state) {
+    for (std::size_t lo = 0; lo < m.rows(); lo += block) {
+      const std::size_t n = std::min(block, m.rows() - lo);
+      model.predict_batch(m.features().subspan(lo * nf, n * nf),
+                          std::span<double>(out).subspan(lo, n));
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(m.rows()));
+}
+BENCHMARK(BM_ForestPredictBatch);
+
 void BM_MlpPredictBatch(benchmark::State& state) {
   const auto m = make_training_matrix(5000);
   ann::MlpConfig cfg;
@@ -191,39 +229,23 @@ eval::VoteConfig never_alarm_vote() {
   return vote;
 }
 
-// Baseline: what fleet scoring costs through the scalar, one-row-at-a-time
-// API — a std::function call plus per-drive state push per drive per
-// interval — single-threaded.
-void BM_FleetIntervalScalar(benchmark::State& state) {
+// The fleet-interval pair: FleetScorer::observe_interval on the same
+// single-worker pool (parallel_for runs inline on the caller) and the same
+// enabled private metrics registry. The only variable is batching: one
+// drive per predict_batch call (Scalar) against the engine's default
+// 256-row blocks (Batched).
+void run_fleet_interval(benchmark::State& state, std::size_t block_rows) {
   const auto n_drives = static_cast<std::size_t>(state.range(0));
   const BenchTreeScorer scorer(20000);
   const auto snapshot = make_training_matrix(n_drives);
-  const eval::SampleModel model = [&scorer](std::span<const float> x) {
-    return scorer.predict(x);
-  };
-  std::vector<core::DriveVoteState> states(
-      n_drives, core::DriveVoteState(never_alarm_vote()));
-  std::int64_t hour = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n_drives; ++i) {
-      states[i].push(hour, model(snapshot.row(i)));
-    }
-    ++hour;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n_drives));
-}
-BENCHMARK(BM_FleetIntervalScalar)->Arg(10000)->Unit(benchmark::kMicrosecond);
-
-// The batched engine on the same workload: FleetScorer::observe_interval
-// (blocked predict_batch spread over the thread pool).
-void BM_FleetIntervalBatched(benchmark::State& state) {
-  const auto n_drives = static_cast<std::size_t>(state.range(0));
-  const BenchTreeScorer scorer(20000);
-  const auto snapshot = make_training_matrix(n_drives);
+  obs::Registry metrics;
+  ThreadPool pool(1, &metrics);
   core::FleetScorerConfig cfg;
   cfg.features = smart::stat13_features();
   cfg.vote = never_alarm_vote();
+  cfg.block_rows = block_rows;
+  cfg.pool = &pool;
+  cfg.metrics = &metrics;
   core::FleetScorer fleet(scorer, cfg);
   for (std::size_t i = 0; i < n_drives; ++i) {
     fleet.add_drive(std::to_string(i));
@@ -235,6 +257,16 @@ void BM_FleetIntervalBatched(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n_drives));
+}
+
+void BM_FleetIntervalScalar(benchmark::State& state) {
+  run_fleet_interval(state, 1);
+}
+BENCHMARK(BM_FleetIntervalScalar)->Arg(10000)->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+void BM_FleetIntervalBatched(benchmark::State& state) {
+  run_fleet_interval(state, core::FleetScorerConfig{}.block_rows);
 }
 BENCHMARK(BM_FleetIntervalBatched)->Arg(10000)->Unit(benchmark::kMicrosecond)
     ->UseRealTime();

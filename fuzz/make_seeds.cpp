@@ -196,6 +196,62 @@ void model_seeds(const fs::path& dir) {
   put(dir, "mlp_hostile_width", "hddpred-mlp v1\ninputs 123456789\n");
   put(dir, "unknown_header", "hddpred-quantum v7\nqubits 8\n");
 
+  // Shapes training never produces but from_nodes admits: a stump (the
+  // root is a leaf) and a node list whose splits share children. The
+  // packed inference form must keep both intact (FlatEnsemble::validate).
+  const auto leaf = [](double value) {
+    tree::Node n;
+    n.value = value;
+    n.weight = 1.0;
+    n.count = 1;
+    return n;
+  };
+  const auto split = [](std::int32_t feature, float threshold,
+                        std::int32_t left, std::int32_t right) {
+    tree::Node n;
+    n.feature = feature;
+    n.threshold = threshold;
+    n.left = left;
+    n.right = right;
+    n.weight = 1.0;
+    n.count = 1;
+    n.gain = 0.5;
+    return n;
+  };
+  const auto stump = tree::DecisionTree::from_nodes(
+      {leaf(0.5)}, tree::Task::kClassification, smart::kNumAttributes);
+  std::ostringstream stump_os;
+  core::save_tree(stump, stump_os);
+  put(dir, "tree_stump", stump_os.str());
+
+  // Nodes 1 and 2 both lead to leaves 3 and 4.
+  const std::vector<tree::Node> dag_nodes{
+      split(0, 40.0f, 1, 2), split(1, 20.0f, 3, 4), split(2, 20.0f, 3, 4),
+      leaf(-0.5), leaf(0.5)};
+  const auto dag = tree::DecisionTree::from_nodes(
+      dag_nodes, tree::Task::kClassification, smart::kNumAttributes);
+  std::ostringstream dag_os;
+  core::save_tree(dag, dag_os);
+  put(dir, "tree_dag", dag_os.str());
+
+  // A forest whose members are a stump, the DAG on a permuted 3-column
+  // subspace, and the first trained member.
+  const auto narrow_stump = tree::DecisionTree::from_nodes(
+      {leaf(-0.25)}, tree::Task::kClassification, 1);
+  const auto narrow_dag = tree::DecisionTree::from_nodes(
+      dag_nodes, tree::Task::kClassification, 3);
+  std::ostringstream mixed_os;
+  mixed_os << "hddpred-forest v1\nfeatures " << smart::kNumAttributes
+           << "\ntrees 3\nsubspace 7\n";
+  narrow_stump.save(mixed_os);
+  mixed_os << "subspace 9 2 5\n";
+  narrow_dag.save(mixed_os);
+  mixed_os << "subspace";
+  for (int f : rf.member_features(0)) mixed_os << ' ' << f;
+  mixed_os << '\n';
+  rf.member_tree(0).save(mixed_os);
+  put(dir, "forest_stump_dag", mixed_os.str());
+
   std::string bad_tail = ct_os.str();
   bad_tail.resize(bad_tail.size() / 2);  // truncated mid-node-table
   put(dir, "tree_truncated", bad_tail);

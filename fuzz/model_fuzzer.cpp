@@ -2,13 +2,16 @@
 //
 // The header-sniffing AnyModel loader under VerifyMode::kStrict: malformed
 // text must throw DataError (ParseError for declared-size violations —
-// *before* any allocation sized by the header), and whatever parses must
-// survive the full analysis:: static verifier. A std::logic_error
-// (HDD_ASSERT) or sanitizer report here means a parser invariant broke.
+// *before* any allocation sized by the header), whatever parses must
+// survive the full analysis:: static verifier, and a tree model's packed
+// inference form must pass tree::FlatEnsemble::validate() in every build.
+// A std::logic_error (HDD_ASSERT) or sanitizer report here means a parser
+// or packing invariant broke.
 #include "fuzz/harness.h"
 
 #include <sstream>
 #include <string>
+#include <variant>
 
 #include "common/error.h"
 #include "core/model_io.h"
@@ -25,7 +28,12 @@ int fuzz_model(const std::uint8_t* data, std::size_t size) {
   core::LoadOptions opt;
   opt.verify = core::VerifyMode::kStrict;
   try {
-    (void)core::load_model(is, opt);
+    const core::AnyModel model = core::load_model(is, opt);
+    if (const auto* t = std::get_if<tree::DecisionTree>(&model)) {
+      t->flat().validate();
+    } else if (const auto* f = std::get_if<forest::RandomForest>(&model)) {
+      f->flat().validate();
+    }
   } catch (const DataError&) {
     // Malformed or verifier-rejected input: the expected outcome.
   } catch (const ConfigError&) {

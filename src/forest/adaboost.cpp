@@ -23,6 +23,7 @@ AdaBoost AdaBoost::from_members(std::vector<Member> members) {
   }
   AdaBoost boost;
   boost.members_ = std::move(members);
+  boost.pack();
   return boost;
 }
 
@@ -80,36 +81,18 @@ void AdaBoost::fit(const data::DataMatrix& m, const AdaBoostConfig& config) {
   }
   HDD_REQUIRE(!members_.empty(),
               "AdaBoost found no weak learner better than chance");
+  pack();
 }
 
-double AdaBoost::predict(std::span<const float> x) const {
-  HDD_ASSERT_MSG(trained(), "predict on an untrained AdaBoost");
-  double vote = 0.0, norm = 0.0;
-  for (const Member& member : members_) {
-    vote += member.alpha *
-            static_cast<double>(member.tree.predict_label(x));
-    norm += member.alpha;
+void AdaBoost::pack() {
+  std::vector<tree::FlatEnsemble::Member> members;
+  members.reserve(members_.size());
+  for (const Member& m : members_) {
+    members.push_back({m.tree.nodes(), {}, m.alpha});
   }
-  return norm > 0.0 ? vote / norm : 0.0;
-}
-
-void AdaBoost::predict_batch(std::span<const float> xs,
-                             std::span<double> out) const {
-  HDD_ASSERT_MSG(trained(), "predict_batch on an untrained AdaBoost");
-  const auto nf =
-      static_cast<std::size_t>(members_.front().tree.num_features());
-  HDD_ASSERT(xs.size() == out.size() * nf);
-  std::fill(out.begin(), out.end(), 0.0);
-  double norm = 0.0;
-  for (const Member& member : members_) {
-    for (std::size_t r = 0; r < out.size(); ++r) {
-      const std::span<const float> x{xs.data() + r * nf, nf};
-      out[r] += member.alpha *
-                static_cast<double>(member.tree.predict_label(x));
-    }
-    norm += member.alpha;
-  }
-  for (double& v : out) v = norm > 0.0 ? v / norm : 0.0;
+  flat_ = tree::FlatEnsemble::pack(tree::FlatEnsemble::Scale::kNorm,
+                                   members_.front().tree.num_features(),
+                                   members);
 }
 
 void AdaBoost::predict_batch(const data::DataMatrix& m,

@@ -44,20 +44,28 @@ class AdaBoost {
   const std::vector<Member>& members() const { return members_; }
 
   // Weighted-vote margin normalized to [-1, 1]; negative = failed.
-  double predict(std::span<const float> x) const;
+  double predict(std::span<const float> x) const { return flat_.predict(x); }
   int predict_label(std::span<const float> x) const {
     return predict(x) < 0.0 ? -1 : 1;
   }
 
   // Batch prediction over row-major rows (`xs.size()` must equal
-  // `out.size() * num_features` of the weak learners). Member-outer
-  // iteration with the same per-row accumulation order as predict(), so
-  // outputs are bit-identical.
-  void predict_batch(std::span<const float> xs, std::span<double> out) const;
+  // `out.size() * num_features` of the weak learners); the same kernel as
+  // predict(), so outputs are bit-identical to calling it per row.
+  void predict_batch(std::span<const float> xs, std::span<double> out) const {
+    flat_.predict_batch(xs, out);
+  }
   void predict_batch(const data::DataMatrix& m, std::span<double> out) const;
 
+  // The packed inference form: leaf values are `alpha * label(leaf)`.
+  const tree::FlatEnsemble& flat() const { return flat_; }
+
  private:
+  // Rebuilds flat_ from members_.
+  void pack();
+
   std::vector<Member> members_;
+  tree::FlatEnsemble flat_;
 };
 
 }  // namespace hdd::forest

@@ -66,41 +66,17 @@ void RandomForest::fit(const data::DataMatrix& m, tree::Task task,
         trees_[t].features = std::move(chosen);
         trees_[t].tree.fit(boot, task, config.tree_params);
       });
+  pack();
 }
 
-double RandomForest::predict(std::span<const float> x) const {
-  HDD_ASSERT_MSG(trained(), "predict on an untrained forest");
-  double total = 0.0;
-  std::vector<float> sub;
-  for (const Member& member : trees_) {
-    sub.resize(member.features.size());
-    for (std::size_t f = 0; f < member.features.size(); ++f) {
-      sub[f] = x[static_cast<std::size_t>(member.features[f])];
-    }
-    total += member.tree.predict(sub);
+void RandomForest::pack() {
+  std::vector<tree::FlatEnsemble::Member> members;
+  members.reserve(trees_.size());
+  for (const Member& m : trees_) {
+    members.push_back({m.tree.nodes(), m.features});
   }
-  return total / static_cast<double>(trees_.size());
-}
-
-void RandomForest::predict_batch(std::span<const float> xs,
-                                 std::span<double> out) const {
-  HDD_ASSERT_MSG(trained(), "predict_batch on an untrained forest");
-  const auto nf = static_cast<std::size_t>(num_features_);
-  HDD_ASSERT(xs.size() == out.size() * nf);
-  std::fill(out.begin(), out.end(), 0.0);
-  std::vector<float> sub;
-  for (const Member& member : trees_) {
-    sub.resize(member.features.size());
-    for (std::size_t r = 0; r < out.size(); ++r) {
-      const float* x = xs.data() + r * nf;
-      for (std::size_t f = 0; f < member.features.size(); ++f) {
-        sub[f] = x[static_cast<std::size_t>(member.features[f])];
-      }
-      out[r] += member.tree.predict(sub);
-    }
-  }
-  const auto n_trees = static_cast<double>(trees_.size());
-  for (double& v : out) v /= n_trees;
+  flat_ = tree::FlatEnsemble::pack(tree::FlatEnsemble::Scale::kMean,
+                                   num_features_, members);
 }
 
 void RandomForest::predict_batch(const data::DataMatrix& m,
@@ -176,6 +152,7 @@ RandomForest RandomForest::load(std::istream& is) {
     }
     forest.trees_.push_back(std::move(member));
   }
+  forest.pack();
   return forest;
 }
 

@@ -55,18 +55,22 @@ class RandomForest {
   }
 
   // Mean tree output; negative = failed.
-  double predict(std::span<const float> x) const;
+  double predict(std::span<const float> x) const { return flat_.predict(x); }
   int predict_label(std::span<const float> x) const {
     return predict(x) < 0.0 ? -1 : 1;
   }
 
   // Batch prediction over row-major rows (`xs.size()` must equal
-  // `out.size() * num_features()`). Iterates members in the outer loop so
-  // each tree and its feature gather stay cache-hot across the whole block;
-  // per-row accumulation order matches predict(), so outputs are
-  // bit-identical.
-  void predict_batch(std::span<const float> xs, std::span<double> out) const;
+  // `out.size() * num_features()`); the same kernel as predict(), so
+  // outputs are bit-identical to calling it per row.
+  void predict_batch(std::span<const float> xs, std::span<double> out) const {
+    flat_.predict_batch(xs, out);
+  }
   void predict_batch(const data::DataMatrix& m, std::span<double> out) const;
+
+  // The packed inference form: every member concatenated, split features
+  // already mapped through the member's subspace.
+  const tree::FlatEnsemble& flat() const { return flat_; }
 
   // Importance averaged over trees (mapped back to the full feature space).
   std::vector<double> feature_importance() const;
@@ -81,7 +85,11 @@ class RandomForest {
     tree::DecisionTree tree;
     std::vector<int> features;  // subspace: member col -> original col
   };
+  // Rebuilds flat_ from trees_.
+  void pack();
+
   std::vector<Member> trees_;
+  tree::FlatEnsemble flat_;
   int num_features_ = 0;
 };
 

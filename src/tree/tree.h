@@ -23,6 +23,7 @@
 
 #include "data/matrix.h"
 #include "smart/features.h"
+#include "tree/flat.h"
 
 namespace hdd::tree {
 
@@ -85,12 +86,14 @@ class DecisionTree {
   int depth() const;
 
   // Leaf value for one feature row (see header comment for semantics).
-  double predict(std::span<const float> x) const;
+  double predict(std::span<const float> x) const { return flat_.predict(x); }
 
   // Batch prediction over row-major feature rows (`xs.size()` must equal
-  // `out.size() * num_features()`). Row-blocked traversal of the flat node
-  // array; outputs are bit-identical to calling predict() per row.
-  void predict_batch(std::span<const float> xs, std::span<double> out) const;
+  // `out.size() * num_features()`); the same kernel as predict(), so
+  // outputs are bit-identical to calling it per row.
+  void predict_batch(std::span<const float> xs, std::span<double> out) const {
+    flat_.predict_batch(xs, out);
+  }
   void predict_batch(const data::DataMatrix& m, std::span<double> out) const;
 
   // +1 (good) / -1 (failed).
@@ -109,6 +112,9 @@ class DecisionTree {
   // Flat node access (serialization, tests).
   const std::vector<Node>& nodes() const { return nodes_; }
 
+  // The packed inference form predict() runs on.
+  const FlatEnsemble& flat() const { return flat_; }
+
   // Rebuilds a tree from serialized nodes (validated).
   static DecisionTree from_nodes(std::vector<Node> nodes, Task task,
                                  int num_features);
@@ -124,8 +130,11 @@ class DecisionTree {
 
   // Drops nodes orphaned by pruning and renumbers children.
   void compact();
+  // Rebuilds flat_ from nodes_.
+  void pack();
 
   std::vector<Node> nodes_;
+  FlatEnsemble flat_;
   Task task_ = Task::kClassification;
   int num_features_ = 0;
 };

@@ -3,7 +3,11 @@
 // identity, or a Monte Carlo estimate.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "ann/mlp.h"
 #include "common/rng.h"
@@ -247,6 +251,233 @@ TEST(BatchPredictProperty, BitIdenticalToScalarForEveryModelType) {
   ann::MlpModel mlp;
   mlp.fit(cls_train, mc);
   expect_batch_matches_scalar(mlp, queries, "MLP");
+}
+
+// --- Packed kernel vs a walk over tree::Node ---------------------------------
+
+// predict() and predict_batch() of every tree model are one kernel over
+// tree::FlatEnsemble, so comparing them with each other proves nothing about
+// the packing. This reference never touches the packed form: it descends
+// tree::Node, gathers each forest member's subspace columns, and accumulates
+// members in the same order with the same final scale.
+double reference_walk(const tree::DecisionTree& t, std::span<const float> x) {
+  const auto& nodes = t.nodes();
+  std::size_t i = 0;
+  while (!nodes[i].is_leaf()) {
+    const tree::Node& n = nodes[i];
+    i = static_cast<std::size_t>(
+        x[static_cast<std::size_t>(n.feature)] < n.threshold ? n.left
+                                                             : n.right);
+  }
+  return nodes[i].value;
+}
+
+double reference_walk(const forest::RandomForest& rf,
+                      std::span<const float> x) {
+  double total = 0.0;
+  std::vector<float> sub;
+  for (std::size_t m = 0; m < rf.tree_count(); ++m) {
+    const auto cols = rf.member_features(m);
+    sub.resize(cols.size());
+    for (std::size_t f = 0; f < cols.size(); ++f) {
+      sub[f] = x[static_cast<std::size_t>(cols[f])];
+    }
+    total += reference_walk(rf.member_tree(m), sub);
+  }
+  return total / static_cast<double>(rf.tree_count());
+}
+
+double reference_walk(const forest::AdaBoost& ab, std::span<const float> x) {
+  double vote = 0.0, norm = 0.0;
+  for (const auto& m : ab.members()) {
+    vote += m.alpha * (reference_walk(m.tree, x) < 0.0 ? -1.0 : 1.0);
+    norm += m.alpha;
+  }
+  return norm > 0.0 ? vote / norm : 0.0;
+}
+
+// Every split threshold of a model, as row values: a query row filled with
+// one of them puts x[f] exactly on that split for whichever f it tests.
+void collect_thresholds(const tree::DecisionTree& t, std::vector<float>& out) {
+  for (const tree::Node& n : t.nodes()) {
+    if (!n.is_leaf()) out.push_back(n.threshold);
+  }
+}
+
+// Random rows plus the edge values a comparison-based descent must route
+// like the reference: NaN (goes right), ±inf, values equal to a threshold.
+data::DataMatrix edge_queries(Rng& rng, std::size_t cols,
+                              const std::vector<float>& thresholds) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  data::DataMatrix m(static_cast<int>(cols));
+  std::vector<float> row(cols);
+  for (float v : {kNan, kInf, -kInf}) {
+    std::fill(row.begin(), row.end(), v);
+    m.add_row(row, 0.0f, 1.0f);
+  }
+  for (int r = 0; r < 300; ++r) {
+    for (auto& v : row) {
+      const double u = rng.uniform();
+      v = u < 0.05   ? kNan
+          : u < 0.08 ? kInf
+          : u < 0.11 ? -kInf
+          : u < 0.25 && !thresholds.empty()
+              ? thresholds[rng.uniform_int(thresholds.size())]
+              : static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    m.add_row(row, 0.0f, 1.0f);
+  }
+  for (float t : thresholds) {
+    std::fill(row.begin(), row.end(), t);
+    m.add_row(row, 0.0f, 1.0f);
+  }
+  return m;
+}
+
+// Compared as bit patterns, so even the sign of a zero must match: the
+// kernel reproduces the reference bit for bit. Batch sizes 0, 1, 7 and 257 run the kernel over
+// prefixes of the queries; predict() is checked on every row.
+template <typename Model>
+void expect_kernel_matches_reference(const Model& model,
+                                     const data::DataMatrix& queries,
+                                     const char* what) {
+  model.flat().validate();
+  const auto nf = static_cast<std::size_t>(queries.cols());
+  for (const std::size_t n : {0u, 1u, 7u, 257u}) {
+    ASSERT_LE(n, queries.rows());
+    std::vector<double> out(n, 42.0);
+    model.predict_batch(queries.features().first(n * nf), out);
+    for (std::size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(out[r]),
+                std::bit_cast<std::uint64_t>(
+                    reference_walk(model, queries.row(r))))
+          << what << " batch " << n << " row " << r;
+    }
+  }
+  for (std::size_t r = 0; r < queries.rows(); ++r) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(model.predict(queries.row(r))),
+              std::bit_cast<std::uint64_t>(
+                  reference_walk(model, queries.row(r))))
+        << what << " row " << r;
+  }
+}
+
+std::string saved(const tree::DecisionTree& t) {
+  std::ostringstream os;
+  t.save(os);
+  return os.str();
+}
+
+TEST(PackedKernelProperty, MatchesNodeWalkReferenceForEveryTreeModel) {
+  Rng rng(49);
+  const std::size_t cols = 5;
+  data::DataMatrix cls_train(static_cast<int>(cols));
+  data::DataMatrix reg_train(static_cast<int>(cols));
+  std::vector<float> row(cols);
+  for (int i = 0; i < 600; ++i) {
+    for (auto& v : row) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const double margin = row[0] + 0.5 * row[1] + rng.normal(0.0, 0.3);
+    cls_train.add_row(row, margin < 0.0 ? -1.0f : 1.0f, 1.0f);
+    reg_train.add_row(row, static_cast<float>(margin), 1.0f);
+  }
+  tree::TreeParams params;
+  params.min_split = 10;
+  params.min_bucket = 5;
+
+  tree::DecisionTree ct, rt;
+  ct.fit(cls_train, tree::Task::kClassification, params);
+  rt.fit(reg_train, tree::Task::kRegression, params);
+  forest::ForestConfig fc;
+  fc.n_trees = 12;
+  fc.tree_params = params;
+  forest::RandomForest rf;
+  rf.fit(cls_train, tree::Task::kClassification, fc);
+  forest::AdaBoostConfig ac;
+  ac.n_rounds = 8;
+  forest::AdaBoost ab;
+  ab.fit(cls_train, ac);
+
+  std::vector<float> thresholds;
+  collect_thresholds(ct, thresholds);
+  collect_thresholds(rt, thresholds);
+  for (std::size_t m = 0; m < rf.tree_count(); ++m) {
+    collect_thresholds(rf.member_tree(m), thresholds);
+  }
+  for (const auto& m : ab.members()) collect_thresholds(m.tree, thresholds);
+  const auto queries = edge_queries(rng, cols, thresholds);
+
+  expect_kernel_matches_reference(ct, queries, "CT");
+  expect_kernel_matches_reference(rt, queries, "RT");
+  expect_kernel_matches_reference(rf, queries, "RandomForest");
+  expect_kernel_matches_reference(ab, queries, "AdaBoost");
+}
+
+TEST(PackedKernelProperty, StumpsAndSharedChildrenMatchTheReference) {
+  using tree::Node;
+  const auto split = [](std::int32_t feature, float threshold,
+                        std::int32_t left, std::int32_t right) {
+    Node n;
+    n.feature = feature;
+    n.threshold = threshold;
+    n.left = left;
+    n.right = right;
+    return n;
+  };
+  const auto leaf = [](double value) {
+    Node n;
+    n.value = value;
+    return n;
+  };
+  const auto stump = tree::DecisionTree::from_nodes(
+      {leaf(-0.25)}, tree::Task::kClassification, 3);
+  // Nodes 1 and 2 share both leaves; node 5 is unreachable.
+  const auto dag = tree::DecisionTree::from_nodes(
+      {split(0, 0.5f, 1, 2), split(1, 0.0f, 3, 4), split(2, 0.0f, 3, 4),
+       leaf(-0.5), leaf(0.75), leaf(1.0)},
+      tree::Task::kClassification, 3);
+  // A chain where node i goes to i+1 or i+2: Fibonacci(40) root-to-leaf
+  // paths over 42 nodes. Packing through the index map keeps it at 40
+  // splits; expanding it per path would not finish.
+  std::vector<Node> chain;
+  for (std::int32_t i = 0; i < 40; ++i) {
+    chain.push_back(split(i % 3, 0.01f * static_cast<float>(i % 7), i + 1,
+                          i + 2));
+  }
+  chain.push_back(leaf(0.5));
+  chain.push_back(leaf(-1.0));
+  const auto deep_dag = tree::DecisionTree::from_nodes(
+      std::move(chain), tree::Task::kClassification, 3);
+
+  EXPECT_EQ(stump.flat().splits().size(), 0u);
+  EXPECT_EQ(dag.flat().splits().size(), 3u);
+  EXPECT_EQ(dag.flat().leaves().size(), 2u);
+  EXPECT_EQ(deep_dag.flat().splits().size(), 40u);
+  EXPECT_EQ(deep_dag.flat().leaves().size(), 2u);
+  // NaN goes right at every split: 0 -> 2 -> 4.
+  const std::vector<float> nan_row(3, std::numeric_limits<float>::quiet_NaN());
+  EXPECT_EQ(dag.predict(nan_row), 0.75);
+
+  // A forest whose second member is a stump and third the DAG, each on its
+  // own subspace (loaded, as RandomForest has no member constructor).
+  std::istringstream forest_text(
+      "hddpred-forest v1\nfeatures 3\ntrees 3\nsubspace 2 0 1\n" +
+      saved(dag) + "subspace 1 2 0\n" + saved(stump) + "subspace 0 1 2\n" +
+      saved(dag));
+  const auto rf = forest::RandomForest::load(forest_text);
+  EXPECT_EQ(rf.flat().splits().size(), 6u);
+
+  const auto ab = forest::AdaBoost::from_members(
+      {{stump, 0.4}, {dag, 1.25}, {deep_dag, 0.7}});
+
+  Rng rng(50);
+  const std::vector<float> thresholds{0.5f, 0.0f, 0.01f, 0.03f, 0.06f};
+  const auto queries = edge_queries(rng, 3, thresholds);
+  expect_kernel_matches_reference(stump, queries, "stump");
+  expect_kernel_matches_reference(dag, queries, "dag");
+  expect_kernel_matches_reference(deep_dag, queries, "deep dag");
+  expect_kernel_matches_reference(rf, queries, "forest with stump member");
+  expect_kernel_matches_reference(ab, queries, "AdaBoost with stump member");
 }
 
 TEST(BatchPredictProperty, EmptyBatchIsNoop) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Machine-readable micro-benchmark runner: builds and runs the micro_*
-# google-benchmark binaries (micro_perf: fleet scoring, micro_lint: static
-# verifier, micro_obs: metrics instrumentation, micro_io: the Env seam,
+# google-benchmark binaries (micro_perf: fleet scoring and tree/forest
+# batch prediction, micro_lint: static verifier, micro_obs: metrics
+# instrumentation, micro_io: the Env seam,
 # micro_serve: the daemon ingest path, micro_pipeline: hot-swap publish
 # and shadow-scoring overhead) and merges their JSON output into
 # one flat BENCH_obs.json — an array of {name, value, unit} objects,
@@ -76,7 +77,8 @@ run_bench() {
   "${BUILD_DIR}/bench/${bin}" "${args[@]}" > /dev/null
 }
 
-run_bench micro_perf "${TMP}/perf.json" 'BM_Fleet|BM_StoreAppend'
+run_bench micro_perf "${TMP}/perf.json" \
+    'BM_Fleet|BM_StoreAppend|BM_TreePredictBatch|BM_ForestPredictBatch'
 run_bench micro_lint "${TMP}/lint.json" 'BM_VerifyTree/20000|BM_VerifyForest/64'
 run_bench micro_obs  "${TMP}/obs.json"  ''
 run_bench micro_io   "${TMP}/io.json"   ''
