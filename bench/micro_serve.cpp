@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark): the serve ingest path.
 //
-// Three nested scopes of the daemon's hot loop, each reporting
+// Nested scopes of the daemon's hot loop, each reporting
 // items_per_second in samples:
 //
-//  * BM_WireIngestCodec    — encode + frame + reassemble + decode only.
+//  * BM_WireEncode         — encode + frame one batch (the client side).
+//  * BM_WireDecode         — reassemble + decode the same batch (the
+//                            server side).
 //  * BM_EngineIngest       — ShardEngine::ingest (journal + score), no
 //                            sockets.
 //  * BM_ServeLoopbackIngest — the whole daemon: Client over TCP loopback
@@ -99,7 +101,19 @@ serve::ShardEngineConfig engine_config(const fs::path& dir,
   return ec;
 }
 
-void BM_WireIngestCodec(benchmark::State& state) {
+void BM_WireEncode(benchmark::State& state) {
+  const auto batch = make_batch();
+  for (auto _ : state) {
+    const std::string framed =
+        serve::frame_payload(serve::encode_ingest_request(batch));
+    benchmark::DoNotOptimize(framed.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch.samples.size()));
+}
+BENCHMARK(BM_WireEncode)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_WireDecode(benchmark::State& state) {
   const auto batch = make_batch();
   const std::string framed =
       serve::frame_payload(serve::encode_ingest_request(batch));
@@ -116,7 +130,7 @@ void BM_WireIngestCodec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch.samples.size()));
 }
-BENCHMARK(BM_WireIngestCodec)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_WireDecode)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_EngineIngest(benchmark::State& state) {
   const auto dir = fs::temp_directory_path() / "hdd_bench_serve_engine";

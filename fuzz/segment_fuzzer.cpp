@@ -37,19 +37,12 @@ const std::string& scratch_dir() {
 void walk_frames(std::string_view bytes) {
   (void)store::decode_segment_header(bytes);
   std::size_t pos = store::kSegmentHeaderBytes;
-  auto read_u32 = [&](std::size_t at) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at + i]))
-           << (8 * i);
-    }
-    return v;
-  };
   while (pos < bytes.size()) {
     const std::size_t remaining = bytes.size() - pos;
     if (remaining < store::kFrameHeaderBytes) break;
-    const std::uint32_t len = read_u32(pos);
-    const std::uint32_t crc = read_u32(pos + 4);
+    const std::uint32_t len = store::load_le<std::uint32_t>(bytes.data() + pos);
+    const std::uint32_t crc =
+        store::load_le<std::uint32_t>(bytes.data() + pos + 4);
     if (len == 0 || len > store::kMaxPayloadBytes ||
         len > remaining - store::kFrameHeaderBytes) {
       break;

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -343,12 +344,23 @@ bool Server::process_request(int fd, std::string& payload, ConnTrace& trace) {
       if (shards == 1) {
         parts.push_back(std::move(req->ingest));
       } else {
+        // Split by drive run, not by sample: one shard_of per run, and the
+        // run's serials move rather than copy. Order within a shard holds.
         parts.resize(shards);
-        const IngestBatch& batch = req->ingest;
-        for (std::size_t i = 0; i < batch.samples.size(); ++i) {
+        IngestBatch& batch = req->ingest;
+        const std::size_t n = batch.samples.size();
+        for (std::size_t i = 0, j = 0; i < n; i = j) {
+          j = i + 1;
+          while (j < n && batch.serials[j] == batch.serials[i]) ++j;
           IngestBatch& p = parts[engine_.shard_of(batch.serials[i])];
-          p.serials.push_back(batch.serials[i]);
-          p.samples.push_back(batch.samples[i]);
+          const auto from = static_cast<std::ptrdiff_t>(i);
+          const auto to = static_cast<std::ptrdiff_t>(j);
+          p.serials.insert(
+              p.serials.end(),
+              std::make_move_iterator(batch.serials.begin() + from),
+              std::make_move_iterator(batch.serials.begin() + to));
+          p.samples.insert(p.samples.end(), batch.samples.begin() + from,
+                           batch.samples.begin() + to);
         }
       }
 

@@ -1,47 +1,33 @@
 #include "serve/wire.h"
 
-#include <bit>
+#include <cstring>
 
 #include "store/format.h"
 
 namespace hdd::serve {
 
+using store::load_le;
 using store::put_u8;
 using store::put_u16;
-using store::put_u32;
 using store::put_u64;
 using store::Reader;
+using store::store_le;
 
 namespace {
 
 // Smallest possible per-sample ingest entry (empty serial), used to bound
 // attacker-controlled counts before any reserve().
-constexpr std::size_t kMinIngestEntryBytes =
-    2 + 8 + 4 * smart::kNumAttributes;
+constexpr std::size_t kMinIngestEntryBytes = 2 + store::kSampleBodyBytes;
 
-void put_serial(std::string& out, std::string_view serial) {
-  put_u16(out, static_cast<std::uint16_t>(serial.size()));
-  out.append(serial);
+// len u16 | bytes: how serials and error messages travel.
+void put_str16(std::string& out, std::string_view s) {
+  put_u16(out, static_cast<std::uint16_t>(s.size()));
+  out.append(s);
 }
 
-bool read_serial(Reader& r, std::string_view payload, std::string& out) {
+bool read_str16(Reader& r, std::string_view& out) {
   std::uint16_t len = 0;
-  if (!r.u16(len) || !r.remaining(len)) return false;
-  out.assign(payload.substr(r.pos, len));
-  r.pos += len;
-  return true;
-}
-
-bool read_sample(Reader& r, smart::Sample& s) {
-  std::uint64_t hour = 0;
-  if (!r.u64(hour)) return false;
-  s.hour = static_cast<std::int64_t>(hour);
-  for (float& v : s.attrs) {
-    std::uint32_t bits = 0;
-    if (!r.u32(bits)) return false;
-    v = std::bit_cast<float>(bits);
-  }
-  return true;
+  return r.u16(len) && r.view(len, out);
 }
 
 // Consumes the optional trailing trace id: exactly 8 bytes past the body
@@ -58,22 +44,24 @@ bool read_trace_id(Reader& r, std::string_view payload,
 
 std::string encode_ingest_request(const IngestBatch& batch,
                                   std::uint64_t trace_id) {
-  std::string out;
   std::size_t bytes = 1 + 4 + (trace_id != 0 ? 8 : 0);
-  for (const std::string& s : batch.serials) {
-    bytes += 2 + s.size() + 8 + 4 * smart::kNumAttributes;
-  }
-  out.reserve(bytes);
-  put_u8(out, static_cast<std::uint8_t>(Op::kIngest));
-  put_u32(out, static_cast<std::uint32_t>(batch.samples.size()));
   for (std::size_t i = 0; i < batch.samples.size(); ++i) {
-    put_serial(out, batch.serials[i]);
-    put_u64(out, static_cast<std::uint64_t>(batch.samples[i].hour));
-    for (float v : batch.samples[i].attrs) {
-      put_u32(out, std::bit_cast<std::uint32_t>(v));
-    }
+    bytes += 2 + batch.serials[i].size() + store::kSampleBodyBytes;
   }
-  if (trace_id != 0) put_u64(out, trace_id);
+  std::string out(bytes, '\0');
+  char* p = out.data();
+  *p++ = static_cast<char>(Op::kIngest);
+  store_le(p, static_cast<std::uint32_t>(batch.samples.size()));
+  p += 4;
+  for (std::size_t i = 0; i < batch.samples.size(); ++i) {
+    const std::string& serial = batch.serials[i];
+    store_le(p, static_cast<std::uint16_t>(serial.size()));
+    std::memcpy(p + 2, serial.data(), serial.size());
+    p += 2 + serial.size();
+    store::store_sample_body(p, batch.samples[i]);
+    p += store::kSampleBodyBytes;
+  }
+  if (trace_id != 0) store_le(p, trace_id);
   return out;
 }
 
@@ -82,7 +70,7 @@ std::string encode_query_request(std::string_view serial,
   std::string out;
   out.reserve(1 + 2 + serial.size() + (trace_id != 0 ? 8 : 0));
   put_u8(out, static_cast<std::uint8_t>(Op::kQuery));
-  put_serial(out, serial);
+  put_str16(out, serial);
   if (trace_id != 0) put_u64(out, trace_id);
   return out;
 }
@@ -115,25 +103,27 @@ std::optional<Request> decode_request(std::string_view payload) {
       req.ingest.serials.reserve(count);
       req.ingest.samples.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
-        std::string serial;
+        std::string_view serial;
         smart::Sample s;
-        if (!read_serial(r, payload, serial) || serial.empty() ||
-            !read_sample(r, s)) {
+        if (!read_str16(r, serial) || serial.empty() || !r.sample(s)) {
           return std::nullopt;
         }
-        req.ingest.serials.push_back(std::move(serial));
+        req.ingest.serials.emplace_back(serial);
         req.ingest.samples.push_back(s);
       }
       if (!read_trace_id(r, payload, req.trace_id)) return std::nullopt;
       return req;
     }
-    case Op::kQuery:
+    case Op::kQuery: {
       req.op = Op::kQuery;
-      if (!read_serial(r, payload, req.serial) || req.serial.empty() ||
+      std::string_view serial;
+      if (!read_str16(r, serial) || serial.empty() ||
           !read_trace_id(r, payload, req.trace_id)) {
         return std::nullopt;
       }
+      req.serial.assign(serial);
       return req;
+    }
     case Op::kStats:
       req.op = Op::kStats;
       if (!read_trace_id(r, payload, req.trace_id)) return std::nullopt;
@@ -195,8 +185,7 @@ std::string encode_error_response(Status status, std::string_view message) {
   if (message.size() > 0xFFFF) message = message.substr(0, 0xFFFF);
   out.reserve(1 + 2 + message.size());
   put_u8(out, static_cast<std::uint8_t>(status));
-  put_u16(out, static_cast<std::uint16_t>(message.size()));
-  out.append(message);
+  put_str16(out, message);
   return out;
 }
 
@@ -262,29 +251,17 @@ std::optional<StatsResponse> decode_stats_response(std::string_view payload) {
 std::optional<std::string> decode_error_message(std::string_view payload) {
   Reader r{payload};
   std::uint8_t status = 0;
-  std::uint16_t len = 0;
+  std::string_view message;
   if (!r.u8(status) || status == static_cast<std::uint8_t>(Status::kOk) ||
-      !r.u16(len) || !r.remaining(len)) {
+      !read_str16(r, message)) {
     return std::nullopt;
   }
-  return std::string(payload.substr(r.pos, len));
+  return std::string(message);
 }
 
 std::string frame_payload(std::string_view payload) {
   return store::frame_record(payload);
 }
-
-namespace {
-std::uint32_t read_u32_le(const std::string& buf, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(
-             static_cast<unsigned char>(buf[at + static_cast<std::size_t>(i)]))
-         << (8 * i);
-  }
-  return v;
-}
-}  // namespace
 
 void FrameParser::feed(std::string_view bytes) {
   if (corrupt_) return;  // framing is untrusted; hold nothing more
@@ -300,7 +277,7 @@ void FrameParser::feed(std::string_view bytes) {
   // announces are allowed to accumulate: frame boundaries chain through the
   // declared lengths, so headers can be walked without touching payloads.
   while (buf_.size() - scan_ >= store::kFrameHeaderBytes) {
-    const std::uint32_t len = read_u32_le(buf_, scan_);
+    const std::uint32_t len = load_le<std::uint32_t>(buf_.data() + scan_);
     if (len == 0 || len > kMaxWirePayloadBytes) {
       corrupt_ = true;
       std::string().swap(buf_);  // release, don't just clear
@@ -316,8 +293,8 @@ FrameParser::Result FrameParser::next(std::string& payload) {
   if (corrupt_) return Result::kCorrupt;
   const std::size_t avail = buf_.size() - pos_;
   if (avail < store::kFrameHeaderBytes) return Result::kNeedMore;
-  const std::uint32_t len = read_u32_le(buf_, pos_);
-  const std::uint32_t crc = read_u32_le(buf_, pos_ + 4);
+  const std::uint32_t len = load_le<std::uint32_t>(buf_.data() + pos_);
+  const std::uint32_t crc = load_le<std::uint32_t>(buf_.data() + pos_ + 4);
   if (len == 0 || len > kMaxWirePayloadBytes) {
     corrupt_ = true;
     return Result::kCorrupt;

@@ -33,8 +33,9 @@
 //   shutdown ok body: (empty)
 //
 // All integers little-endian, floats IEEE-754 bit patterns — identical
-// conventions to the on-disk format, so the same Reader/put_* primitives
-// decode both. A frame that fails its CRC, declares a payload over
+// conventions to the on-disk format, so one codec (store/format.h:
+// store_le/load_le, Reader, and the 56-byte hour + attrs sample body an
+// ingest entry shares with a journal record) encodes and decodes both. A frame that fails its CRC, declares a payload over
 // kMaxWirePayloadBytes, or holds a body its op cannot parse is a protocol
 // error: the server answers kBadRequest (when it can) and closes the
 // connection; it never crashes on hostile bytes.

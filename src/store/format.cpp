@@ -1,7 +1,5 @@
 #include "store/format.h"
 
-#include <array>
-#include <bit>
 #include <cstring>
 
 namespace hdd::store {
@@ -39,94 +37,35 @@ const CrcTables& crc_tables() {
   return tables;
 }
 
+// Writes a sample record's payload (type u8 | drive u32 | sample body,
+// kSampleFrameBytes - kFrameHeaderBytes bytes) at p.
+void store_sample_payload(char* p, std::uint32_t drive,
+                          const smart::Sample& sample) {
+  p[0] = static_cast<char>(RecordType::kSample);
+  store_le(p + 1, drive);
+  store_sample_body(p + 5, sample);
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n) {
   const CrcTables& tb = crc_tables();
-  const auto* p = static_cast<const unsigned char*>(data);
+  const auto* p = static_cast<const char*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
-  if constexpr (std::endian::native == std::endian::little) {
-    while (n >= 8) {
-      std::uint32_t lo = 0, hi = 0;
-      std::memcpy(&lo, p, 4);
-      std::memcpy(&hi, p + 4, 4);
-      lo ^= c;
-      c = tb.t[7][lo & 0xFFu] ^ tb.t[6][(lo >> 8) & 0xFFu] ^
-          tb.t[5][(lo >> 16) & 0xFFu] ^ tb.t[4][lo >> 24] ^
-          tb.t[3][hi & 0xFFu] ^ tb.t[2][(hi >> 8) & 0xFFu] ^
-          tb.t[1][(hi >> 16) & 0xFFu] ^ tb.t[0][hi >> 24];
-      p += 8;
-      n -= 8;
-    }
+  while (n >= 8) {
+    const std::uint32_t lo = load_le<std::uint32_t>(p) ^ c;
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+    c = tb.t[7][lo & 0xFFu] ^ tb.t[6][(lo >> 8) & 0xFFu] ^
+        tb.t[5][(lo >> 16) & 0xFFu] ^ tb.t[4][lo >> 24] ^
+        tb.t[3][hi & 0xFFu] ^ tb.t[2][(hi >> 8) & 0xFFu] ^
+        tb.t[1][(hi >> 16) & 0xFFu] ^ tb.t[0][hi >> 24];
+    p += 8;
+    n -= 8;
   }
   while (n-- > 0) {
-    c = tb.t[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
+    c = tb.t[0][(c ^ static_cast<unsigned char>(*p++)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
-}
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void patch_u32(std::string& out, std::size_t pos, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[pos + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-}
-
-bool Reader::u8(std::uint8_t& v) {
-  if (!remaining(1)) return false;
-  v = static_cast<std::uint8_t>(bytes[pos++]);
-  return true;
-}
-
-bool Reader::u16(std::uint16_t& v) {
-  if (!remaining(2)) return false;
-  v = 0;
-  for (int i = 0; i < 2; ++i) {
-    v |= static_cast<std::uint16_t>(
-        static_cast<std::uint8_t>(bytes[pos++]) << (8 * i));
-  }
-  return true;
-}
-
-bool Reader::u32(std::uint32_t& v) {
-  if (!remaining(4)) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[pos++]))
-         << (8 * i);
-  }
-  return true;
-}
-
-bool Reader::u64(std::uint64_t& v) {
-  if (!remaining(8)) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[pos++]))
-         << (8 * i);
-  }
-  return true;
 }
 
 std::string encode_segment_header(std::uint64_t sequence,
@@ -169,12 +108,8 @@ std::string encode_drive_record(std::uint32_t id, std::string_view serial) {
 
 std::string encode_sample_record(std::uint32_t drive,
                                  const smart::Sample& sample) {
-  std::string out;
-  out.reserve(1 + 4 + 8 + 4 * smart::kNumAttributes);
-  put_u8(out, static_cast<std::uint8_t>(RecordType::kSample));
-  put_u32(out, drive);
-  put_u64(out, static_cast<std::uint64_t>(sample.hour));
-  for (float v : sample.attrs) put_u32(out, std::bit_cast<std::uint32_t>(v));
+  std::string out(kSampleFrameBytes - kFrameHeaderBytes, '\0');
+  store_sample_payload(out.data(), drive, sample);
   return out;
 }
 
@@ -202,15 +137,12 @@ void append_sample_frame(std::string& out, std::uint32_t drive,
                          const smart::Sample& sample) {
   constexpr std::uint32_t kPayload =
       static_cast<std::uint32_t>(kSampleFrameBytes - kFrameHeaderBytes);
-  const std::size_t frame_start = out.size();
-  put_u32(out, kPayload);
-  put_u32(out, 0);  // CRC patched in below, once the payload bytes exist
-  put_u8(out, static_cast<std::uint8_t>(RecordType::kSample));
-  put_u32(out, drive);
-  put_u64(out, static_cast<std::uint64_t>(sample.hour));
-  for (float v : sample.attrs) put_u32(out, std::bit_cast<std::uint32_t>(v));
-  patch_u32(out, frame_start + 4,
-            crc32(out.data() + frame_start + kFrameHeaderBytes, kPayload));
+  const std::size_t at = out.size();
+  out.resize(at + kSampleFrameBytes);
+  char* p = out.data() + at;
+  store_le(p, kPayload);
+  store_sample_payload(p + kFrameHeaderBytes, drive, sample);
+  store_le(p + 4, crc32(p + kFrameHeaderBytes, kPayload));
 }
 
 std::optional<DecodedRecord> decode_record(std::string_view payload) {
@@ -221,32 +153,27 @@ std::optional<DecodedRecord> decode_record(std::string_view payload) {
   if (type == static_cast<std::uint8_t>(RecordType::kDrive)) {
     rec.type = RecordType::kDrive;
     std::uint16_t len = 0;
-    if (!r.u32(rec.drive) || !r.u16(len) || !r.remaining(len)) {
+    std::string_view serial;
+    if (!r.u32(rec.drive) || !r.u16(len) || !r.view(len, serial)) {
       return std::nullopt;
     }
-    rec.serial.assign(payload.substr(r.pos, len));
+    rec.serial.assign(serial);
     return rec;
   }
   if (type == static_cast<std::uint8_t>(RecordType::kSample)) {
     rec.type = RecordType::kSample;
-    std::uint64_t hour = 0;
-    if (!r.u32(rec.drive) || !r.u64(hour)) return std::nullopt;
-    rec.sample.hour = static_cast<std::int64_t>(hour);
-    for (float& v : rec.sample.attrs) {
-      std::uint32_t bits = 0;
-      if (!r.u32(bits)) return std::nullopt;
-      v = std::bit_cast<float>(bits);
-    }
+    if (!r.u32(rec.drive) || !r.sample(rec.sample)) return std::nullopt;
     return rec;
   }
   if (type == static_cast<std::uint8_t>(RecordType::kGeneration)) {
     rec.type = RecordType::kGeneration;
     std::uint32_t len = 0;
-    if (!r.u64(rec.generation) || !r.u32(len) || !r.remaining(len) ||
-        r.pos + len != payload.size()) {
+    std::string_view text;
+    if (!r.u64(rec.generation) || !r.u32(len) || !r.view(len, text) ||
+        r.pos != payload.size()) {
       return std::nullopt;
     }
-    rec.model_text.assign(payload.substr(r.pos, len));
+    rec.model_text.assign(text);
     return rec;
   }
   return std::nullopt;

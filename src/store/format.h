@@ -19,10 +19,13 @@
 // store internals.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "smart/drive.h"
 
@@ -54,16 +57,61 @@ enum class RecordType : std::uint8_t {
 // and every test-crafted corrupt segment keeps meaning the same thing.
 std::uint32_t crc32(const void* data, std::size_t n);
 
-// --- Little-endian primitives ----------------------------------------------
+// --- Little-endian codec ----------------------------------------------------
 // Shared by the segment codec and the serve wire codec (serve/wire.h), which
-// reuses this framing idiom over TCP.
+// reuses this framing idiom over TCP. store_le/load_le are the only place
+// either format deals with the host byte order; every other encoder and
+// decoder writes and reads fixed-width fields through them, a whole block
+// at a time where the layout allows (one bounds check, no per-byte
+// appends).
 
-void put_u8(std::string& out, std::uint8_t v);
-void put_u16(std::string& out, std::uint16_t v);
-void put_u32(std::string& out, std::uint32_t v);
-void put_u64(std::string& out, std::uint64_t v);
-// Overwrites 4 bytes at `pos` (for length/CRC patched in after the fact).
-void patch_u32(std::string& out, std::size_t pos, std::uint32_t v);
+template <class T>
+inline void store_le(char* p, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      p[i] = static_cast<char>(v >> (8 * i));
+    }
+  }
+}
+
+template <class T>
+[[nodiscard]] inline T load_le(const char* p) {
+  static_assert(std::is_unsigned_v<T>);
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      v |= static_cast<T>(static_cast<T>(static_cast<unsigned char>(p[i]))
+                          << (8 * i));
+    }
+  }
+  return v;
+}
+
+template <class T>
+inline void put_le(std::string& out, T v) {
+  char b[sizeof v];
+  store_le(b, v);
+  out.append(b, sizeof v);
+}
+inline void put_u8(std::string& out, std::uint8_t v) { put_le(out, v); }
+inline void put_u16(std::string& out, std::uint16_t v) { put_le(out, v); }
+inline void put_u32(std::string& out, std::uint32_t v) { put_le(out, v); }
+inline void put_u64(std::string& out, std::uint64_t v) { put_le(out, v); }
+
+// A SMART sample's body as both formats carry it: hour u64 | 12 x f32.
+inline constexpr std::size_t kSampleBodyBytes = 8 + 4 * smart::kNumAttributes;
+
+inline void store_sample_body(char* p, const smart::Sample& s) {
+  store_le(p, static_cast<std::uint64_t>(s.hour));
+  for (std::size_t i = 0; i < s.attrs.size(); ++i) {
+    store_le(p + 8 + 4 * i, std::bit_cast<std::uint32_t>(s.attrs[i]));
+  }
+}
 
 // Bounds-checked little-endian cursor over a payload. Every accessor's
 // return value is the bounds check — ignoring one reads garbage, hence
@@ -76,10 +124,38 @@ struct Reader {
     return bytes.size() - pos >= n;
   }
 
-  [[nodiscard]] bool u8(std::uint8_t& v);
-  [[nodiscard]] bool u16(std::uint16_t& v);
-  [[nodiscard]] bool u32(std::uint32_t& v);
-  [[nodiscard]] bool u64(std::uint64_t& v);
+  template <class T>
+  [[nodiscard]] bool le(T& v) {
+    if (!remaining(sizeof v)) return false;
+    v = load_le<T>(bytes.data() + pos);
+    pos += sizeof v;
+    return true;
+  }
+  [[nodiscard]] bool u8(std::uint8_t& v) { return le(v); }
+  [[nodiscard]] bool u16(std::uint16_t& v) { return le(v); }
+  [[nodiscard]] bool u32(std::uint32_t& v) { return le(v); }
+  [[nodiscard]] bool u64(std::uint64_t& v) { return le(v); }
+
+  // The next n bytes, uncopied.
+  [[nodiscard]] bool view(std::size_t n, std::string_view& v) {
+    if (!remaining(n)) return false;
+    v = bytes.substr(pos, n);
+    pos += n;
+    return true;
+  }
+
+  // One sample body (store_sample_body's layout): a single bounds check,
+  // then one block read.
+  [[nodiscard]] bool sample(smart::Sample& s) {
+    if (!remaining(kSampleBodyBytes)) return false;
+    const char* p = bytes.data() + pos;
+    s.hour = static_cast<std::int64_t>(load_le<std::uint64_t>(p));
+    for (std::size_t i = 0; i < s.attrs.size(); ++i) {
+      s.attrs[i] = std::bit_cast<float>(load_le<std::uint32_t>(p + 8 + 4 * i));
+    }
+    pos += kSampleBodyBytes;
+    return true;
+  }
 };
 
 struct SegmentHeader {
@@ -113,7 +189,7 @@ void append_sample_frame(std::string& out, std::uint32_t drive,
 
 // Bytes one sample occupies on disk: frame header + type/drive/hour/attrs.
 inline constexpr std::size_t kSampleFrameBytes =
-    kFrameHeaderBytes + 1 + 4 + 8 + 4 * smart::kNumAttributes;
+    kFrameHeaderBytes + 1 + 4 + kSampleBodyBytes;
 
 struct DecodedRecord {
   RecordType type = RecordType::kSample;

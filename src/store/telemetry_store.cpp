@@ -208,18 +208,9 @@ bool TelemetryStore::scan_segment(Segment& seg) {
   seg.data_end = pos;
   while (pos < buf.size()) {
     const std::size_t remaining = buf.size() - pos;
-    auto read_u32 = [&buf](std::size_t at) {
-      std::uint32_t v = 0;
-      for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(buf[at + i]))
-             << (8 * i);
-      }
-      return v;
-    };
     if (remaining < kFrameHeaderBytes) break;  // torn frame header
-    const std::uint32_t len = read_u32(pos);
-    const std::uint32_t crc = read_u32(pos + 4);
+    const std::uint32_t len = load_le<std::uint32_t>(buf.data() + pos);
+    const std::uint32_t crc = load_le<std::uint32_t>(buf.data() + pos + 4);
     if (len == 0 || len > kMaxPayloadBytes ||
         len > remaining - kFrameHeaderBytes) {
       break;  // torn tail (or garbage length — indistinguishable)
@@ -558,11 +549,7 @@ void TelemetryStore::scan_range(
       std::min<std::size_t>(buf.size(), static_cast<std::size_t>(seg.data_end));
   std::size_t pos = kSegmentHeaderBytes;
   while (pos + kFrameHeaderBytes <= end) {
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[pos + i]))
-             << (8 * i);
-    }
+    const std::uint32_t len = load_le<std::uint32_t>(buf.data() + pos);
     if (len == 0 || pos + kFrameHeaderBytes + len > end) break;
     fn(std::string_view(buf.data() + pos + kFrameHeaderBytes, len));
     pos += kFrameHeaderBytes + len;

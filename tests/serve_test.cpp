@@ -20,6 +20,7 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "core/scorer.h"
+#include "hex_bytes.h"
 #include "io/env.h"
 #include "io/fault_env.h"
 #include "io/shutdown.h"
@@ -231,6 +232,100 @@ TEST(Wire, RejectsMalformedRequests) {
   lying[3] = '\xff';
   lying[4] = '\x7f';
   EXPECT_FALSE(decode_request(lying).has_value());
+}
+
+// Golden bytes: the wire.h layouts written out by hand, so a change that
+// is symmetric between encoder and decoder (a field-order swap, a
+// byte-order flip) still fails.
+TEST(Wire, IngestRequestMatchesGoldenBytes) {
+  using test::hex_bytes;
+  IngestBatch b;
+  b.serials = {"ab", "cde"};
+  b.samples.resize(2);
+  b.samples[0].hour = 1;
+  b.samples[0].attrs[0] = 1.0f;
+  b.samples[1].hour = -1;
+  b.samples[1].attrs[11] = -2.5f;
+  const std::string zeros(4 * 11, '\0');  // eleven 0.0f attrs
+  const std::string golden =
+      hex_bytes("01"             // op: ingest
+                "02 00 00 00"    // count
+                "02 00") + "ab" +
+      hex_bytes("01 00 00 00 00 00 00 00"  // hour 1
+                "00 00 80 3f") + zeros +   // attrs[0] = 1.0
+      hex_bytes("03 00") + "cde" +
+      hex_bytes("ff ff ff ff ff ff ff ff") +  // hour -1
+      zeros + hex_bytes("00 00 20 c0") +     // attrs[11] = -2.5
+      hex_bytes("88 77 66 55 44 33 22 11");   // trailing trace id
+  EXPECT_EQ(encode_ingest_request(b, 0x1122334455667788ull), golden);
+
+  const auto req = decode_request(golden);
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->op, Op::kIngest);
+  EXPECT_EQ(req->trace_id, 0x1122334455667788ull);
+  EXPECT_EQ(req->ingest.serials, b.serials);
+  ASSERT_EQ(req->ingest.samples.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(req->ingest.samples[i].hour, b.samples[i].hour);
+    EXPECT_EQ(req->ingest.samples[i].attrs, b.samples[i].attrs);
+  }
+}
+
+TEST(Wire, IngestResponseMatchesGoldenBytes) {
+  using test::hex_bytes;
+  IngestResponse r;
+  r.accepted = 0x0102;
+  r.stale = 3;
+  r.quarantined = 0x0807060504030201ull;
+  r.journal_failed = 0;
+  r.degraded = true;
+  const std::string golden = hex_bytes(
+      "00"                       // status: ok
+      "02 01 00 00 00 00 00 00"  // accepted
+      "03 00 00 00 00 00 00 00"  // stale
+      "01 02 03 04 05 06 07 08"  // quarantined
+      "00 00 00 00 00 00 00 00"  // journal_failed
+      "01");                     // degraded
+  EXPECT_EQ(encode_ingest_response(r), golden);
+  const auto d = decode_ingest_response(golden);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->accepted, r.accepted);
+  EXPECT_EQ(d->stale, r.stale);
+  EXPECT_EQ(d->quarantined, r.quarantined);
+  EXPECT_EQ(d->journal_failed, r.journal_failed);
+  EXPECT_TRUE(d->degraded);
+}
+
+TEST(Wire, EveryStrictPrefixOfAnIngestPayloadIsRejected) {
+  const IngestBatch b = batch_for_drive(0, 0, 3);
+  const std::string full = encode_ingest_request(b);
+  ASSERT_TRUE(decode_request(full).has_value());
+  for (std::size_t n = 0; n < full.size(); ++n) {
+    EXPECT_FALSE(decode_request(full.substr(0, n)).has_value()) << n;
+  }
+  // A traced payload cut exactly at the end of its body is the untraced
+  // request, which is valid; every other strict prefix is not.
+  const std::string traced = encode_ingest_request(b, 42);
+  for (std::size_t n = 0; n < traced.size(); ++n) {
+    const auto req = decode_request(traced.substr(0, n));
+    if (n == full.size()) {
+      ASSERT_TRUE(req.has_value());
+      EXPECT_EQ(req->trace_id, 0u);
+    } else {
+      EXPECT_FALSE(req.has_value()) << n;
+    }
+  }
+  // Counts the bytes cannot hold: one entry too many passes the coarse
+  // pre-allocation cap and must fail in the bounded reads; the largest
+  // count fails the cap itself.
+  for (const std::uint32_t count : {4u, 5u, 0xffffffffu}) {
+    std::string lying = full;
+    for (int i = 0; i < 4; ++i) {
+      lying[1 + static_cast<std::size_t>(i)] =
+          static_cast<char>((count >> (8 * i)) & 0xff);
+    }
+    EXPECT_FALSE(decode_request(lying).has_value()) << count;
+  }
 }
 
 TEST(Wire, TraceIdRoundTripsOnEveryOp) {

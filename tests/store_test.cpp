@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "hex_bytes.h"
 #include "io/env.h"
 #include "store/format.h"
 #include "store/telemetry_store.h"
@@ -127,6 +129,96 @@ TEST(Format, FrameCarriesPayloadCrc) {
   std::uint32_t stored = 0;
   std::memcpy(&stored, framed.data() + 4, 4);
   EXPECT_EQ(stored, crc);
+}
+
+// --- Golden bytes ------------------------------------------------------------
+// The layouts above written out by hand. Round trips cannot catch a change
+// that is symmetric between encoder and decoder (a field-order swap, a
+// byte-order flip); these can.
+
+using test::hex_bytes;
+
+std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+// Attrs chosen to survive only a bit-exact codec: a NaN with a payload, a
+// negative zero, an infinity and a denormal, then distinct patterns.
+smart::Sample golden_sample() {
+  smart::Sample s;
+  s.hour = 0x0102030405060708;
+  const std::uint32_t bits[] = {0x7FC00001u, 0x80000000u, 0x7F800000u,
+                                0x00000001u, 0x3F800000u, 0xC0200000u};
+  for (std::size_t a = 0; a < s.attrs.size(); ++a) {
+    s.attrs[a] = std::bit_cast<float>(
+        a < 6 ? bits[a] : 0x40000000u + static_cast<std::uint32_t>(a - 6));
+  }
+  return s;
+}
+
+TEST(Format, Crc32MatchesTheStandardCheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(Format, SampleFrameMatchesGoldenBytes) {
+  const std::string payload = hex_bytes(
+      "02"                       // type: sample
+      "0d 0c 0b 0a"              // drive 0x0a0b0c0d
+      "08 07 06 05 04 03 02 01"  // hour 0x0102030405060708
+      "01 00 c0 7f"              // NaN, payload bit 0
+      "00 00 00 80"              // -0.0
+      "00 00 80 7f"              // +inf
+      "01 00 00 00"              // smallest denormal
+      "00 00 80 3f"              // 1.0
+      "00 00 20 c0"              // -2.5
+      "00 00 00 40 01 00 00 40 02 00 00 40"
+      "03 00 00 40 04 00 00 40 05 00 00 40");
+  const std::string frame = hex_bytes(
+      "3d 00 00 00"   // payload length 61
+      "f9 c3 c1 2e"   // CRC-32 of the payload
+  ) + payload;
+  const smart::Sample s = golden_sample();
+  EXPECT_EQ(encode_sample_record(0x0a0b0c0du, s), payload);
+  EXPECT_EQ(frame_record(payload), frame);
+  std::string out = "prefix";  // frames append after existing bytes
+  append_sample_frame(out, 0x0a0b0c0du, s);
+  EXPECT_EQ(out, "prefix" + frame);
+
+  const auto rec = decode_record(payload);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->type, RecordType::kSample);
+  EXPECT_EQ(rec->drive, 0x0a0b0c0du);
+  EXPECT_EQ(rec->sample.hour, s.hour);
+  for (std::size_t a = 0; a < s.attrs.size(); ++a) {
+    EXPECT_EQ(bits_of(rec->sample.attrs[a]), bits_of(s.attrs[a])) << a;
+  }
+}
+
+TEST(Format, DriveRecordMatchesGoldenBytes) {
+  const std::string payload = hex_bytes(
+      "01"           // type: drive
+      "04 03 02 01"  // id 0x01020304
+      "04 00"        // serial length
+  ) + "SN-7";
+  EXPECT_EQ(encode_drive_record(0x01020304u, "SN-7"), payload);
+  const auto rec = decode_record(payload);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->type, RecordType::kDrive);
+  EXPECT_EQ(rec->drive, 0x01020304u);
+  EXPECT_EQ(rec->serial, "SN-7");
+}
+
+TEST(Format, EveryStrictPrefixOfARecordIsRejected) {
+  const std::string records[] = {
+      encode_sample_record(9, golden_sample()),
+      encode_drive_record(3, "WD-XYZ-001"),
+      encode_generation_record(5, "model text"),
+  };
+  for (const std::string& full : records) {
+    ASSERT_TRUE(decode_record(full).has_value());
+    for (std::size_t n = 0; n < full.size(); ++n) {
+      EXPECT_FALSE(decode_record(full.substr(0, n)).has_value())
+          << "type " << static_cast<int>(full[0]) << ", prefix " << n;
+    }
+  }
 }
 
 // --- Basic store behaviour -------------------------------------------------

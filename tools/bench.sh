@@ -5,12 +5,15 @@
 # instrumentation, micro_io: the Env seam,
 # micro_serve: the daemon ingest path, micro_pipeline: hot-swap publish
 # and shadow-scoring overhead) and merges their JSON output into
-# one flat BENCH_obs.json — an array of {name, value, unit} objects,
-# `value` being real (wall) time per iteration; benchmarks that report a
-# throughput get a second <name>/items_per_second row. CI diffs this file
-# against the committed copy to catch hot-path regressions; the obs
-# entries are the acceptance record for the overhead bounds in DESIGN.md
-# §7, the io entries for the <=3% Env-indirection budget in DESIGN.md §8
+# one flat BENCH_obs.json — an array of {name, value, unit} objects.
+# Every benchmark runs REPS (5) times: `value` is the median real (wall)
+# time per iteration, a <name>/cv row carries the coefficient of variation
+# (stddev / mean) of those repetitions, and benchmarks that report a
+# throughput get a <name>/items_per_second row (median as well). A single
+# run misleads; the CV says how far apart two medians must be to differ.
+# CI diffs this file against the committed copy to catch hot-path
+# regressions; the obs entries are the acceptance record for the overhead
+# bounds in DESIGN.md §7, the io entries for the <=3% Env-indirection budget in DESIGN.md §8
 # (BM_EnvAppend vs BM_DirectAppend), and the serve entries for the >= 1M
 # sustained samples/s ingest bar in DESIGN.md §9
 # (BM_ServeLoopbackIngest), and the pipeline entries for the <= 10%
@@ -31,6 +34,7 @@ cd "$(dirname "$0")/.."
 
 OUT="BENCH_obs.json"
 BUILD_DIR="build"
+REPS=5
 FILTER=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -68,7 +72,8 @@ done
 run_bench() {
   local bin="$1" json="$2" extra_filter="$3"
   local args=(--benchmark_format=json --benchmark_out="${json}"
-              --benchmark_out_format=json)
+              --benchmark_out_format=json
+              --benchmark_repetitions="${REPS}")
   local f="${FILTER:-${extra_filter}}"
   if [[ -n "${f}" ]]; then
     args+=("--benchmark_filter=${f}")
@@ -89,6 +94,7 @@ python3 - "${OUT}" "${TMP}" "${TMP}/perf.json" "${TMP}/lint.json" \
     "${TMP}/obs.json" "${TMP}/io.json" "${TMP}/serve.json" \
     "${TMP}/pipeline.json" <<'PY'
 import json
+import statistics
 import sys
 
 out_path, tmp_dir, *inputs = sys.argv[1:]
@@ -96,18 +102,29 @@ rows = []
 for path in inputs:
     with open(path) as f:
         doc = json.load(f)
+    # Group the repetitions of each benchmark, keeping first-seen order;
+    # google-benchmark's own aggregate rows are recomputed here instead.
+    runs = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
+        runs.setdefault(b["run_name"], []).append(b)
+    for name, reps in runs.items():
+        times = [b["real_time"] for b in reps]
+        mean = statistics.fmean(times)
+        cv = statistics.stdev(times) / mean if len(times) > 1 and mean else 0.0
         rows.append({
-            "name": b["name"],
-            "value": round(b["real_time"], 4),
-            "unit": b["time_unit"],
+            "name": name,
+            "value": round(statistics.median(times), 4),
+            "unit": reps[0]["time_unit"],
         })
-        if "items_per_second" in b:
+        rows.append({"name": name + "/cv", "value": round(cv, 4),
+                     "unit": "ratio"})
+        if "items_per_second" in reps[0]:
             rows.append({
-                "name": b["name"] + "/items_per_second",
-                "value": round(b["items_per_second"], 1),
+                "name": name + "/items_per_second",
+                "value": round(statistics.median(
+                    b["items_per_second"] for b in reps), 1),
                 "unit": "items/s",
             })
 for preset in ("ct", "forest"):
