@@ -272,7 +272,8 @@ BENCHMARK(BM_FleetIntervalBatched)->Arg(10000)->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 // End-to-end record replay (feature extraction + scoring + voting) through
-// the scalar eval path vs the batched engine.
+// eval::score_record vs eval::score_record_batch (block extraction, one
+// predict_batch call per block), both voted by eval::vote_drive.
 data::DriveDataset make_bench_fleet(std::size_t n_drives) {
   const sim::TraceGenerator gen(sim::family_w_profile(), 42, 0);
   data::DriveDataset ds;
@@ -312,19 +313,24 @@ void BM_FleetReplayBatched(benchmark::State& state) {
   const auto n_drives = static_cast<std::size_t>(state.range(0));
   const BenchTreeScorer scorer(20000);
   const auto ds = make_bench_fleet(n_drives);
-  core::FleetScorerConfig cfg;
-  cfg.features = smart::stat13_features();
-  cfg.vote = never_alarm_vote();
-  core::FleetScorer fleet(scorer, cfg);
+  const auto fs = smart::stat13_features();
+  const auto vote = never_alarm_vote();
+  const eval::BatchSampleModel model = [&scorer](std::span<const float> xs,
+                                                 std::span<double> out) {
+    scorer.predict_batch(xs, out);
+  };
   for (auto _ : state) {
-    const auto outcomes = fleet.replay(ds);
-    benchmark::DoNotOptimize(outcomes.data());
+    std::size_t alarms = 0;
+    for (const auto& d : ds.drives) {
+      const auto scores = eval::score_record_batch(d, 0, fs, model);
+      alarms += eval::vote_drive(scores, vote).alarmed ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(alarms);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n_drives));
 }
-BENCHMARK(BM_FleetReplayBatched)->Arg(500)->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_FleetReplayBatched)->Arg(500)->Unit(benchmark::kMillisecond);
 
 // --- Telemetry store -------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <utility>
 
 #include "common/error.h"
@@ -34,7 +35,6 @@ void DriveVoteState::raise_alarm(std::int64_t hour) {
 bool DriveVoteState::push(std::int64_t hour, double output) {
   if (alarmed_) return false;
   ++seen_;
-  last_hour_ = hour;
   // Outputs round through float exactly as eval::score_record stores them,
   // so streaming decisions match the offline path bit for bit.
   const float v = static_cast<float>(output);
@@ -64,20 +64,11 @@ bool DriveVoteState::push(std::int64_t hour, double output) {
   return false;
 }
 
-bool DriveVoteState::finish() {
-  if (alarmed_ || filled_ == 0 || filled_ >= ring_.size()) return false;
-  if (decide(filled_)) {
-    raise_alarm(last_hour_);
-    return true;
-  }
-  return false;
-}
-
 void DriveVoteState::reset() {
   head_ = filled_ = failed_votes_ = 0;
   output_sum_ = 0.0;
   seen_ = 0;
-  last_hour_ = alarm_hour_ = -1;
+  alarm_hour_ = -1;
   alarmed_ = false;
   last_vote_failed_ = false;
 }
@@ -122,7 +113,8 @@ FleetScorer::FleetScorer(const SampleScorer& scorer, FleetScorerConfig config)
       "Journal append/flush failures tolerated in degraded mode.");
   m_batch_latency_ = &reg.histogram(
       "hdd_fleet_batch_latency_ns",
-      "Wall time of one observe_interval/observe_samples call (ns).");
+      "Wall time of one observe_interval/observe_samples/ingest_drive "
+      "call (ns).");
   m_shadow_samples_ = &reg.counter(
       "hdd_pipeline_shadow_samples_total",
       "Live feature rows scored by a shadow candidate model.");
@@ -180,10 +172,9 @@ void FleetScorer::flush_shadow(const ShadowTally& t) {
   }
 }
 
-void FleetScorer::shadow_push(const ScoreCtx& /*ctx*/, std::size_t i,
-                              std::int64_t hour, double shadow_output,
-                              double primary_output, bool primary_raised,
-                              ShadowTally& tally) {
+void FleetScorer::shadow_push(std::size_t i, std::int64_t hour,
+                              double shadow_output, double primary_output,
+                              bool primary_raised, ShadowTally& tally) {
   ++tally.samples;
   // Sample-level vote comparison through the same float rounding push()
   // applies, so "divergence" means exactly "this row would vote
@@ -251,35 +242,9 @@ void FleetScorer::observe_interval(std::span<const float> xs,
   const std::size_t n = states_.size();
   if (n == 0) return;
   const obs::ScopedTimer timer(m_batch_latency_);
-  m_samples_scored_->inc(n);
-  const std::size_t block = config_.block_rows;
-  const std::size_t n_blocks = (n + block - 1) / block;
-  const ScoreCtx ctx = make_ctx(/*live=*/true);
-  scratch_.resize(n);  // reused across intervals; no steady-state allocation
-  if (ctx.shadow != nullptr) shadow_scratch_.resize(n);
-  pool().parallel_for(0, n_blocks, [&](std::size_t b) {
-    const std::size_t lo = b * block;
-    const std::size_t hi = std::min(lo + block, n);
-    // Blocks own disjoint slices of the scratch buffers and disjoint
-    // states, so no cross-thread writes.
-    ctx.model->predict_batch(
-        xs.subspan(lo * nf, (hi - lo) * nf),
-        std::span<double>(scratch_.data() + lo, hi - lo));
-    if (ctx.shadow != nullptr) {
-      ctx.shadow->predict_batch(
-          xs.subspan(lo * nf, (hi - lo) * nf),
-          std::span<double>(shadow_scratch_.data() + lo, hi - lo));
-    }
-    ShadowTally tally;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const bool raised = states_[i].push(hour, scratch_[i]);
-      if (ctx.shadow != nullptr) {
-        shadow_push(ctx, i, hour, shadow_scratch_[i], scratch_[i], raised,
-                    tally);
-      }
-    }
-    flush_shadow(tally);
-  });
+  rows_.resize(n);
+  std::iota(rows_.begin(), rows_.end(), std::size_t{0});
+  score(make_ctx(/*live=*/true), rows_, {}, xs, hour);
 }
 
 void FleetScorer::observe_interval(const data::DataMatrix& m,
@@ -313,225 +278,219 @@ void FleetScorer::push_history(std::size_t i, const smart::Sample& sample) {
   if (drop > 0) hist.erase(hist.begin(), hist.begin() + drop);
 }
 
-void FleetScorer::observe_samples(std::span<const smart::Sample> samples,
-                                  std::int64_t hour) {
+FleetScorer::Intake& FleetScorer::begin_intake() {
+  intake_.result = {};
+  intake_.kept.clear();
+  return intake_;
+}
+
+void FleetScorer::admit(std::size_t i, std::span<const smart::Sample> samples,
+                        Intake& in) {
+  const std::size_t first = in.kept.size();
+  const auto& hist = history_[i].samples;
+  std::int64_t last = hist.empty() ? -1 : hist.back().hour;
+  const bool domain = config_.quarantine == QuarantinePolicy::kFullDomain;
+  std::size_t nq = 0;
+  for (const smart::Sample& s : samples) {
+    if (s.hour <= last) {
+      ++in.result.stale;  // already scored (re-sent, repeated, out of order)
+      continue;
+    }
+    const auto fault = config_.quarantine == QuarantinePolicy::kOff
+                           ? smart::SampleFault::kNone
+                           : smart::classify_sample(s, domain);
+    if (fault != smart::SampleFault::kNone) {
+      if (in.result.quarantined++ == 0) {
+        in.q_drive = i;
+        in.q_hour = s.hour;
+        in.q_fault = fault;
+      }
+      ++nq;
+      continue;
+    }
+    in.kept.push_back(s);
+    last = s.hour;
+  }
+  if (nq > 0) {
+    m_quarantined_->inc(nq);
+    quarantined_ += nq;
+  }
+  const std::span<const smart::Sample> run(in.kept.data() + first,
+                                           in.kept.size() - first);
+  if (journal_ != nullptr && !run.empty()) {
+    // Durability before scoring: a sample is in the journal before it can
+    // raise an alarm. Hours the store already holds (a torn interval that
+    // resume_from() dropped from memory but not from disk) are scored
+    // without a second copy. An append failure (sealed/full segment, I/O
+    // error) drops the drive's run and the rest of the fleet keeps
+    // scoring; a simulated crash (io::CrashPoint, deliberately not a
+    // std::exception) still propagates.
+    const std::int64_t held = journal_->drive(journal_ids_[i]).last_hour;
+    std::size_t k = 0;
+    while (k < run.size() && run[k].hour <= held) ++k;
+    try {
+      if (k < run.size()) {
+        journal_->append_batch(journal_ids_[i], run.data() + k,
+                               run.size() - k);
+      }
+    } catch (const std::exception& e) {
+      journal_failure("journal append failed for drive " + serials_[i] +
+                      " at hour " + std::to_string(run[k].hour) +
+                      ", dropping " + std::to_string(run.size()) +
+                      " sample(s): " + e.what());
+      in.kept.resize(first);
+      in.result.journal_failed = true;
+      return;
+    }
+  }
+  in.result.accepted += run.size();
+}
+
+void FleetScorer::log_quarantine(const Intake& in) const {
+  if (in.result.quarantined == 0) return;
+  log_message(LogLevel::kWarn,
+              "fleet: quarantined " + std::to_string(in.result.quarantined) +
+                  " sample(s); first: drive " + serials_[in.q_drive] +
+                  " at hour " + std::to_string(in.q_hour) + " (" +
+                  smart::sample_fault_name(in.q_fault) + ")");
+}
+
+void FleetScorer::journal_failure(const std::string& what) {
+  degraded_ = true;
+  ++journal_failures_;
+  m_journal_failures_->inc();
+  log_message(LogLevel::kWarn, "fleet: " + what + " (degraded)");
+}
+
+FleetScorer::IngestResult FleetScorer::observe_samples(
+    std::span<const smart::Sample> samples, std::int64_t hour) {
   HDD_REQUIRE(samples.size() == states_.size(),
               "interval must hold one sample per registered drive");
   const std::size_t n = states_.size();
-  if (n == 0) return;
+  if (n == 0) return {};
   for (std::size_t i = 0; i < n; ++i) {
     HDD_REQUIRE(samples[i].hour == hour,
                 "every sample must carry the interval hour");
   }
-  // skip[i]: drop drive i's sample this interval — everywhere (journal,
-  // history, voting), so in-memory state never diverges from what a
-  // resume_from() over the journal would rebuild.
-  std::vector<char> skip(n, 0);
-  if (config_.quarantine != QuarantinePolicy::kOff) {
-    const bool domain = config_.quarantine == QuarantinePolicy::kFullDomain;
-    std::size_t nq = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto fault = smart::classify_sample(samples[i], domain);
-      if (fault == smart::SampleFault::kNone) continue;
-      skip[i] = 1;
-      ++nq;
-      log_message(LogLevel::kWarn,
-                  "fleet: quarantined sample for drive " + serials_[i] +
-                      " at hour " + std::to_string(hour) + " (" +
-                      smart::sample_fault_name(fault) + ")");
-    }
-    if (nq > 0) {
-      m_quarantined_->inc(nq);
-      quarantined_ += nq;
-    }
+  Intake& in = begin_intake();
+  rows_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t before = in.kept.size();
+    admit(i, samples.subspan(i, 1), in);
+    if (in.kept.size() > before) rows_.push_back(i);
   }
+  log_quarantine(in);
   if (journal_ != nullptr) {
-    // Durability before scoring: the sample is on disk before it can raise
-    // an alarm. Skipping hours the store already holds makes re-observing
-    // an interval after resume_from() idempotent. An append failure
-    // (sealed/full segment, I/O error) downgrades to a skip: the drive
-    // misses this interval, the fleet keeps scoring. A simulated crash
-    // (io::CrashPoint, deliberately not a std::exception) still propagates.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip[i] || journal_->drive(journal_ids_[i]).last_hour >= hour) {
-        continue;
-      }
-      try {
-        journal_->append(journal_ids_[i], samples[i]);
-      } catch (const std::exception& e) {
-        skip[i] = 1;
-        degraded_ = true;
-        ++journal_failures_;
-        m_journal_failures_->inc();
-        log_message(LogLevel::kWarn,
-                    "fleet: journal append failed for drive " + serials_[i] +
-                        " at hour " + std::to_string(hour) +
-                        ", skipping sample (degraded): " + e.what());
-      }
-    }
     try {
       journal_->flush();
     } catch (const std::exception& e) {
       // Appended but not durable: scoring proceeds; a crash before the next
       // successful flush loses at most this tail, which resume_from()'s
       // partial-interval rule already handles.
-      degraded_ = true;
-      ++journal_failures_;
-      m_journal_failures_->inc();
-      log_message(LogLevel::kWarn,
-                  std::string("fleet: journal flush failed (degraded): ") +
-                      e.what());
+      journal_failure(std::string("journal flush failed: ") + e.what());
     }
   }
   const obs::ScopedTimer timer(m_batch_latency_);
-  const auto nf = static_cast<std::size_t>(config_.features.size());
-  const std::size_t block = config_.block_rows;
-  const std::size_t n_blocks = (n + block - 1) / block;
-  const ScoreCtx ctx = make_ctx(/*live=*/true);
-  scratch_.resize(n);
-  if (ctx.shadow != nullptr) shadow_scratch_.resize(n);
-  std::atomic<std::size_t> scored{0};
-  pool().parallel_for(0, n_blocks, [&](std::size_t b) {
-    const std::size_t lo = b * block;
-    const std::size_t hi = std::min(lo + block, n);
-    // Blocks own disjoint index ranges, history slots and scratch slices;
-    // skipped rows are compacted out of the batch but keep their states
-    // untouched.
-    std::vector<std::size_t> rows;
-    rows.reserve(hi - lo);
-    std::vector<float> xbuf;
-    xbuf.reserve((hi - lo) * nf);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (skip[i]) continue;
-      rows.push_back(i);
-      push_history(i, samples[i]);
-      const std::size_t last = history_[i].samples.size() - 1;
-      smart::extract_features_block(history_[i], last, last + 1,
-                                    config_.features, xbuf);
-    }
-    if (rows.empty()) return;
-    ctx.model->predict_batch(
-        xbuf, std::span<double>(scratch_.data() + lo, rows.size()));
-    if (ctx.shadow != nullptr) {
-      ctx.shadow->predict_batch(
-          xbuf, std::span<double>(shadow_scratch_.data() + lo, rows.size()));
-    }
-    ShadowTally tally;
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      const bool raised = states_[rows[k]].push(hour, scratch_[lo + k]);
-      if (ctx.shadow != nullptr) {
-        shadow_push(ctx, rows[k], hour, shadow_scratch_[lo + k],
-                    scratch_[lo + k], raised, tally);
-      }
-    }
-    flush_shadow(tally);
-    scored.fetch_add(rows.size(), std::memory_order_relaxed);
-  });
-  m_samples_scored_->inc(scored.load());
+  score(make_ctx(/*live=*/true), rows_, in.kept, {}, hour);
+  return in.result;
 }
 
 FleetScorer::IngestResult FleetScorer::ingest_drive(
     std::size_t i, std::span<const smart::Sample> samples) {
   HDD_REQUIRE(i < states_.size(), "ingest for an unregistered drive");
-  IngestResult res;
-  if (samples.empty()) return res;
+  if (samples.empty()) return {};
   const obs::ScopedSpan span("fleet.ingest", "samples",
                              static_cast<std::uint64_t>(samples.size()));
   const obs::ScopedTimer timer(m_batch_latency_);
-  std::vector<smart::Sample>& kept = ingest_buf_;
-  kept.clear();
-  kept.reserve(samples.size());
-  std::int64_t last = -1;
+  Intake& in = begin_intake();
+  admit(i, samples, in);
+  log_quarantine(in);
+  if (in.kept.empty()) return in.result;
   if (journal_ != nullptr) {
-    last = journal_->drive(journal_ids_[i]).last_hour;
-  } else if (!history_[i].samples.empty()) {
-    last = history_[i].samples.back().hour;
-  }
-  const bool domain = config_.quarantine == QuarantinePolicy::kFullDomain;
-  for (const smart::Sample& s : samples) {
-    if (s.hour <= last) {
-      ++res.stale;  // re-sent after a resume, or out of order: drop
-      continue;
-    }
-    if (config_.quarantine != QuarantinePolicy::kOff &&
-        smart::classify_sample(s, domain) != smart::SampleFault::kNone) {
-      ++res.quarantined;
-      continue;
-    }
-    kept.push_back(s);
-    last = s.hour;
-  }
-  if (res.quarantined > 0) {
-    m_quarantined_->inc(res.quarantined);
-    quarantined_ += res.quarantined;
-  }
-  if (kept.empty()) return res;
-  if (journal_ != nullptr) {
-    // Durability (to the OS, not the platter) before scoring. A failure
-    // skips the whole batch in memory; chunks that landed before the
-    // failure are stale-skipped on the next send, and degraded() records
-    // that alarms since may rest on partial telemetry. A simulated crash
-    // (io::CrashPoint, not a std::exception) still propagates.
+    // Durability to the OS, not the platter. A failure drops the run in
+    // memory too; chunks that reached the store are not re-appended when
+    // the producer re-sends, and degraded() records that alarms since may
+    // rest on partial telemetry.
     try {
-      journal_->append_batch(journal_ids_[i], kept.data(), kept.size());
       journal_->flush_to_os();
     } catch (const std::exception& e) {
-      degraded_ = true;
-      ++journal_failures_;
-      m_journal_failures_->inc();
-      res.journal_failed = true;
-      log_message(LogLevel::kWarn,
-                  "fleet: journal batch append failed for drive " +
-                      serials_[i] + ", dropping batch (degraded): " +
-                      e.what());
-      return res;
+      journal_failure("journal flush failed for drive " + serials_[i] +
+                      ", dropping batch: " + e.what());
+      in.result.accepted = 0;
+      in.result.journal_failed = true;
+      return in.result;
     }
   }
-  {
-    const obs::ScopedSpan score_span("fleet.score", "samples",
-                                     static_cast<std::uint64_t>(kept.size()));
-    replay_drive_samples(make_ctx(/*live=*/true), i, kept);
-  }
-  res.accepted = kept.size();
-  return res;
+  const obs::ScopedSpan score_span("fleet.score", "samples",
+                                   static_cast<std::uint64_t>(in.kept.size()));
+  score(make_ctx(/*live=*/true), {&i, 1}, in.kept, {}, -1);
+  return in.result;
 }
 
-void FleetScorer::replay_drive_samples(
-    const ScoreCtx& ctx, std::size_t i,
-    std::span<const smart::Sample> samples) {
-  // No early exit at the first alarm: history must stay current through the
-  // whole log so post-resume feature rows match the uninterrupted run
-  // (push() is a no-op once alarmed, exactly as in live streaming).
+void FleetScorer::score(const ScoreCtx& ctx,
+                        std::span<const std::size_t> drives,
+                        std::span<const smart::Sample> samples,
+                        std::span<const float> xs, std::int64_t hour) {
+  const std::size_t nf = config_.features.size();
+  const bool precomputed = !xs.empty();
+  const std::size_t n = precomputed ? xs.size() / nf : samples.size();
   const std::size_t block = config_.block_rows;
-  std::vector<float> xbuf;
-  std::vector<double> obuf;
-  std::vector<double> sbuf;
-  ShadowTally tally;
-  for (std::size_t base = 0; base < samples.size(); base += block) {
-    const std::size_t hi = std::min(base + block, samples.size());
-    xbuf.clear();
-    for (std::size_t k = base; k < hi; ++k) {
-      push_history(i, samples[k]);
-      const std::size_t last = history_[i].samples.size() - 1;
-      smart::extract_features_block(history_[i], last, last + 1,
-                                    config_.features, xbuf);
+  const bool one_drive = drives.size() == 1;
+  m_samples_scored_->inc(n);
+  const auto score_block = [&](std::size_t b) {
+    // Per-thread buffers: pool workers and serve shard threads reuse them
+    // across calls, so steady-state scoring does not allocate.
+    struct Buffers {
+      std::vector<float> x;
+      std::vector<double> out, shadow_out;
+    };
+    thread_local Buffers buf;
+    const std::size_t lo = b * block;
+    const std::size_t hi = std::min(lo + block, n);
+    std::span<const float> x;
+    if (precomputed) {
+      x = xs.subspan(lo * nf, (hi - lo) * nf);
+    } else {
+      buf.x.clear();
+      for (std::size_t k = lo; k < hi; ++k) {
+        const std::size_t i = drives[one_drive ? 0 : k];
+        push_history(i, samples[k]);
+        const std::size_t last = history_[i].samples.size() - 1;
+        smart::extract_features_block(history_[i], last, last + 1,
+                                      config_.features, buf.x);
+      }
+      x = buf.x;
     }
-    obuf.resize(hi - base);
-    ctx.model->predict_batch(xbuf, obuf);
+    buf.out.resize(hi - lo);
+    ctx.model->predict_batch(x, buf.out);
     if (ctx.shadow != nullptr) {
-      sbuf.resize(hi - base);
-      ctx.shadow->predict_batch(xbuf, sbuf);
+      buf.shadow_out.resize(hi - lo);
+      ctx.shadow->predict_batch(x, buf.shadow_out);
     }
-    m_samples_scored_->inc(hi - base);
-    for (std::size_t k = base; k < hi; ++k) {
-      const bool raised = states_[i].push(samples[k].hour, obuf[k - base]);
+    // No early exit at an alarm: history must stay current through the
+    // whole run so later feature rows match an uninterrupted run (push()
+    // is a no-op once alarmed).
+    ShadowTally tally;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t i = drives[one_drive ? 0 : k];
+      const std::int64_t h = precomputed ? hour : samples[k].hour;
+      const double o = buf.out[k - lo];
+      const bool raised = states_[i].push(h, o);
       if (ctx.shadow != nullptr) {
-        shadow_push(ctx, i, samples[k].hour, sbuf[k - base], obuf[k - base],
-                    raised, tally);
+        shadow_push(i, h, buf.shadow_out[k - lo], o, raised, tally);
       }
     }
+    flush_shadow(tally);
+  };
+  const std::size_t n_blocks = (n + block - 1) / block;
+  if (one_drive) {
+    // One drive's run: each row extends the same history, so in order.
+    for (std::size_t b = 0; b < n_blocks; ++b) score_block(b);
+  } else {
+    // Blocks own disjoint drives (their history and voting states), so no
+    // cross-thread writes.
+    pool().parallel_for(0, n_blocks, score_block);
   }
-  flush_shadow(tally);
 }
 
 FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
@@ -588,7 +547,7 @@ FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
   // (live=false), so the parallel replay touches no shadow state.
   const ScoreCtx ctx = make_ctx(/*live=*/false);
   pool().parallel_for(0, per.size(), [&](std::size_t i) {
-    replay_drive_samples(ctx, i, per[i]);
+    score(ctx, {&i, 1}, per[i], {}, -1);
   });
 
   ResumeResult r;
@@ -620,89 +579,6 @@ std::vector<std::size_t> FleetScorer::alarmed_drives() const {
 void FleetScorer::reset() {
   for (DriveVoteState& s : states_) s.reset();
   for (smart::DriveRecord& h : history_) h.samples.clear();
-}
-
-eval::DriveOutcome FleetScorer::replay_drive(const SampleScorer& model,
-                                             const smart::DriveRecord& drive,
-                                             std::size_t begin) const {
-  DriveVoteState st(config_.vote);
-  st.set_metrics(m_vote_transitions_, m_alarms_);
-  const std::size_t n = drive.samples.size();
-  if (begin >= n) return st.outcome();
-  const std::size_t block = config_.block_rows;
-  std::vector<float> xbuf;
-  std::vector<double> obuf;
-  for (std::size_t base = begin; base < n && !st.alarmed(); base += block) {
-    const std::size_t hi = std::min(base + block, n);
-    xbuf.clear();
-    smart::extract_features_block(drive, base, hi, config_.features, xbuf);
-    obuf.resize(hi - base);
-    model.predict_batch(xbuf, obuf);
-    m_samples_scored_->inc(hi - base);
-    for (std::size_t i = base; i < hi; ++i) {
-      if (st.push(drive.samples[i].hour, obuf[i - base])) break;  // alarm
-    }
-  }
-  st.finish();
-  return st.outcome();
-}
-
-std::vector<eval::DriveOutcome> FleetScorer::replay(
-    const data::DriveDataset& dataset) const {
-  // Pin once per call: the whole replay scores through one generation.
-  const auto pin = scorer_->pin();
-  const SampleScorer& model = pin != nullptr ? *pin : *scorer_;
-  std::vector<eval::DriveOutcome> out(dataset.drives.size());
-  pool().parallel_for(0, dataset.drives.size(), [&](std::size_t i) {
-    out[i] = replay_drive(model, dataset.drives[i], 0);
-  });
-  return out;
-}
-
-eval::EvalResult FleetScorer::evaluate(const data::DriveDataset& dataset,
-                                       const data::DatasetSplit& split) const {
-  // The same jobs eval::score_dataset scores: good drives over their
-  // chronological test portion, failed drives over their whole record.
-  struct Job {
-    std::size_t drive;
-    std::size_t begin;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t k = 0; k < split.good_drives.size(); ++k) {
-    const auto& d = dataset.drives[split.good_drives[k]];
-    const std::size_t begin = split.good_test_begin[k];
-    if (begin >= d.samples.size()) continue;
-    jobs.push_back({split.good_drives[k], begin});
-  }
-  for (std::size_t di : split.test_failed) {
-    if (dataset.drives[di].empty()) continue;
-    jobs.push_back({di, 0});
-  }
-
-  const auto pin = scorer_->pin();
-  const SampleScorer& model = pin != nullptr ? *pin : *scorer_;
-  std::vector<eval::DriveOutcome> outcomes(jobs.size());
-  pool().parallel_for(0, jobs.size(), [&](std::size_t j) {
-    outcomes[j] =
-        replay_drive(model, dataset.drives[jobs[j].drive], jobs[j].begin);
-  });
-
-  eval::EvalResult r;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto& d = dataset.drives[jobs[j].drive];
-    const auto& o = outcomes[j];
-    if (d.failed) {
-      ++r.n_failed;
-      if (o.alarmed) {
-        ++r.detections;
-        r.tia_hours.push_back(static_cast<double>(d.fail_hour - o.alarm_hour));
-      }
-    } else {
-      ++r.n_good;
-      if (o.alarmed) ++r.false_alarms;
-    }
-  }
-  return r;
 }
 
 }  // namespace hdd::core

@@ -9,15 +9,16 @@
 //    snapshot through SampleScorer::predict_batch in row blocks spread over
 //    the thread pool, and advances a per-drive incremental voting window
 //    (DriveVoteState) — detection never rescans a drive's history.
-//  * Replay/evaluation: score whole DriveRecords (replay, evaluate) with
-//    block feature extraction, batch model calls, early exit at the first
-//    alarm, and parallelism across drives. Decisions are identical to
-//    eval::vote_drive over eval::score_record.
 //  * Journaled streaming: attach a store::TelemetryStore and feed raw SMART
-//    samples (observe_samples). Each interval is observed -> appended to the
-//    durable log -> scored; after a crash, resume_from() replays the log
-//    through the same bounded-history feature path, restoring every
+//    samples, a fleet interval at a time (observe_samples) or one drive's
+//    run at a time (ingest_drive). Both take each drive's samples through
+//    one intake step (stale filter, quarantine, journal append) before the
+//    same bounded-history scoring step; after a crash, resume_from()
+//    replays the log through that scoring step, restoring every
 //    DriveVoteState so the continued run raises byte-identical alarms.
+//
+// Offline scoring of whole DriveRecords is eval::score_record_batch +
+// eval::vote_drive (eval/detection.h).
 #pragma once
 
 #include <atomic>
@@ -31,7 +32,6 @@
 #include "core/rcu_slot.h"
 #include "core/scorer.h"
 #include "data/dataset.h"
-#include "data/split.h"
 #include "eval/detection.h"
 #include "smart/drive.h"
 
@@ -82,8 +82,8 @@ struct FleetScorerConfig {
 };
 
 // Incremental sliding-window voting state for one drive: the decision rule
-// of eval::vote_drive maintained sample by sample over a ring buffer of the
-// last N model outputs.
+// of eval::vote_drive (for records of at least N samples) maintained sample
+// by sample over a ring buffer of the last N model outputs.
 class DriveVoteState {
  public:
   explicit DriveVoteState(const eval::VoteConfig& vote);
@@ -93,15 +93,9 @@ class DriveVoteState {
   // window holds N samples.
   bool push(std::int64_t hour, double output);
 
-  // Closes a record shorter than the voting window: such drives vote once
-  // over what they have (eval::vote_drive's short-record rule). Returns
-  // true if this raises the alarm.
-  bool finish();
-
   bool alarmed() const { return alarmed_; }
   std::int64_t alarm_hour() const { return alarm_hour_; }
   std::int64_t samples_seen() const { return seen_; }
-  eval::DriveOutcome outcome() const { return {alarmed_, alarm_hour_}; }
 
   // The rolling vote verdict over the window's current contents (the rule
   // push() checks at a full window; short windows vote over what they
@@ -136,7 +130,6 @@ class DriveVoteState {
   std::size_t failed_votes_ = 0;
   double output_sum_ = 0.0;
   std::int64_t seen_ = 0;
-  std::int64_t last_hour_ = -1;
   bool alarmed_ = false;
   std::int64_t alarm_hour_ = -1;
   bool last_vote_failed_ = false;
@@ -179,41 +172,43 @@ class FleetScorer {
   void attach_journal(store::TelemetryStore* store);
   store::TelemetryStore* journal() const { return journal_; }
 
-  // Scores one interval of raw SMART telemetry: samples[i] is drive i's
-  // reading, all stamped `hour`. Order of operations per drive: append to
-  // the journal (if attached; skipped when the store already holds this
-  // hour, which makes re-observing an interval after a resume idempotent),
-  // push into the bounded history window, extract features, score, vote.
-  //
-  // Graceful degradation: samples failing the quarantine policy, and
-  // samples whose journal append fails, are counted
-  // (hdd_fleet_quarantined_samples_total /
-  // hdd_fleet_journal_append_failures_total), logged, and skipped for this
-  // interval — the rest of the fleet still scores. Journal failures also
-  // latch degraded(). A skipped sample is skipped everywhere (journal,
-  // history, voting), so in-memory state always matches what a resume
-  // would replay.
-  void observe_samples(std::span<const smart::Sample> samples,
-                       std::int64_t hour);
-
+  // What one intake call did with its samples (summed over drives).
   struct IngestResult {
     std::size_t accepted = 0;     // journaled (if attached) and scored
     std::size_t quarantined = 0;  // failed the quarantine policy
-    std::size_t stale = 0;        // at or before the drive's newest hour
-    bool journal_failed = false;  // batch skipped; degraded() is latched
+    std::size_t stale = 0;        // at or before the drive's newest scored hour
+    bool journal_failed = false;  // a drive's run skipped; degraded() latched
   };
+
+  // Both intake calls below take each drive's samples through one intake
+  // step, in this order:
+  //  1. stale filter: a sample at or before the newest hour this scorer has
+  //     scored for the drive is dropped and counted, so re-sending a batch or
+  //     re-observing an interval (after a resume, or by mistake) is a no-op;
+  //  2. quarantine: samples failing the policy are dropped and counted
+  //     (hdd_fleet_quarantined_samples_total), with one warn line per call;
+  //  3. journal (if attached): the run is appended before it is scored,
+  //     skipping hours the store already holds. An append failure drops the
+  //     drive's run, counts it (hdd_fleet_journal_append_failures_total) and
+  //     latches degraded() — the rest of the fleet still scores.
+  // A dropped sample is dropped everywhere (journal, history, voting), so
+  // in-memory state always matches what a resume would replay. Admitted
+  // samples then go through the bounded-history extraction, scoring and
+  // voting step resume_from() shares. Not thread-safe: callers serialize
+  // per scorer (serve gives each shard its own scorer + store).
+
+  // Scores one interval of raw SMART telemetry: samples[i] is drive i's
+  // reading, all stamped `hour`. One durable flush() per interval; a flush
+  // failure only latches degraded() (scoring proceeds).
+  IngestResult observe_samples(std::span<const smart::Sample> samples,
+                               std::int64_t hour);
 
   // Per-drive batched ingest — the serve path, where drives report on
   // their own clocks instead of fleet-lockstep intervals. Samples must be
-  // hour-ascending; anything at or before the drive's newest journaled
-  // (or, without a journal, in-memory) hour is dropped as stale, which
-  // makes re-sending a batch after a crash/resume idempotent. Accepted
-  // samples are appended to the journal as one batched write
-  // (flush_to_os, not fsync — the daemon fsyncs on seal/shutdown), then
-  // pushed through the same history/extraction/voting path
-  // observe_samples and resume_from share, so a resumed daemon raises
-  // byte-identical alarms. Not thread-safe: callers serialize per scorer
-  // (serve gives each shard its own scorer + store).
+  // hour-ascending. The run is journaled as one batched write pushed to
+  // the OS (flush_to_os, not fsync — the daemon fsyncs on seal/shutdown);
+  // an append or flush failure drops the whole run and reports
+  // journal_failed, and the producer re-sends it.
   IngestResult ingest_drive(std::size_t i,
                             std::span<const smart::Sample> samples);
 
@@ -257,26 +252,13 @@ class FleetScorer {
   };
 
   // Restores every drive's voting state by replaying the store through the
-  // same history/extraction/scoring path observe_samples uses. With an
+  // same history/extraction/scoring step the intake calls use. With an
   // empty registry the store's drives are adopted in id order; otherwise
   // the registry must match the store drive for drive. drop_partial_tail
   // discards a trailing interval that only some drives reached (a crash
   // mid-append); re-observing that hour then completes it for everyone.
   ResumeResult resume_from(store::TelemetryStore& store,
                            bool drop_partial_tail = true);
-
-  // --- Replay / evaluation mode ---------------------------------------------
-
-  // Scores every drive's record from its first sample; returns one outcome
-  // per dataset drive. Parallel across drives, batch within a drive, early
-  // exit at the first alarm.
-  std::vector<eval::DriveOutcome> replay(
-      const data::DriveDataset& dataset) const;
-
-  // Split-aware evaluation: identical results to eval::evaluate with the
-  // same features/vote, via the batched engine.
-  eval::EvalResult evaluate(const data::DriveDataset& dataset,
-                            const data::DatasetSplit& split) const;
 
  private:
   // One generation of installed shadow model; readers pin the whole slot.
@@ -302,23 +284,51 @@ class FleetScorer {
     std::uint64_t alarm_delta = 0;
   };
 
+  // Per-call intake scratch: what admit() let through, and the tallies.
+  struct Intake {
+    IngestResult result;
+    std::vector<smart::Sample> kept;  // admitted samples, in call order
+    // The call's first quarantined sample, named in its one warn line.
+    std::size_t q_drive = 0;
+    std::int64_t q_hour = -1;
+    smart::SampleFault q_fault = smart::SampleFault::kNone;
+  };
+
   // `live` additionally pins the shadow and (single-threaded) refreshes
   // shadow voting state for a newly installed candidate.
   ScoreCtx make_ctx(bool live);
   void flush_shadow(const ShadowTally& t);
   // Scores one shadow output against the incumbent's state for drive i.
   // `primary_raised` is the incumbent push() result for the same sample.
-  void shadow_push(const ScoreCtx& ctx, std::size_t i, std::int64_t hour,
-                   double shadow_output, double primary_output,
-                   bool primary_raised, ShadowTally& tally);
+  void shadow_push(std::size_t i, std::int64_t hour, double shadow_output,
+                   double primary_output, bool primary_raised,
+                   ShadowTally& tally);
 
-  eval::DriveOutcome replay_drive(const SampleScorer& model,
-                                  const smart::DriveRecord& drive,
-                                  std::size_t begin) const;
   ThreadPool& pool() const;
   void push_history(std::size_t i, const smart::Sample& sample);
-  void replay_drive_samples(const ScoreCtx& ctx, std::size_t i,
-                            std::span<const smart::Sample> samples);
+
+  // The intake step (see observe_samples): filters, quarantines and
+  // journals drive i's hour-ascending samples, appends the admitted ones to
+  // in.kept and tallies into in.result.
+  void admit(std::size_t i, std::span<const smart::Sample> samples,
+             Intake& in);
+  // Starts a public intake call on the reused intake_ scratch.
+  Intake& begin_intake();
+  // The call's single quarantine warn line (none when nothing was).
+  void log_quarantine(const Intake& in) const;
+  // Counts a journal append/flush failure, latches degraded() and logs it.
+  void journal_failure(const std::string& what);
+
+  // The scoring step: pushes rows through the pinned incumbent (and
+  // shadow) in blocks of block_rows and advances voting. Row k belongs to
+  // drive drives[k] — or drives[0] for every row, for one drive's run — and
+  // is samples[k] (pushed into history, features extracted here) or, when
+  // `xs` is non-empty, row k of the precomputed row-major `xs` at `hour`.
+  // Rows of distinct drives are scored in parallel blocks; one drive's run
+  // in order. Concurrent calls must cover disjoint drives.
+  void score(const ScoreCtx& ctx, std::span<const std::size_t> drives,
+             std::span<const smart::Sample> samples,
+             std::span<const float> xs, std::int64_t hour);
 
   const SampleScorer* scorer_;
   FleetScorerConfig config_;
@@ -339,16 +349,15 @@ class FleetScorer {
   std::uint64_t journal_failures_ = 0;
   std::vector<std::string> serials_;
   std::vector<DriveVoteState> states_;
-  std::vector<double> scratch_;  // interval model outputs, reused per call
+  std::vector<std::size_t> rows_;  // the drives one call scores
 
   // Shadow scoring state. The slot is the only cross-thread member
-  // (controller installs, scoring calls pin); the voting states and
-  // scratch follow the scorer's single-caller contract.
+  // (controller installs, scoring calls pin); the voting states follow the
+  // scorer's single-caller contract.
   RcuSlot<const ShadowSlot> shadow_slot_;
   std::uint64_t shadow_installs_ = 0;  // controller-side epoch source
   std::uint64_t shadow_epoch_seen_ = 0;
   std::vector<DriveVoteState> shadow_states_;
-  std::vector<double> shadow_scratch_;
   std::atomic<std::uint64_t> sh_samples_{0};
   std::atomic<std::uint64_t> sh_divergence_{0};
   std::atomic<std::uint64_t> sh_vote_flips_{0};
@@ -362,7 +371,7 @@ class FleetScorer {
   store::TelemetryStore* journal_ = nullptr;
   std::vector<std::uint32_t> journal_ids_;   // fleet index -> store drive id
   std::vector<smart::DriveRecord> history_;  // bounded raw-sample windows
-  std::vector<smart::Sample> ingest_buf_;    // ingest_drive scratch
+  Intake intake_;                             // reused per intake call
 };
 
 }  // namespace hdd::core

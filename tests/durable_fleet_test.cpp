@@ -5,8 +5,10 @@
 // append mid-record.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,6 +98,33 @@ std::vector<Outcome> outcomes(const FleetScorer& f) {
     out[i] = {f.state(i).alarmed(), f.state(i).alarm_hour()};
   }
   return out;
+}
+
+// Everything observable about a drive's voting state, window included.
+struct VoteSnapshot {
+  bool alarmed = false;
+  std::int64_t alarm_hour = -1;
+  std::int64_t samples_seen = 0;
+  bool decision = false;
+  bool operator==(const VoteSnapshot&) const = default;
+};
+
+std::vector<VoteSnapshot> vote_states(const FleetScorer& f) {
+  std::vector<VoteSnapshot> out(f.size());
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const DriveVoteState& st = f.state(i);
+    out[i] = {st.alarmed(), st.alarm_hour(), st.samples_seen(),
+              st.current_decision()};
+  }
+  return out;
+}
+
+void add_result(FleetScorer::IngestResult& sum,
+                const FleetScorer::IngestResult& r) {
+  sum.accepted += r.accepted;
+  sum.quarantined += r.quarantined;
+  sum.stale += r.stale;
+  sum.journal_failed = sum.journal_failed || r.journal_failed;
 }
 
 // The ground truth: one uninterrupted streaming run over all kHours.
@@ -292,6 +321,139 @@ TEST_F(DurableFleetTest, JournalDoesNotChangeDecisions) {
   }
   EXPECT_EQ(outcomes(f), expected);
   EXPECT_EQ(store.sample_count(), kDrives * static_cast<std::size_t>(kHours));
+}
+
+// Observing an hour twice through observe_samples is a counted no-op, with
+// and without a journal: the repeat is reported stale, leaves every
+// drive's vote window as it was and journals no second copy.
+TEST_F(DurableFleetTest, RepeatedIntervalIsAStaleNoop) {
+  const MixScorer scorer;
+  for (const bool journaled : {false, true}) {
+    store::TelemetryStore store(store_dir(journaled ? "j" : "nj"));
+    FleetScorer once(scorer, test_config());
+    FleetScorer twice(scorer, test_config());
+    for (std::uint32_t d = 0; d < kDrives; ++d) {
+      once.add_drive("drive-" + std::to_string(d));
+      twice.add_drive("drive-" + std::to_string(d));
+    }
+    if (journaled) twice.attach_journal(&store);
+    for (std::int64_t h = 0; h < kHours; ++h) {
+      const auto batch = interval_at(h);
+      once.observe_samples(batch, h);
+      EXPECT_EQ(twice.observe_samples(batch, h).accepted, kDrives);
+      const auto again = twice.observe_samples(batch, h);
+      EXPECT_EQ(again.stale, kDrives) << "hour " << h;
+      EXPECT_EQ(again.accepted, 0u) << "hour " << h;
+      EXPECT_EQ(vote_states(twice), vote_states(once))
+          << "journaled " << journaled << " hour " << h;
+    }
+    if (journaled) {
+      for (std::uint32_t d = 0; d < kDrives; ++d) {
+        EXPECT_EQ(store.read_drive(d, 0, kHours).size(),
+                  static_cast<std::size_t>(kHours));
+      }
+    }
+  }
+}
+
+// One intake rule on both paths: the same lockstep stream, with a NaN
+// sample and a late (out-of-order) re-delivered interval, gives identical
+// vote states, results and counters through observe_samples and through
+// per-drive ingest_drive.
+TEST_F(DurableFleetTest, IntakePathsAgreeOnQuarantineAndStaleSamples) {
+  const MixScorer scorer;
+  obs::Registry reg_a;
+  obs::Registry reg_b;
+  auto cfg_a = test_config();
+  cfg_a.metrics = &reg_a;
+  auto cfg_b = test_config();
+  cfg_b.metrics = &reg_b;
+  store::TelemetryStore store_a(store_dir("a"));
+  store::TelemetryStore store_b(store_dir("b"));
+  FleetScorer a(scorer, cfg_a);
+  FleetScorer b(scorer, cfg_b);
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    a.add_drive("drive-" + std::to_string(d));
+    b.add_drive("drive-" + std::to_string(d));
+  }
+  a.attach_journal(&store_a);
+  b.attach_journal(&store_b);
+
+  std::vector<std::int64_t> hours;
+  for (std::int64_t h = 0; h < kHours; ++h) {
+    hours.push_back(h);
+    if (h == 20) hours.push_back(12);  // a late re-delivery of hour 12
+  }
+  FleetScorer::IngestResult sum_a;
+  FleetScorer::IngestResult sum_b;
+  for (const std::int64_t h : hours) {
+    auto batch = interval_at(h);
+    if (h == 9) {
+      batch[3].set(smart::Attr::kRawReadErrorRate,
+                   std::numeric_limits<float>::quiet_NaN());
+    }
+    add_result(sum_a, a.observe_samples(batch, h));
+    for (std::uint32_t d = 0; d < kDrives; ++d) {
+      add_result(sum_b,
+                 b.ingest_drive(d, std::span<const smart::Sample>(batch)
+                                       .subspan(d, 1)));
+    }
+  }
+
+  EXPECT_EQ(vote_states(a), vote_states(b));
+  EXPECT_EQ(sum_a.quarantined, 1u);
+  EXPECT_EQ(sum_a.stale, kDrives);
+  EXPECT_FALSE(sum_a.journal_failed);
+  EXPECT_EQ(sum_b.quarantined, sum_a.quarantined);
+  EXPECT_EQ(sum_b.stale, sum_a.stale);
+  EXPECT_EQ(sum_b.accepted, sum_a.accepted);
+  EXPECT_EQ(sum_b.journal_failed, sum_a.journal_failed);
+  EXPECT_EQ(a.quarantined_samples(), 1u);
+  EXPECT_EQ(b.quarantined_samples(), a.quarantined_samples());
+  for (const char* name :
+       {"hdd_fleet_quarantined_samples_total", "hdd_fleet_samples_scored_total",
+        "hdd_fleet_alarms_total", "hdd_fleet_vote_transitions_total"}) {
+    EXPECT_EQ(reg_b.counter(name, "").value(), reg_a.counter(name, "").value())
+        << name;
+  }
+  EXPECT_EQ(store_a.sample_count(), kDrives * kHours - 1);
+  EXPECT_EQ(store_b.sample_count(), store_a.sample_count());
+}
+
+// A call that quarantines several samples logs one warn line naming the
+// count and the first offender, on both intake paths.
+TEST_F(DurableFleetTest, QuarantineLogsOneLinePerCall) {
+  const MixScorer scorer;
+  FleetScorer f(scorer, test_config());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    f.add_drive("drive-" + std::to_string(d));
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  auto batch = interval_at(0);
+  batch[2].set(smart::Attr::kRawReadErrorRate, nan);
+  batch[4].set(smart::Attr::kRawReadErrorRate, nan);
+  ::testing::internal::CaptureStderr();
+  f.observe_samples(batch, 0);
+  std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+  EXPECT_NE(log.find("quarantined 2 sample(s); first: drive drive-2 at hour 0"),
+            std::string::npos)
+      << log;
+
+  std::vector<smart::Sample> run = {sample_for(0, 1), sample_for(0, 2),
+                                    sample_for(0, 3)};
+  run[1].set(smart::Attr::kTemperatureCelsius, nan);
+  run[2].set(smart::Attr::kTemperatureCelsius, nan);
+  ::testing::internal::CaptureStderr();
+  const auto r = f.ingest_drive(0, run);
+  log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(r.quarantined, 2u);
+  EXPECT_EQ(r.accepted, 1u);
+  EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+  EXPECT_NE(log.find("quarantined 2 sample(s); first: drive drive-0 at hour 2"),
+            std::string::npos)
+      << log;
+  EXPECT_EQ(f.quarantined_samples(), 4u);
 }
 
 }  // namespace

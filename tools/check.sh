@@ -13,9 +13,10 @@
 # boots a real `hddpredict serve` daemon for an ingest/query/metrics
 # round trip and again for a tracing round trip (`hddpredict trace`
 # fetching /debug/trace, span chain asserted from the JSON), and a
-# ThreadSanitizer build runs the `obs` and `serve` labels (sharded
-# counters, the span rings and the multi-threaded daemon all claim
-# TSan-clean).
+# ThreadSanitizer build runs the `obs`, `serve`, `pipeline` and
+# `concurrency` labels (sharded counters, the span rings, the
+# multi-threaded daemon and FleetScorer's parallel scoring blocks all
+# claim TSan-clean).
 # The full (non-fast) run additionally stretches the serve soak test to
 # ~30 s of fault-injected mixed operations (HDD_SOAK_MS=30000) and
 # replays the checked-in fuzz corpus through the five fuzz entry points
@@ -281,14 +282,16 @@ run_config build-ubsan -DHDD_SANITIZE=undefined
 tools/fuzz.sh --regress "${JOBS}"
 
 # ThreadSanitizer over the concurrency surfaces: the sharded-atomic
-# counters, the multi-threaded serve daemon and the hot-swap/shadow path
-# of the update pipeline all claim TSan-clean, so hold them to that.
+# counters, the multi-threaded serve daemon, the hot-swap/shadow path of
+# the update pipeline and FleetScorer's parallel scoring blocks
+# (observe_interval/observe_samples/resume_from) all claim TSan-clean, so
+# hold them to that.
 echo "=== configure build-tsan (-DHDD_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DHDD_SANITIZE=thread
-echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test lock_order_test) ==="
+echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test lock_order_test fleet_test durable_fleet_test) ==="
 cmake --build build-tsan -j "${JOBS}" \
     --target obs_test trace_test serve_test pipeline_test \
-        retrain_loop_test lock_order_test
+        retrain_loop_test lock_order_test fleet_test durable_fleet_test
 echo "=== ctest build-tsan (labels: obs serve pipeline concurrency) ==="
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
     -L 'obs|serve|pipeline|concurrency'
