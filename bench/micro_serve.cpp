@@ -6,6 +6,10 @@
 //  * BM_WireEncode         — encode + frame one batch (the client side).
 //  * BM_WireDecode         — reassemble + decode the same batch (the
 //                            server side).
+//  * BM_Crc32/<bytes>      — the frame checksum alone: a 61-byte journal
+//                            sample frame (table loop), 64 KiB, and a
+//                            384 KiB ingest request (carry-less fold where
+//                            the CPU has it); bytes_per_second.
 //  * BM_EngineIngest       — ShardEngine::ingest (journal + score), no
 //                            sockets.
 //  * BM_ServeLoopbackIngest — the whole daemon: Client over TCP loopback
@@ -35,6 +39,7 @@
 #include "serve/shard_engine.h"
 #include "serve/wire.h"
 #include "smart/drive.h"
+#include "store/format.h"
 
 namespace {
 
@@ -62,9 +67,10 @@ smart::FeatureSet two_features() {
            {smart::Attr::kTemperatureCelsius, 6}}};
 }
 
-// Drive-major batch (consecutive same-serial runs become single
-// ingest_drive calls). Hours are offsets; advance() shifts the whole
-// batch forward so the next iteration's samples are all fresh.
+// Drive-major batch (consecutive same-serial entries become one drive run
+// of the shard's single ingest_runs call). Hours are offsets; advance()
+// shifts the whole batch forward so the next iteration's samples are all
+// fresh.
 serve::IngestBatch make_batch() {
   serve::IngestBatch b;
   b.serials.reserve(kDrives * kHoursPerBatch);
@@ -131,6 +137,18 @@ void BM_WireDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.samples.size()));
 }
 BENCHMARK(BM_WireDecode)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_Crc32(benchmark::State& state) {
+  std::string buf(static_cast<std::size_t>(state.range(0)), '\0');
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<char>(i * 131u + 7u);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store::crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(61)->Arg(65536)->Arg(393216);
 
 void BM_EngineIngest(benchmark::State& state) {
   const auto dir = fs::temp_directory_path() / "hdd_bench_serve_engine";

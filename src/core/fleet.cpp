@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "smart/features.h"
 #include "store/telemetry_store.h"
 
@@ -113,8 +114,9 @@ FleetScorer::FleetScorer(const SampleScorer& scorer, FleetScorerConfig config)
       "Journal append/flush failures tolerated in degraded mode.");
   m_batch_latency_ = &reg.histogram(
       "hdd_fleet_batch_latency_ns",
-      "Wall time of one observe_interval/observe_samples/ingest_drive "
-      "call (ns).");
+      "Wall time of one observe_interval/observe_samples/ingest_runs call "
+      "(ns); one ingest_runs call carries every drive run of one shard "
+      "request.");
   m_shadow_samples_ = &reg.counter(
       "hdd_pipeline_shadow_samples_total",
       "Live feature rows scored by a shadow candidate model.");
@@ -281,6 +283,9 @@ void FleetScorer::push_history(std::size_t i, const smart::Sample& sample) {
 FleetScorer::Intake& FleetScorer::begin_intake() {
   intake_.result = {};
   intake_.kept.clear();
+  for (const Intake::Run& r : intake_.runs) intake_.run_of[r.drive] = 0;
+  intake_.runs.clear();
+  intake_.run_of.resize(states_.size(), 0);
   return intake_;
 }
 
@@ -289,6 +294,11 @@ void FleetScorer::admit(std::size_t i, std::span<const smart::Sample> samples,
   const std::size_t first = in.kept.size();
   const auto& hist = history_[i].samples;
   std::int64_t last = hist.empty() ? -1 : hist.back().hour;
+  if (in.run_of[i] != 0) {
+    // Not scored yet, but already admitted earlier in this call.
+    const Intake::Run& prev = in.runs[in.run_of[i] - 1];
+    last = in.kept[prev.first + prev.count - 1].hour;
+  }
   const bool domain = config_.quarantine == QuarantinePolicy::kFullDomain;
   std::size_t nq = 0;
   for (const smart::Sample& s : samples) {
@@ -339,11 +349,14 @@ void FleetScorer::admit(std::size_t i, std::span<const smart::Sample> samples,
                       ", dropping " + std::to_string(run.size()) +
                       " sample(s): " + e.what());
       in.kept.resize(first);
-      in.result.journal_failed = true;
+      ++in.result.journal_failed;
       return;
     }
   }
+  if (run.empty()) return;
   in.result.accepted += run.size();
+  in.runs.push_back({i, first, run.size()});
+  in.run_of[i] = in.runs.size();
 }
 
 void FleetScorer::log_quarantine(const Intake& in) const {
@@ -373,12 +386,9 @@ FleetScorer::IngestResult FleetScorer::observe_samples(
                 "every sample must carry the interval hour");
   }
   Intake& in = begin_intake();
+  for (std::size_t i = 0; i < n; ++i) admit(i, samples.subspan(i, 1), in);
   rows_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = in.kept.size();
-    admit(i, samples.subspan(i, 1), in);
-    if (in.kept.size() > before) rows_.push_back(i);
-  }
+  for (const Intake::Run& r : in.runs) rows_.push_back(r.drive);
   log_quarantine(in);
   if (journal_ != nullptr) {
     try {
@@ -397,33 +407,49 @@ FleetScorer::IngestResult FleetScorer::observe_samples(
 
 FleetScorer::IngestResult FleetScorer::ingest_drive(
     std::size_t i, std::span<const smart::Sample> samples) {
-  HDD_REQUIRE(i < states_.size(), "ingest for an unregistered drive");
-  if (samples.empty()) return {};
+  const DriveRun run{i, samples};
+  return ingest_runs({&run, 1});
+}
+
+FleetScorer::IngestResult FleetScorer::ingest_runs(
+    std::span<const DriveRun> runs) {
+  std::size_t n = 0;
+  for (const DriveRun& r : runs) {
+    HDD_REQUIRE(r.drive < states_.size(), "ingest for an unregistered drive");
+    n += r.samples.size();
+  }
+  if (n == 0) return {};
   const obs::ScopedSpan span("fleet.ingest", "samples",
-                             static_cast<std::uint64_t>(samples.size()));
+                             static_cast<std::uint64_t>(n));
   const obs::ScopedTimer timer(m_batch_latency_);
   Intake& in = begin_intake();
-  admit(i, samples, in);
+  for (const DriveRun& r : runs) admit(r.drive, r.samples, in);
   log_quarantine(in);
-  if (in.kept.empty()) return in.result;
+  if (in.runs.empty()) return in.result;
   if (journal_ != nullptr) {
-    // Durability to the OS, not the platter. A failure drops the run in
-    // memory too; chunks that reached the store are not re-appended when
-    // the producer re-sends, and degraded() records that alarms since may
-    // rest on partial telemetry.
+    // One write for the whole call, durable to the OS, not the platter. A
+    // failure drops every admitted run in memory too; chunks that reached
+    // the store are not re-appended when the producer re-sends, and
+    // degraded() records that alarms since may rest on partial telemetry.
     try {
       journal_->flush_to_os();
     } catch (const std::exception& e) {
-      journal_failure("journal flush failed for drive " + serials_[i] +
-                      ", dropping batch: " + e.what());
+      journal_failure("journal flush failed, dropping " +
+                      std::to_string(in.runs.size()) + " run(s) of " +
+                      std::to_string(in.result.accepted) +
+                      " sample(s): " + e.what());
+      in.result.journal_failed += in.runs.size();
       in.result.accepted = 0;
-      in.result.journal_failed = true;
       return in.result;
     }
   }
   const obs::ScopedSpan score_span("fleet.score", "samples",
                                    static_cast<std::uint64_t>(in.kept.size()));
-  score(make_ctx(/*live=*/true), {&i, 1}, in.kept, {}, -1);
+  const ScoreCtx ctx = make_ctx(/*live=*/true);
+  const std::span<const smart::Sample> kept(in.kept);
+  for (const Intake::Run& r : in.runs) {
+    score(ctx, {&r.drive, 1}, kept.subspan(r.first, r.count), {}, -1);
+  }
   return in.result;
 }
 

@@ -10,12 +10,13 @@
 //    the thread pool, and advances a per-drive incremental voting window
 //    (DriveVoteState) — detection never rescans a drive's history.
 //  * Journaled streaming: attach a store::TelemetryStore and feed raw SMART
-//    samples, a fleet interval at a time (observe_samples) or one drive's
-//    run at a time (ingest_drive). Both take each drive's samples through
-//    one intake step (stale filter, quarantine, journal append) before the
-//    same bounded-history scoring step; after a crash, resume_from()
-//    replays the log through that scoring step, restoring every
-//    DriveVoteState so the continued run raises byte-identical alarms.
+//    samples, a fleet interval at a time (observe_samples) or as drive runs
+//    on their own clocks (ingest_runs; ingest_drive is its one-run call).
+//    Both take each drive's samples through one intake step (stale filter,
+//    quarantine, journal append) before the same bounded-history scoring
+//    step; after a crash, resume_from() replays the log through that
+//    scoring step, restoring every DriveVoteState so the continued run
+//    raises byte-identical alarms.
 //
 // Offline scoring of whole DriveRecords is eval::score_record_batch +
 // eval::vote_drive (eval/detection.h).
@@ -79,6 +80,12 @@ struct FleetScorerConfig {
   // obs::Registry::global(). A non-global registry must outlive the
   // scorer.
   obs::Registry* metrics = nullptr;
+};
+
+// One drive's hour-ascending run of raw samples, as ingest_runs takes it.
+struct DriveRun {
+  std::size_t drive = 0;  // fleet index
+  std::span<const smart::Sample> samples;
 };
 
 // Incremental sliding-window voting state for one drive: the decision rule
@@ -177,7 +184,8 @@ class FleetScorer {
     std::size_t accepted = 0;     // journaled (if attached) and scored
     std::size_t quarantined = 0;  // failed the quarantine policy
     std::size_t stale = 0;        // at or before the drive's newest scored hour
-    bool journal_failed = false;  // a drive's run skipped; degraded() latched
+    // Runs dropped by a journal append or flush failure; degraded() latched.
+    std::size_t journal_failed = 0;
   };
 
   // Both intake calls below take each drive's samples through one intake
@@ -190,7 +198,9 @@ class FleetScorer {
   //  3. journal (if attached): the run is appended before it is scored,
   //     skipping hours the store already holds. An append failure drops the
   //     drive's run, counts it (hdd_fleet_journal_append_failures_total) and
-  //     latches degraded() — the rest of the fleet still scores.
+  //     latches degraded() — the rest of the fleet still scores. A drive
+  //     with several runs in one call is filtered against its own earlier
+  //     runs too.
   // A dropped sample is dropped everywhere (journal, history, voting), so
   // in-memory state always matches what a resume would replay. Admitted
   // samples then go through the bounded-history extraction, scoring and
@@ -203,12 +213,19 @@ class FleetScorer {
   IngestResult observe_samples(std::span<const smart::Sample> samples,
                                std::int64_t hour);
 
-  // Per-drive batched ingest — the serve path, where drives report on
-  // their own clocks instead of fleet-lockstep intervals. Samples must be
-  // hour-ascending. The run is journaled as one batched write pushed to
-  // the OS (flush_to_os, not fsync — the daemon fsyncs on seal/shutdown);
-  // an append or flush failure drops the whole run and reports
-  // journal_failed, and the producer re-sends it.
+  // Batched ingest of drive runs — the serve path, where drives report on
+  // their own clocks instead of fleet-lockstep intervals; one call carries
+  // a shard's part of one request. Every run is admitted (and appended)
+  // first, then the whole call is pushed to the OS with one flush_to_os
+  // (not fsync — the daemon fsyncs on seal/shutdown), and only then are
+  // the admitted runs scored, in call order, by one pinned model
+  // generation. An append failure drops that drive's run; a flush failure
+  // drops every run admitted in the call and scores none of them (one warn
+  // line). journal_failed counts the dropped runs, and the producer
+  // re-sends them.
+  IngestResult ingest_runs(std::span<const DriveRun> runs);
+
+  // The one-run call of ingest_runs.
   IngestResult ingest_drive(std::size_t i,
                             std::span<const smart::Sample> samples);
 
@@ -286,8 +303,18 @@ class FleetScorer {
 
   // Per-call intake scratch: what admit() let through, and the tallies.
   struct Intake {
+    // An admitted, journaled run: kept[first, first + count) of `drive`.
+    struct Run {
+      std::size_t drive = 0;
+      std::size_t first = 0;
+      std::size_t count = 0;
+    };
     IngestResult result;
     std::vector<smart::Sample> kept;  // admitted samples, in call order
+    std::vector<Run> runs;            // in call order
+    // Per drive: 1 + index into runs of its latest run this call, 0 = none
+    // (reset through `runs` at the next call's start).
+    std::vector<std::size_t> run_of;
     // The call's first quarantined sample, named in its one warn line.
     std::size_t q_drive = 0;
     std::int64_t q_hour = -1;
@@ -309,7 +336,7 @@ class FleetScorer {
 
   // The intake step (see observe_samples): filters, quarantines and
   // journals drive i's hour-ascending samples, appends the admitted ones to
-  // in.kept and tallies into in.result.
+  // in.kept, records them as one of in.runs and tallies into in.result.
   void admit(std::size_t i, std::span<const smart::Sample> samples,
              Intake& in);
   // Starts a public intake call on the reused intake_ scratch.

@@ -36,7 +36,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "obs/trace.h"
 
 namespace hdd::obs {
 
@@ -184,27 +183,6 @@ class ScopedTimer {
 
   Histogram* h_;
   std::chrono::steady_clock::time_point start_;
-};
-
-// One timing primitive for "histogram + per-request span + debug line":
-// records the elapsed time into the histogram, emits a span named `name`
-// into the trace rings (obs/trace.h) when tracing is enabled, and still
-// prints the legacy "<name>: <µs>us" line under --log-level debug /
-// HDD_LOG_LEVEL=debug. Histogram and span share one clock source (the
-// span's tick pair), so the aggregate and the trace always agree.
-class ScopedTrace {
- public:
-  ScopedTrace(Histogram* h, const char* name);
-  ~ScopedTrace();
-
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
-
- private:
-  Histogram* h_;
-  const char* name_;
-  std::uint64_t start_;
-  ScopedSpan span_;
 };
 
 // Point-in-time copy of one instrument, decoupled from the live atomics.

@@ -137,22 +137,24 @@ std::size_t ShardEngine::drive_index(Shard& shard, const std::string& serial) {
 IngestResponse ShardEngine::ingest(std::size_t k, const IngestBatch& batch) {
   HDD_REQUIRE(k < shards_.size(), "shard index out of range");
   Shard& sh = shards_[k];
-  core::FleetScorer& fleet = sh.runtime->fleet();
-  IngestResponse res;
+  sh.runs.clear();
   const std::size_t n = batch.samples.size();
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i + 1;
     while (j < n && batch.serials[j] == batch.serials[i]) ++j;
-    const std::size_t idx = drive_index(sh, batch.serials[i]);
-    const auto r = fleet.ingest_drive(
-        idx, std::span<const smart::Sample>(batch.samples.data() + i, j - i));
-    res.accepted += r.accepted;
-    res.stale += r.stale;
-    res.quarantined += r.quarantined;
-    if (r.journal_failed) ++res.journal_failed;
+    sh.runs.push_back(
+        {drive_index(sh, batch.serials[i]),
+         std::span<const smart::Sample>(batch.samples.data() + i, j - i)});
     i = j;
   }
+  core::FleetScorer& fleet = sh.runtime->fleet();
+  const auto r = fleet.ingest_runs(sh.runs);
+  IngestResponse res;
+  res.accepted = r.accepted;
+  res.stale = r.stale;
+  res.quarantined = r.quarantined;
+  res.journal_failed = r.journal_failed;
   res.degraded = fleet.degraded();
   return res;
 }

@@ -11,7 +11,7 @@
 // Crash-resume: resume() replays every shard's journal through
 // FleetScorer::resume_from, so a killed daemon restarts with
 // byte-identical alarm state; re-sent batches are dropped sample-by-sample
-// by the stale rule in FleetScorer::ingest_drive. The shard count is part
+// by the stale rule in FleetScorer::ingest_runs. The shard count is part
 // of the on-disk layout (the hash routes a serial to the same subdir every
 // run) — opening a store laid out for more shards than configured is a
 // ConfigError, not silent re-routing.
@@ -66,8 +66,9 @@ class ShardEngine {
   std::uint64_t max_generation() const;
 
   // Ingest one batch routed to shard k (every entry's serial must hash
-  // there). Consecutive same-serial runs become single ingest_drive
-  // batches. Unknown serials are registered on first sight.
+  // there) as one FleetScorer::ingest_runs call: consecutive same-serial
+  // entries form one drive run, so the shard's part of a request costs one
+  // journal write. Unknown serials are registered on first sight.
   IngestResponse ingest(std::size_t k, const IngestBatch& batch);
 
   QueryResponse query(const std::string& serial) const;
@@ -87,6 +88,7 @@ class ShardEngine {
   struct Shard {
     std::unique_ptr<core::FleetRuntime> runtime;
     std::unordered_map<std::string, std::size_t> index;  // serial -> fleet id
+    std::vector<core::DriveRun> runs;  // one ingest call's runs, reused
   };
 
   std::size_t drive_index(Shard& shard, const std::string& serial);

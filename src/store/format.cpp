@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HDD_CRC32_CLMUL 1
+#include <immintrin.h>
+#endif
+
 namespace hdd::store {
 
 namespace {
@@ -37,6 +42,83 @@ const CrcTables& crc_tables() {
   return tables;
 }
 
+#ifdef HDD_CRC32_CLMUL
+// The carry-less-multiply kernel of Gopal et al. (see kCrc32Fold). Its
+// functions are compiled for PCLMULQDQ + SSE4.1 only, so the rest of the
+// binary keeps the baseline ISA.
+
+__m128i load16(const char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+__m128i pair(std::uint64_t lo, std::uint64_t hi) {
+  return _mm_set_epi64x(static_cast<long long>(hi), static_cast<long long>(lo));
+}
+
+// x's low half times k's low constant plus x's high half times k's high
+// one: moves x ahead by the distance k encodes.
+__attribute__((target("pclmul,sse4.1"))) __m128i fold(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                       _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+// Over n >= 64 bytes, n a multiple of 16; takes and returns the running
+// (pre-inversion) CRC state c, like one pass of the table loop. Four
+// 128-bit lanes fold 64 bytes per step; the lanes then fold into one,
+// further 16-byte blocks fold into it, and a Barrett reduction brings the
+// 128 bits down to the 32-bit remainder.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(
+    const char* p, std::size_t n, std::uint32_t c) {
+  const Crc32FoldConstants& kc = kCrc32Fold;
+
+  __m128i x0 = _mm_xor_si128(load16(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = load16(p + 16);
+  __m128i x2 = load16(p + 32);
+  __m128i x3 = load16(p + 48);
+  p += 64;
+  n -= 64;
+  const __m128i k12 = pair(kc.k1, kc.k2);
+  while (n >= 64) {
+    x0 = _mm_xor_si128(fold(x0, k12), load16(p));
+    x1 = _mm_xor_si128(fold(x1, k12), load16(p + 16));
+    x2 = _mm_xor_si128(fold(x2, k12), load16(p + 32));
+    x3 = _mm_xor_si128(fold(x3, k12), load16(p + 48));
+    p += 64;
+    n -= 64;
+  }
+  const __m128i k34 = pair(kc.k3, kc.k4);
+  x0 = _mm_xor_si128(fold(x0, k34), x1);
+  x0 = _mm_xor_si128(fold(x0, k34), x2);
+  x0 = _mm_xor_si128(fold(x0, k34), x3);
+  while (n >= 16) {
+    x0 = _mm_xor_si128(fold(x0, k34), load16(p));
+    p += 16;
+    n -= 16;
+  }
+
+  // 128 -> 64 bits: the low half times x^(128-32) onto the high half ...
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k34, 0x10));
+  // ... then its low 32 bits times x^64 onto the rest.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32),
+                                          pair(kc.k5, 0), 0x00));
+  // Barrett: q = floor(x / P) from mu, and x - q * P leaves the remainder
+  // in bits 32..63.
+  const __m128i barrett = pair(kc.poly, kc.mu);
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+}
+
+bool have_clmul() {
+  static const bool yes = __builtin_cpu_supports("pclmul") &&
+                          __builtin_cpu_supports("sse4.1");
+  return yes;
+}
+#endif
+
 // Writes a sample record's payload (type u8 | drive u32 | sample body,
 // kSampleFrameBytes - kFrameHeaderBytes bytes) at p.
 void store_sample_payload(char* p, std::uint32_t drive,
@@ -52,6 +134,14 @@ std::uint32_t crc32(const void* data, std::size_t n) {
   const CrcTables& tb = crc_tables();
   const auto* p = static_cast<const char*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
+#ifdef HDD_CRC32_CLMUL
+  if (n >= 64 && have_clmul()) {
+    const std::size_t whole = n & ~std::size_t{15};
+    c = crc32_clmul(p, whole, c);
+    p += whole;
+    n -= whole;
+  }
+#endif
   while (n >= 8) {
     const std::uint32_t lo = load_le<std::uint32_t>(p) ^ c;
     const std::uint32_t hi = load_le<std::uint32_t>(p + 4);

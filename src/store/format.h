@@ -52,10 +52,28 @@ enum class RecordType : std::uint8_t {
 };
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320), the checksum of zlib/gzip.
-// Computed slice-by-8 (eight table lookups per 8 input bytes); the values
-// are identical to the classic byte-at-a-time loop, so every on-disk CRC
-// and every test-crafted corrupt segment keeps meaning the same thing.
+// On x86-64 CPUs with PCLMULQDQ (detected once at runtime), buffers of 64
+// bytes or more are folded 64 bytes per step with carry-less multiplies;
+// the last <16 bytes, shorter buffers (a 61-byte journal sample frame) and
+// other CPUs take the slice-by-8 table loop. Both give the values of the
+// classic byte-at-a-time loop, so every on-disk CRC and every test-crafted
+// corrupt segment keeps meaning the same thing.
 std::uint32_t crc32(const void* data, std::size_t n);
+
+// The folding kernel's constants, in the bit-reflected form of Gopal et
+// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ"
+// (Intel, 2009), for P = 0x104C11DB7. A fold constant for exponent e is
+// reflect32(x^e mod P) << 1; store_test re-derives every value from P.
+struct Crc32FoldConstants {
+  std::uint64_t k1, k2;  // e = 4*128+32, 4*128-32: fold 64 bytes ahead
+  std::uint64_t k3, k4;  // e = 128+32, 128-32: fold 16 bytes ahead
+  std::uint64_t k5;      // e = 64: fold 64 bits down to 32
+  std::uint64_t mu;      // Barrett quotient: reflect33(floor(x^64 / P))
+  std::uint64_t poly;    // reflect33(P)
+};
+inline constexpr Crc32FoldConstants kCrc32Fold = {
+    0x154442bd4, 0x1c6e41596, 0x1751997d0, 0x0ccaa009e,
+    0x163cd6124, 0x1f7011641, 0x1db710641};
 
 // --- Little-endian codec ----------------------------------------------------
 // Shared by the segment codec and the serve wire codec (serve/wire.h), which

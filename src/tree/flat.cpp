@@ -87,8 +87,11 @@ inline double FlatEnsemble::score_row(const float* x) const {
   return divisor_ > 0.0 ? total / divisor_ : 0.0;
 }
 
-void FlatEnsemble::predict_batch(std::span<const float> xs,
-                                 std::span<double> out) const {
+// Cache-line aligned so the descent loop's placement does not move with
+// the size of code linked before it: a 48-byte shift of this function
+// alone cost perfbench's interval_forest about 8% of its throughput.
+__attribute__((aligned(64))) void FlatEnsemble::predict_batch(
+    std::span<const float> xs, std::span<double> out) const {
   HDD_ASSERT_MSG(!roots_.empty(), "predict on an untrained model");
   const auto nf = static_cast<std::size_t>(num_features_);
   HDD_ASSERT(xs.size() == out.size() * nf);

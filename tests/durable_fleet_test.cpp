@@ -6,16 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.h"
 #include "core/fleet.h"
 #include "core/scorer.h"
+#include "io/env.h"
 #include "obs/metrics.h"
 #include "store/format.h"
 #include "store/telemetry_store.h"
@@ -124,7 +127,7 @@ void add_result(FleetScorer::IngestResult& sum,
   sum.accepted += r.accepted;
   sum.quarantined += r.quarantined;
   sum.stale += r.stale;
-  sum.journal_failed = sum.journal_failed || r.journal_failed;
+  sum.journal_failed += r.journal_failed;
 }
 
 // The ground truth: one uninterrupted streaming run over all kHours.
@@ -454,6 +457,237 @@ TEST_F(DurableFleetTest, QuarantineLogsOneLinePerCall) {
             std::string::npos)
       << log;
   EXPECT_EQ(f.quarantined_samples(), 4u);
+}
+
+// Drive d's samples for hours [from, to).
+std::vector<smart::Sample> drive_hours(std::uint32_t d, std::int64_t from,
+                                       std::int64_t to) {
+  std::vector<smart::Sample> out;
+  for (std::int64_t h = from; h < to; ++h) out.push_back(sample_for(d, h));
+  return out;
+}
+
+// The runs of one ingest_runs call, over samples the set owns.
+struct RunSet {
+  std::vector<std::uint32_t> drives;
+  std::vector<std::vector<smart::Sample>> chunks;
+
+  void add(std::uint32_t d, std::int64_t from, std::int64_t to) {
+    drives.push_back(d);
+    chunks.push_back(drive_hours(d, from, to));
+  }
+  // Valid until the next add().
+  std::vector<DriveRun> runs() const {
+    std::vector<DriveRun> out;
+    for (std::size_t k = 0; k < chunks.size(); ++k) {
+      out.push_back({drives[k], chunks[k]});
+    }
+    return out;
+  }
+};
+
+// Every drive's hours [from, to) as one run each, in drive order.
+RunSet window_runs(std::int64_t from, std::int64_t to) {
+  RunSet set;
+  for (std::uint32_t d = 0; d < kDrives; ++d) set.add(d, from, to);
+  return set;
+}
+
+using StoredSample =
+    std::tuple<std::uint32_t, std::int64_t,
+               std::array<float, smart::kNumAttributes>>;
+
+std::vector<StoredSample> store_contents(const store::TelemetryStore& st) {
+  std::vector<StoredSample> out;
+  st.scan([&](std::uint32_t drive, const smart::Sample& x) {
+    out.emplace_back(drive, x.hour, x.attrs);
+  });
+  return out;
+}
+
+// Fails file operations a test arms: the nth append from arming, or every
+// flush while fail_flush is set. Everything else reaches the real files.
+class FlakyEnv final : public io::EnvWrapper {
+ public:
+  FlakyEnv() : io::EnvWrapper(io::Env::posix()) {}
+
+  bool fail_flush = false;
+  void fail_append_in(std::size_t n) { append_countdown_ = n; }
+
+  io::IoStatus new_append_file(const std::string& path, bool truncate,
+                               std::unique_ptr<io::File>& out) override {
+    std::unique_ptr<io::File> f;
+    if (auto st = target().new_append_file(path, truncate, f); !st.ok()) {
+      return st;
+    }
+    out = std::make_unique<FlakyFile>(std::move(f), *this);
+    return io::IoStatus::success();
+  }
+
+ private:
+  class FlakyFile final : public io::File {
+   public:
+    FlakyFile(std::unique_ptr<io::File> f, FlakyEnv& env)
+        : f_(std::move(f)), env_(&env) {}
+    io::IoStatus append(std::string_view data) override {
+      if (env_->append_countdown_ > 0 && --env_->append_countdown_ == 0) {
+        return io::IoStatus::permanent_error("injected append failure");
+      }
+      return f_->append(data);
+    }
+    io::IoStatus flush() override {
+      if (env_->fail_flush) {
+        return io::IoStatus::permanent_error("injected flush failure");
+      }
+      return f_->flush();
+    }
+    io::IoStatus sync() override { return f_->sync(); }
+    io::IoStatus close() override { return f_->close(); }
+    void abandon() override { f_->abandon(); }
+
+   private:
+    std::unique_ptr<io::File> f_;
+    FlakyEnv* env_;
+  };
+
+  std::size_t append_countdown_ = 0;  // 0 = disarmed
+};
+
+// Grouping runs into one call changes only the number of journal writes:
+// the runs of each 6-hour window through one ingest_runs call — every
+// drive twice (two 3-hour runs), then drive 0's first run again, stale
+// against a run of the same call that is not scored yet — leave the same
+// vote states, results and store contents as the same runs through
+// ingest_drive one at a time.
+TEST_F(DurableFleetTest, IngestRunsMatchesPerRunIngestDrive) {
+  const MixScorer scorer;
+  store::TelemetryStore store_a(store_dir("a"));
+  store::TelemetryStore store_b(store_dir("b"));
+  FleetScorer a(scorer, test_config());
+  FleetScorer b(scorer, test_config());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    a.add_drive("drive-" + std::to_string(d));
+    b.add_drive("drive-" + std::to_string(d));
+  }
+  a.attach_journal(&store_a);
+  b.attach_journal(&store_b);
+
+  FleetScorer::IngestResult sum_a;
+  FleetScorer::IngestResult sum_b;
+  for (std::int64_t h = 0; h < kHours; h += 6) {
+    RunSet set;
+    for (std::uint32_t d = 0; d < kDrives; ++d) set.add(d, h, h + 3);
+    for (std::uint32_t d = 0; d < kDrives; ++d) set.add(d, h + 3, h + 6);
+    set.add(0, h, h + 3);
+    const auto runs = set.runs();
+    add_result(sum_a, a.ingest_runs(runs));
+    for (const DriveRun& r : runs) {
+      add_result(sum_b, b.ingest_drive(r.drive, r.samples));
+    }
+  }
+
+  EXPECT_EQ(vote_states(a), vote_states(b));
+  EXPECT_EQ(outcomes(a), baseline_run(scorer));
+  EXPECT_EQ(sum_a.accepted, kDrives * kHours);
+  EXPECT_EQ(sum_a.stale, 3u * (kHours / 6));
+  EXPECT_EQ(sum_a.journal_failed, 0u);
+  EXPECT_EQ(sum_b.accepted, sum_a.accepted);
+  EXPECT_EQ(sum_b.stale, sum_a.stale);
+  EXPECT_EQ(sum_b.quarantined, sum_a.quarantined);
+  EXPECT_EQ(sum_b.journal_failed, sum_a.journal_failed);
+  EXPECT_EQ(store_a.sample_count(), kDrives * kHours);
+  EXPECT_EQ(store_contents(store_a), store_contents(store_b));
+}
+
+// A failed flush drops every run of the call: none is scored, each is
+// counted in journal_failed, degraded() latches and one warn line names
+// the call. The re-send is then scored without a second journal copy.
+TEST_F(DurableFleetTest, FlushFailureDropsEveryRunOfTheCall) {
+  const MixScorer scorer;
+  FlakyEnv env;
+  store::StoreOptions opt;
+  opt.env = &env;
+  store::TelemetryStore store(store_dir("flush"), opt);
+  FleetScorer f(scorer, test_config());
+  FleetScorer ref(scorer, test_config());  // no journal, no faults
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    f.add_drive("drive-" + std::to_string(d));
+    ref.add_drive("drive-" + std::to_string(d));
+  }
+  f.attach_journal(&store);
+
+  const RunSet set = window_runs(0, 6);
+  const auto runs = set.runs();
+  env.fail_flush = true;
+  ::testing::internal::CaptureStderr();
+  const auto r = f.ingest_runs(runs);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  env.fail_flush = false;
+
+  EXPECT_EQ(r.journal_failed, kDrives);
+  EXPECT_EQ(r.accepted, 0u);
+  EXPECT_TRUE(f.degraded());
+  EXPECT_EQ(f.journal_failures(), 1u);
+  std::size_t warn_lines = 0;
+  for (std::size_t at = log.find("fleet: journal flush failed");
+       at != std::string::npos;
+       at = log.find("fleet: journal flush failed", at + 1)) {
+    ++warn_lines;
+  }
+  EXPECT_EQ(warn_lines, 1u) << log;
+  for (std::size_t d = 0; d < kDrives; ++d) {
+    EXPECT_EQ(f.state(d).samples_seen(), 0) << "drive " << d;
+  }
+
+  const std::size_t held = store.sample_count();
+  const auto again = f.ingest_runs(runs);
+  EXPECT_EQ(again.accepted, kDrives * 6);
+  EXPECT_EQ(again.journal_failed, 0u);
+  EXPECT_EQ(again.stale, 0u);
+  EXPECT_EQ(store.sample_count(), held);  // no second journal copy
+  (void)ref.ingest_runs(runs);
+  EXPECT_EQ(vote_states(f), vote_states(ref));
+}
+
+// An append failure drops only its own run: the call's other runs are
+// journaled, flushed and scored as if the failed drive had sent nothing.
+TEST_F(DurableFleetTest, AppendFailureDropsOnlyThatRun) {
+  const MixScorer scorer;
+  FlakyEnv env;
+  store::StoreOptions opt;
+  opt.env = &env;
+  store::TelemetryStore store(store_dir("append"), opt);
+  FleetScorer f(scorer, test_config());
+  FleetScorer ref(scorer, test_config());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    f.add_drive("drive-" + std::to_string(d));
+    ref.add_drive("drive-" + std::to_string(d));
+  }
+  f.attach_journal(&store);
+
+  // A first clean call opens the segment writer, so the armed count below
+  // lands on run appends only.
+  const RunSet warm = window_runs(0, 6);
+  const auto warm_runs = warm.runs();
+  ASSERT_EQ(f.ingest_runs(warm_runs).journal_failed, 0u);
+  (void)ref.ingest_runs(warm_runs);
+
+  const RunSet set = window_runs(6, 12);
+  const auto runs = set.runs();
+  env.fail_append_in(2);  // drive 1's run
+  ::testing::internal::CaptureStderr();
+  const auto r = f.ingest_runs(runs);
+  (void)::testing::internal::GetCapturedStderr();
+
+  EXPECT_EQ(r.journal_failed, 1u);
+  EXPECT_EQ(r.accepted, (kDrives - 1) * 6);
+  EXPECT_TRUE(f.degraded());
+  std::vector<DriveRun> others;
+  for (const DriveRun& run : runs) {
+    if (run.drive != 1) others.push_back(run);
+  }
+  (void)ref.ingest_runs(others);
+  EXPECT_EQ(vote_states(f), vote_states(ref));  // drive 1 kept its warm run
 }
 
 }  // namespace

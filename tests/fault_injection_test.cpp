@@ -729,6 +729,95 @@ TEST_F(FaultInjectionTest, ServeLoopKillRestartResume) {
   EXPECT_GE(n_lossless, 30u);
 }
 
+// As real requests do: each ingest call carries every drive's chunk of one
+// hour window routed to that shard, so each call is one multi-run
+// FleetScorer::ingest_runs with a single journal write for all its runs.
+void serve_ingest_windows(serve::ShardEngine& engine,
+                          std::int64_t chunk_hours) {
+  for (std::int64_t h = 0; h < kHours; h += chunk_hours) {
+    std::vector<serve::IngestBatch> per_shard(engine.shard_count());
+    for (std::uint32_t d = 0; d < kDrives; ++d) {
+      const serve::IngestBatch chunk =
+          drive_chunk(d, h, std::min(h + chunk_hours, kHours));
+      serve::IngestBatch& b = per_shard[engine.shard_of(serial_of(d))];
+      b.serials.insert(b.serials.end(), chunk.serials.begin(),
+                       chunk.serials.end());
+      b.samples.insert(b.samples.end(), chunk.samples.begin(),
+                       chunk.samples.end());
+    }
+    for (std::size_t k = 0; k < per_shard.size(); ++k) {
+      if (!per_shard[k].samples.empty()) engine.ingest(k, per_shard[k]);
+    }
+  }
+}
+
+// ServeLoopKillRestartResume with multi-run requests: the same 200 fault
+// schedules and invariants, where a flush failure now drops every run of
+// the request. The expected alarms come from the one-run-per-call loop, so
+// grouping runs into one call must not change a single alarm either.
+TEST_F(FaultInjectionTest, ServeLoopMultiRunRequestsKillRestartResume) {
+  const MixScorer scorer;
+  std::vector<Outcome> expected;
+  {
+    serve::ShardEngine ref(
+        serve_config(base_dir_ / "ref", &scorer, nullptr, nullptr));
+    serve_ingest_all(ref, 6);
+    expected = serve_outcomes(ref);
+  }
+  ASSERT_TRUE(std::any_of(expected.begin(), expected.end(),
+                          [](const Outcome& o) { return o.alarmed; }));
+  {
+    serve::ShardEngine grouped(
+        serve_config(base_dir_ / "grouped", &scorer, nullptr, nullptr));
+    serve_ingest_windows(grouped, 6);
+    ASSERT_EQ(serve_outcomes(grouped), expected);
+  }
+
+  std::size_t n_crashed = 0;
+  std::size_t n_lossless = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const fs::path dir = base_dir_ / ("s" + std::to_string(seed));
+    fs::remove_all(dir);
+    obs::Registry reg;
+    io::FaultEnv fenv(io::Env::posix(),
+                      io::FaultPlan::random(seed, kServeMaxOps), &reg);
+    bool crashed = false;
+    bool errored = false;
+    try {
+      serve::ShardEngine engine(serve_config(dir, &scorer, &fenv, &reg));
+      serve_ingest_windows(engine, 6);
+    } catch (const io::CrashPoint&) {
+      crashed = true;
+    } catch (const std::exception&) {
+      errored = true;
+    }
+    n_crashed += crashed ? 1 : 0;
+    const std::uint64_t failures =
+        reg.counter("hdd_fleet_journal_append_failures_total", "").value();
+
+    obs::Registry rec_reg;
+    serve::ShardEngine engine(
+        serve_config(dir, &scorer, nullptr, &rec_reg));
+    engine.resume();
+    serve_ingest_windows(engine, 6);
+
+    if (failures == 0 && !errored) {
+      // Invariant B.
+      ++n_lossless;
+      EXPECT_EQ(serve_outcomes(engine), expected)
+          << "alarm divergence without data loss, seed " << seed;
+    } else {
+      // Invariant A.
+      EXPECT_GT(fenv.faults_injected() + failures, 0u) << "seed " << seed;
+      for (std::uint32_t d = 0; d < kDrives; ++d) {
+        EXPECT_TRUE(engine.query(serial_of(d)).known) << "seed " << seed;
+      }
+    }
+  }
+  EXPECT_GE(n_crashed, 80u);
+  EXPECT_GE(n_lossless, 30u);
+}
+
 // The retry policy's attempt accounting, without any filesystem.
 TEST_F(FaultInjectionTest, RetryerBoundsAndClassifies) {
   obs::Registry reg;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -156,6 +157,122 @@ smart::Sample golden_sample() {
 
 TEST(Format, Crc32MatchesTheStandardCheckValue) {
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+}
+
+// The byte-at-a-time CRC-32 straight from its table: the definition every
+// faster path (slice-by-8, the carry-less-multiply fold) must reproduce.
+std::uint32_t crc32_bytewise(const char* p, std::size_t n,
+                             std::uint32_t c = 0xFFFFFFFFu) {
+  static const auto table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t v = i;
+      for (int k = 0; k < 8; ++k) {
+        v = (v & 1u) ? 0xEDB88320u ^ (v >> 1) : v >> 1;
+      }
+      t[i] = v;
+    }
+    return t;
+  }();
+  for (std::size_t i = 0; i < n; ++i) {
+    c = table[(c ^ static_cast<unsigned char>(p[i])) & 0xFFu] ^ (c >> 8);
+  }
+  return c;
+}
+
+std::string pseudo_random_bytes(std::size_t n, std::uint32_t seed) {
+  std::string out(n, '\0');
+  std::uint32_t x = seed;
+  for (char& ch : out) {
+    x = x * 1664525u + 1013904223u;
+    ch = static_cast<char>(x >> 24);
+  }
+  return out;
+}
+
+// Every length across the table-loop/fold boundary (64) and every 16-byte
+// tail, at every start alignment: unaligned loads, the <16-byte tail and
+// the short-buffer path all agree with the bytewise definition.
+TEST(Format, Crc32MatchesBytewiseAtEveryLengthAndOffset) {
+  const std::string buf = pseudo_random_bytes(4096 + 16, 7);
+  for (std::size_t off = 0; off < 16; ++off) {
+    const char* p = buf.data() + off;
+    std::uint32_t state = 0xFFFFFFFFu;  // bytewise state over p[0, n)
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      ASSERT_EQ(crc32(p, n), state ^ 0xFFFFFFFFu)
+          << "length " << n << " offset " << off;
+      state = crc32_bytewise(p + n, 1, state);
+    }
+  }
+}
+
+// Whole wire frames: a ~380 KB ingest request and the 4 MiB frame cap.
+TEST(Format, Crc32MatchesBytewiseOnLargeBuffers) {
+  for (const std::size_t n : {std::size_t{384} << 10, std::size_t{4} << 20}) {
+    const std::string buf = pseudo_random_bytes(n + 3, 11);
+    for (const std::size_t off : {0, 3}) {
+      EXPECT_EQ(crc32(buf.data() + off, n),
+                crc32_bytewise(buf.data() + off, n) ^ 0xFFFFFFFFu)
+          << "length " << n << " offset " << off;
+    }
+  }
+}
+
+// The standard check value, reached through the folding path: "123456789"
+// repeated past 64 bytes agrees with the bytewise loop, and the bytewise
+// loop itself still yields 0xCBF43926 on the 9-byte string.
+TEST(Format, Crc32CheckValueHoldsOnTheFoldingPath) {
+  EXPECT_EQ(crc32_bytewise("123456789", 9) ^ 0xFFFFFFFFu, 0xCBF43926u);
+  std::string s;
+  for (int i = 0; i < 15; ++i) s += "123456789";  // 135 bytes
+  ASSERT_GE(s.size(), 64u);
+  EXPECT_EQ(crc32(s.data(), s.size()),
+            crc32_bytewise(s.data(), s.size()) ^ 0xFFFFFFFFu);
+  // The first 9 bytes of a longer buffer, as a frame's prefix would be.
+  EXPECT_EQ(crc32(s.data(), 9), 0xCBF43926u);
+}
+
+// x^e mod P with plain shift-and-xor polynomial arithmetic over GF(2).
+std::uint64_t xpow_mod_p(int e) {
+  constexpr std::uint64_t kP = 0x104C11DB7;
+  std::uint64_t r = 1;
+  for (int i = 0; i < e; ++i) {
+    r <<= 1;
+    if ((r >> 32) & 1u) r ^= kP;
+  }
+  return r;
+}
+
+std::uint64_t reflect(std::uint64_t v, int bits) {
+  std::uint64_t out = 0;
+  for (int i = 0; i < bits; ++i) out |= ((v >> i) & 1u) << (bits - 1 - i);
+  return out;
+}
+
+// No unexplained constant: each fold constant is reflect32(x^e mod P) << 1
+// for its documented exponent, mu is the reflected quotient x^64 / P and
+// poly is P reflected.
+TEST(Format, Crc32FoldConstantsDeriveFromThePolynomial) {
+  const auto k = [](int e) { return reflect(xpow_mod_p(e), 32) << 1; };
+  EXPECT_EQ(kCrc32Fold.k1, k(4 * 128 + 32));
+  EXPECT_EQ(kCrc32Fold.k2, k(4 * 128 - 32));
+  EXPECT_EQ(kCrc32Fold.k3, k(128 + 32));
+  EXPECT_EQ(kCrc32Fold.k4, k(128 - 32));
+  EXPECT_EQ(kCrc32Fold.k5, k(64));
+
+  // floor(x^64 / P) by long division. The first step (x^64) subtracts
+  // P * x^32, which cancels the x^64 term and leaves a 64-bit remainder.
+  constexpr std::uint64_t kP = 0x104C11DB7;
+  std::uint64_t rem = kP << 32;
+  std::uint64_t quotient = std::uint64_t{1} << 32;
+  for (int i = 63; i >= 32; --i) {
+    if ((rem >> i) & 1u) {
+      rem ^= kP << (i - 32);
+      quotient |= std::uint64_t{1} << (i - 32);
+    }
+  }
+  EXPECT_EQ(kCrc32Fold.mu, reflect(quotient, 33));
+  EXPECT_EQ(kCrc32Fold.poly, reflect(kP, 33));
 }
 
 TEST(Format, SampleFrameMatchesGoldenBytes) {

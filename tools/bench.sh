@@ -27,6 +27,11 @@
 # the same CI diff as a hot-path regression. Values are ratios, not
 # times; the fleet and training are deterministic, so the rows are too.
 #
+# The first row, {"name": "header", ...}, records where the numbers come
+# from with the fields perfbench's run header uses: git sha, nproc,
+# compiler and build type. tools/bench_compare.py OLD NEW diffs two such
+# files, flagging a row only when its gap exceeds the measured CV.
+#
 # Usage: tools/bench.sh [--out FILE] [--build-dir DIR] [--filter REGEX]
 set -euo pipefail
 
@@ -90,15 +95,41 @@ run_bench micro_io   "${TMP}/io.json"   ''
 run_bench micro_serve "${TMP}/serve.json" ''
 run_bench micro_pipeline "${TMP}/pipeline.json" ''
 
-python3 - "${OUT}" "${TMP}" "${TMP}/perf.json" "${TMP}/lint.json" \
+python3 - "${OUT}" "${TMP}" "${BUILD_DIR}" "${TMP}/perf.json" "${TMP}/lint.json" \
     "${TMP}/obs.json" "${TMP}/io.json" "${TMP}/serve.json" \
     "${TMP}/pipeline.json" <<'PY'
 import json
+import os
 import statistics
+import subprocess
 import sys
 
-out_path, tmp_dir, *inputs = sys.argv[1:]
-rows = []
+out_path, tmp_dir, build_dir, *inputs = sys.argv[1:]
+
+compiler, build_type = "unknown", ""
+with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+    for line in f:
+        if line.startswith("CMAKE_CXX_COMPILER:"):
+            compiler = line.split("=", 1)[1].strip()
+        elif line.startswith("CMAKE_BUILD_TYPE:"):
+            build_type = line.split("=", 1)[1].strip()
+try:
+    version = subprocess.run([compiler, "--version"], stdout=subprocess.PIPE,
+                             stderr=subprocess.DEVNULL, text=True).stdout
+except OSError:
+    version = compiler
+# "-dirty" marks numbers measured on uncommitted changes.
+sha = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=7"],
+                     stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                     text=True).stdout.strip() or "not-a-git-checkout"
+rows = [{
+    "name": "header",
+    "git_sha": sha,
+    "nproc": os.cpu_count(),
+    "compiler": (version.splitlines() or [compiler])[0],
+    # An empty cache entry means CMakeLists.txt's default.
+    "build_type": build_type or "RelWithDebInfo",
+}]
 for path in inputs:
     with open(path) as f:
         doc = json.load(f)
@@ -155,5 +186,5 @@ for preset in ("ct", "forest"):
 with open(out_path, "w") as f:
     json.dump(rows, f, indent=2)
     f.write("\n")
-print(f"wrote {len(rows)} benchmark entries to {out_path}")
+print(f"wrote {len(rows) - 1} benchmark entries to {out_path}")
 PY
