@@ -409,6 +409,67 @@ BENCHMARK(BM_StoreReopen)
     ->Arg(500000)
     ->Unit(benchmark::kMillisecond);
 
+// An hour-major journal, journaled as perfbench's retrain_cycle does:
+// `n_drives` drives over 15 days, each drive's 24 samples of a day
+// appended as one batch, so every segment holds every drive.
+std::filesystem::path window_journal(std::size_t n_drives) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("hdd_bench_store_window_" + std::to_string(n_drives));
+  std::filesystem::remove_all(dir);
+  store::TelemetryStore store(dir.string());
+  std::vector<std::uint32_t> ids;
+  for (std::size_t d = 0; d < n_drives; ++d) {
+    ids.push_back(store.register_drive("bench-" + std::to_string(d)));
+  }
+  std::vector<smart::Sample> day(24);
+  for (std::int64_t d = 0; d < 15; ++d) {
+    for (std::int64_t h = 0; h < 24; ++h) day[h] = bench_sample(d * 24 + h);
+    for (const auto id : ids) store.append_batch(id, day.data(), day.size());
+  }
+  store.flush();
+  return dir;
+}
+
+// A retrain cycle's training window over the whole journal (range(0)
+// drives): one pass over the segments.
+void BM_StoreReadWindow(benchmark::State& state) {
+  const auto dir = window_journal(static_cast<std::size_t>(state.range(0)));
+  {
+    const store::TelemetryStore store(dir.string());
+    for (auto _ : state) benchmark::DoNotOptimize(store.read_window());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(store.sample_count()));
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StoreReadWindow)
+    ->Arg(64)
+    ->Arg(200)
+    ->Arg(496)
+    ->Unit(benchmark::kMillisecond);
+
+// The same window read one drive at a time, as the retrain paths did
+// before read_window: every call walks every segment holding the drive.
+void BM_StoreReadDrives(benchmark::State& state) {
+  const auto dir = window_journal(static_cast<std::size_t>(state.range(0)));
+  {
+    const store::TelemetryStore store(dir.string());
+    for (auto _ : state) {
+      for (std::uint32_t id = 0; id < store.drive_count(); ++id) {
+        benchmark::DoNotOptimize(store.read_drive(id));
+      }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(store.sample_count()));
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StoreReadDrives)
+    ->Arg(64)
+    ->Arg(200)
+    ->Arg(496)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_RankSum(benchmark::State& state) {
   Rng rng(9);
   std::vector<double> xs, ys;

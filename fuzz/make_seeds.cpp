@@ -196,26 +196,14 @@ void model_seeds(const fs::path& dir) {
   put(dir, "mlp_hostile_width", "hddpred-mlp v1\ninputs 123456789\n");
   put(dir, "unknown_header", "hddpred-quantum v7\nqubits 8\n");
 
-  // Shapes training never produces but from_nodes admits: a stump (the
-  // root is a leaf) and a node list whose splits share children. The
-  // packed inference form must keep both intact (FlatEnsemble::validate).
+  // A shape training never produces but from_nodes admits: a stump (the
+  // root is a leaf). The packed inference form must keep it intact
+  // (FlatEnsemble::validate).
   const auto leaf = [](double value) {
     tree::Node n;
     n.value = value;
     n.weight = 1.0;
     n.count = 1;
-    return n;
-  };
-  const auto split = [](std::int32_t feature, float threshold,
-                        std::int32_t left, std::int32_t right) {
-    tree::Node n;
-    n.feature = feature;
-    n.threshold = threshold;
-    n.left = left;
-    n.right = right;
-    n.weight = 1.0;
-    n.count = 1;
-    n.gain = 0.5;
     return n;
   };
   const auto stump = tree::DecisionTree::from_nodes(
@@ -224,28 +212,33 @@ void model_seeds(const fs::path& dir) {
   core::save_tree(stump, stump_os);
   put(dir, "tree_stump", stump_os.str());
 
-  // Nodes 1 and 2 both lead to leaves 3 and 4.
-  const std::vector<tree::Node> dag_nodes{
-      split(0, 40.0f, 1, 2), split(1, 20.0f, 3, 4), split(2, 20.0f, 3, 4),
-      leaf(-0.5), leaf(0.5)};
-  const auto dag = tree::DecisionTree::from_nodes(
-      dag_nodes, tree::Task::kClassification, smart::kNumAttributes);
-  std::ostringstream dag_os;
-  core::save_tree(dag, dag_os);
-  put(dir, "tree_dag", dag_os.str());
+  // Node lists that are not trees, which every load must reject before
+  // the verifier walks them: a chain where node i goes to i+1 or i+2, 40
+  // splits deep, whose Fibonacci(40) root-to-leaf paths a path-by-path
+  // walk would never finish.
+  std::ostringstream chain_os;
+  chain_os << "hddpred-tree v1\ntask classification\nfeatures "
+           << smart::kNumAttributes << "\nnodes 42\n";
+  for (int i = 0; i < 40; ++i) {
+    chain_os << i + 1 << ' ' << i + 2 << ' ' << i % 3 << ' ' << 10 * (i % 7)
+             << " 0 1 1 0.5\n";
+  }
+  chain_os << "-1 -1 -1 0 0.5 1 1 0\n-1 -1 -1 0 -0.5 1 1 0\n";
+  put(dir, "tree_dag", chain_os.str());
 
-  // A forest whose members are a stump, the DAG on a permuted 3-column
-  // subspace, and the first trained member.
+  // A forest whose members are a stump, a node list whose splits 1 and 2
+  // share both leaves (on a permuted 3-column subspace), and the first
+  // trained member.
   const auto narrow_stump = tree::DecisionTree::from_nodes(
       {leaf(-0.25)}, tree::Task::kClassification, 1);
-  const auto narrow_dag = tree::DecisionTree::from_nodes(
-      dag_nodes, tree::Task::kClassification, 3);
   std::ostringstream mixed_os;
   mixed_os << "hddpred-forest v1\nfeatures " << smart::kNumAttributes
            << "\ntrees 3\nsubspace 7\n";
   narrow_stump.save(mixed_os);
-  mixed_os << "subspace 9 2 5\n";
-  narrow_dag.save(mixed_os);
+  mixed_os << "subspace 9 2 5\n"
+           << "hddpred-tree v1\ntask classification\nfeatures 3\nnodes 5\n"
+           << "1 2 0 40 0 1 1 0.5\n3 4 1 20 0 1 1 0.5\n3 4 2 20 0 1 1 0.5\n"
+           << "-1 -1 -1 0 -0.5 1 1 0\n-1 -1 -1 0 0.5 1 1 0\n";
   mixed_os << "subspace";
   for (int f : rf.member_features(0)) mixed_os << ' ' << f;
   mixed_os << '\n';

@@ -78,10 +78,14 @@ int fuzz_segment(const std::uint8_t* data, std::size_t size) {
   try {
     store::TelemetryStore store(dir);
     // Exercise the index the scan built: every recovered record must be
-    // readable back without throwing.
+    // readable back without throwing, and the window read must see
+    // exactly what the per-drive read sees.
+    const auto window = store.read_window();
     for (std::uint32_t id = 0; id < store.drive_count(); ++id) {
       (void)store.drive(id);
-      (void)store.read_drive(id);
+      if (store.read_drive(id).size() != window[id].samples.size()) {
+        __builtin_trap();
+      }
     }
     (void)store.sample_count();
     (void)store.last_hour();

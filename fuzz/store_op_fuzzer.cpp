@@ -57,18 +57,27 @@ bool same_sample(const smart::Sample& a, const smart::Sample& b) {
   return a.hour == b.hour && a.attrs == b.attrs;
 }
 
-// Exact agreement: every reference drive is registered, and read_drive
-// returns exactly the reference samples in order.
+void check_same(const std::vector<smart::Sample>& got,
+                const std::vector<smart::Sample>& want) {
+  if (got.size() != want.size()) __builtin_trap();
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    if (!same_sample(got[k], want[k])) __builtin_trap();
+  }
+}
+
+// Exact agreement: every reference drive is registered, and both
+// read_drive and the unbounded read_window return exactly the reference
+// samples in order.
 void check_exact(const store::TelemetryStore& store,
                  const std::vector<RefDrive>& ref) {
   if (store.drive_count() != ref.size()) __builtin_trap();
+  const auto window = store.read_window();
+  if (window.size() != ref.size()) __builtin_trap();
   for (std::uint32_t id = 0; id < ref.size(); ++id) {
     if (store.drive(id).serial != ref[id].serial) __builtin_trap();
-    const auto got = store.read_drive(id);
-    if (got.size() != ref[id].samples.size()) __builtin_trap();
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      if (!same_sample(got[k], ref[id].samples[k])) __builtin_trap();
-    }
+    if (window[id].serial != ref[id].serial) __builtin_trap();
+    check_same(store.read_drive(id), ref[id].samples);
+    check_same(window[id].samples, ref[id].samples);
   }
 }
 
@@ -230,7 +239,8 @@ int fuzz_store_op(const std::uint8_t* data, std::size_t size) {
         if (!ref.empty()) {
           const auto id = static_cast<std::uint32_t>(arg % ref.size());
           (void)store->find_drive(ref[id].serial);
-          (void)store->read_drive(id, arg, arg + 64);
+          check_same(store->read_window(arg, arg + 64)[id].samples,
+                     store->read_drive(id, arg, arg + 64));
         }
         break;
       }

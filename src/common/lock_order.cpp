@@ -82,7 +82,6 @@ const char* rank_name(Rank r) {
   switch (r) {
     case Rank::kServeStop: return "serve-stop";
     case Rank::kRetrainStop: return "retrain-stop";
-    case Rank::kRetrainResult: return "retrain-result";
     case Rank::kServeConns: return "serve-conns";
     case Rank::kShardQueue: return "shard-queue";
     case Rank::kPoolQueue: return "pool-queue";

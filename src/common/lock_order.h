@@ -31,7 +31,6 @@ namespace hdd::lock_order {
 enum class Rank : int {
   kServeStop = 10,        // serve::Server::stop_mu_ (outermost: shutdown)
   kRetrainStop = 12,      // serve::RetrainLoop::stop_mu_
-  kRetrainResult = 14,    // serve::RetrainLoop::mu_ (last_result snapshot)
   kServeConns = 20,       // serve::Server::conn_mu_ (fd/thread registry)
   kShardQueue = 30,       // serve::Server::ShardWorker::mu (task queues)
   kPoolQueue = 40,        // hdd::ThreadPool::mutex_ (task queue)

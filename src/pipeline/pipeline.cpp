@@ -30,21 +30,6 @@ const char* outcome_name(Outcome o) {
   return "?";
 }
 
-void PipelineMetrics::record(Outcome o) const {
-  if (cycles == nullptr) return;
-  if (o != Outcome::kSkipped && o != Outcome::kNone) cycles->inc();
-  switch (o) {
-    case Outcome::kPromoted: promotions->inc(); break;
-    case Outcome::kRejectedLint: rej_lint->inc(); break;
-    case Outcome::kRejectedGuardrail: rej_guardrail->inc(); break;
-    case Outcome::kRejectedNoData: rej_no_data->inc(); break;
-    case Outcome::kRejectedTrainFailed: rej_train_failed->inc(); break;
-    case Outcome::kNone:
-    case Outcome::kSkipped:
-      break;
-  }
-}
-
 PipelineMetrics make_pipeline_metrics(obs::Registry* registry) {
   obs::Registry& reg =
       registry != nullptr ? *registry : obs::Registry::global();
@@ -55,12 +40,14 @@ PipelineMetrics make_pipeline_metrics(obs::Registry* registry) {
                               "Candidates promoted to the live scorer.");
   const char* rej_name = "hdd_pipeline_rejections_total";
   const char* rej_help = "Candidates rejected, by gate.";
-  m.rej_lint = &reg.counter(rej_name, rej_help, {{"reason", "lint"}});
-  m.rej_guardrail =
-      &reg.counter(rej_name, rej_help, {{"reason", "guardrail"}});
-  m.rej_no_data = &reg.counter(rej_name, rej_help, {{"reason", "no_data"}});
-  m.rej_train_failed =
-      &reg.counter(rej_name, rej_help, {{"reason", "train_failed"}});
+  for (const auto& [outcome, reason] :
+       {std::pair{Outcome::kRejectedLint, "lint"},
+        {Outcome::kRejectedGuardrail, "guardrail"},
+        {Outcome::kRejectedNoData, "no_data"},
+        {Outcome::kRejectedTrainFailed, "train_failed"}}) {
+    m.rejections[static_cast<std::size_t>(outcome)] =
+        &reg.counter(rej_name, rej_help, {{"reason", reason}});
+  }
   m.generation = &reg.gauge("hdd_pipeline_generation",
                             "Live model generation (0 = seed model).");
   return m;
@@ -227,48 +214,59 @@ UpdatePipeline::UpdatePipeline(core::SwappableScorer& scorer,
   metrics_.generation->set(static_cast<double>(scorer_->generation()));
 }
 
+CycleStep run_gated_cycle(RetrainScheduler& scheduler,
+                          const PipelineMetrics& metrics, std::uint64_t total,
+                          std::int64_t last, bool force,
+                          const WindowSource& window,
+                          const std::vector<smart::DriveRecord>& failed_pool,
+                          const PipelineConfig& config) {
+  if (!force && !scheduler.due(total, last)) {
+    return {{Outcome::kSkipped, 0, 0.0, 0.0, ""}, nullptr};
+  }
+  const auto hours = scheduler.window_hours(std::max<std::int64_t>(last, 0));
+  auto goods = [&] {
+    const obs::ScopedSpan span("pipeline.window");
+    return window(hours.first, hours.second - 1);
+  }();
+  const int weeks = static_cast<int>((hours.second - hours.first) / 168);
+  auto gate = train_and_gate(std::move(goods), failed_pool, weeks, config);
+  scheduler.mark(total, last);
+  metrics.cycles->inc();
+  if (gate.outcome != Outcome::kPromoted) {
+    metrics.rejections[static_cast<std::size_t>(gate.outcome)]->inc();
+    log_info() << "retrain: candidate " << outcome_name(gate.outcome)
+               << (gate.reason.empty() ? "" : ": " + gate.reason);
+  }
+  return {
+      {gate.outcome, 0, gate.val_far, gate.val_fdr, std::move(gate.reason)},
+      std::move(gate.candidate)};
+}
+
 CycleResult UpdatePipeline::run_cycle(bool force) {
   const obs::ScopedSpan span("pipeline.cycle");
-  CycleResult r;
+  auto step = run_gated_cycle(
+      scheduler_, metrics_, store_->sample_count(), store_->last_hour(),
+      force,
+      [this](std::int64_t from, std::int64_t to) {
+        return store_->read_window(from, to);
+      },
+      failed_, config_);
+  CycleResult& r = step.result;
   r.generation = scorer_->generation();
-  const std::uint64_t total = store_->sample_count();
-  const std::int64_t last = store_->last_hour();
-  if (!force && !scheduler_.due(total, last)) {
-    r.outcome = Outcome::kSkipped;
-    return r;
-  }
-  const auto window = scheduler_.window_hours(std::max<std::int64_t>(last, 0));
-  std::vector<smart::DriveRecord> goods(store_->drive_count());
-  for (std::uint32_t id = 0; id < goods.size(); ++id) {
-    goods[id].serial = store_->drive(id).serial;
-    goods[id].samples =
-        store_->read_drive(id, window.first, window.second - 1);
-  }
-  const int weeks = static_cast<int>((window.second - window.first) / 168);
-  auto gate = train_and_gate(std::move(goods), failed_, weeks, config_);
-  scheduler_.mark(total, last);
-  r.outcome = gate.outcome;
-  r.val_far = gate.val_far;
-  r.val_fdr = gate.val_fdr;
-  r.reason = std::move(gate.reason);
-  metrics_.record(r.outcome);
-  if (r.outcome == Outcome::kPromoted) {
+  if (step.candidate != nullptr) {
     std::ostringstream os;
-    gate.candidate->save(os);
-    const std::uint64_t next_gen = scorer_->generation() + 1;
+    step.candidate->save(os);
+    const std::uint64_t next_gen = r.generation + 1;
     // Journal-first promotion: once the record is durable the swap is a
     // formality — a crash between the two resumes to `next_gen`.
     store_->append_generation(next_gen, os.str());
-    scorer_->swap(std::move(gate.candidate), next_gen);
+    scorer_->swap(std::move(step.candidate), next_gen);
+    metrics_.promotions->inc();
     metrics_.generation->set(static_cast<double>(next_gen));
     r.generation = next_gen;
     log_debug() << "pipeline: promoted generation " << next_gen
                 << " (val FAR " << r.val_far << ", FDR " << r.val_fdr << ")";
-  } else if (r.outcome != Outcome::kSkipped) {
-    log_debug() << "pipeline: candidate " << outcome_name(r.outcome) << ": "
-                << r.reason;
   }
-  last_ = r;
   return r;
 }
 

@@ -18,7 +18,9 @@
 // serve retrain loop (serve/retrain_loop.h) stitches both together.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,17 +86,15 @@ struct PipelineConfig {
 };
 
 // The hdd_pipeline_* control-loop instruments (DESIGN.md §10). Shadow
-// divergence counters live on FleetScorer, not here.
+// divergence counters live on FleetScorer, not here. run_gated_cycle counts
+// cycles and rejections; the caller counts a promotion once it swaps.
 struct PipelineMetrics {
   obs::Counter* cycles = nullptr;      // hdd_pipeline_retrain_cycles_total
   obs::Counter* promotions = nullptr;  // hdd_pipeline_promotions_total
-  obs::Counter* rej_lint = nullptr;    // hdd_pipeline_rejections_total{...}
-  obs::Counter* rej_guardrail = nullptr;
-  obs::Counter* rej_no_data = nullptr;
-  obs::Counter* rej_train_failed = nullptr;
+  // hdd_pipeline_rejections_total{reason=...} by Outcome; null for the
+  // outcomes that are not rejections.
+  std::array<obs::Counter*, 7> rejections{};
   obs::Gauge* generation = nullptr;    // hdd_pipeline_generation
-
-  void record(Outcome o) const;
 };
 
 PipelineMetrics make_pipeline_metrics(obs::Registry* registry);
@@ -133,6 +133,30 @@ struct CycleResult {
   std::string reason;
 };
 
+// Reads the training window: one DriveRecord per good drive, holding its
+// samples with hour in [from_hour, to_hour].
+using WindowSource = std::function<std::vector<smart::DriveRecord>(
+    std::int64_t from_hour, std::int64_t to_hour)>;
+
+struct CycleStep {
+  // `generation` is left for the caller, which owns the live scorer.
+  CycleResult result;
+  // Non-null exactly when the gates passed; promoting it is the caller's.
+  std::shared_ptr<const core::SampleScorer> candidate;
+};
+
+// The one retrain cycle under UpdatePipeline and serve::RetrainLoop. Given
+// the store watermarks (`total` samples, `last` hour), it skips unless the
+// scheduler is due or `force`; otherwise it reads the scheduler's window,
+// runs train_and_gate, marks the scheduler, counts the cycle (and the
+// rejection, which it also logs) and hands back the outcome.
+CycleStep run_gated_cycle(RetrainScheduler& scheduler,
+                          const PipelineMetrics& metrics, std::uint64_t total,
+                          std::int64_t last, bool force,
+                          const WindowSource& window,
+                          const std::vector<smart::DriveRecord>& failed_pool,
+                          const PipelineConfig& config);
+
 // Store-backed pipeline over one TelemetryStore and one SwappableScorer
 // (the `autoretrain` CLI command and offline tests; the serve daemon runs
 // the multi-shard variant in serve/retrain_loop.h). Single-threaded by
@@ -147,9 +171,6 @@ class UpdatePipeline {
                  std::vector<smart::DriveRecord> failed_pool,
                  PipelineConfig config);
 
-  const RetrainScheduler& scheduler() const { return scheduler_; }
-  const CycleResult& last_result() const { return last_; }
-
   // One scheduler tick: trains, gates and (maybe) promotes when due.
   // `force` bypasses the due-check (offline `autoretrain --cycles`).
   CycleResult run_cycle(bool force = false);
@@ -161,7 +182,6 @@ class UpdatePipeline {
   PipelineConfig config_;
   RetrainScheduler scheduler_;
   PipelineMetrics metrics_;
-  CycleResult last_;
 };
 
 }  // namespace hdd::pipeline

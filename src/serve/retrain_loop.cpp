@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -70,21 +71,6 @@ void RetrainLoop::loop() {
   }
 }
 
-pipeline::CycleResult RetrainLoop::last_result() const {
-  MutexLock lock(&mu_);
-  return last_;
-}
-
-void RetrainLoop::publish(const pipeline::CycleResult& r) {
-  {
-    MutexLock lock(&mu_);
-    last_ = r;
-  }
-  if (r.outcome != pipeline::Outcome::kSkipped) {
-    server_->set_last_outcome(static_cast<std::uint8_t>(r.outcome));
-  }
-}
-
 std::uint64_t RetrainLoop::fleet_shadow_samples() const {
   std::uint64_t total = 0;
   for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
@@ -114,62 +100,38 @@ pipeline::CycleResult RetrainLoop::tick(bool force) {
     }
   }
 
-  pipeline::CycleResult r;
-  r.generation = engine_->max_generation();
-  if (!force && !scheduler_.due(total, last)) {
-    r.outcome = pipeline::Outcome::kSkipped;
-    return r;
-  }
-
-  // Materialize the training window from every shard's journal.
-  const auto window =
-      scheduler_.window_hours(std::max<std::int64_t>(last, 0));
-  std::vector<smart::DriveRecord> goods;
-  {
-    const obs::ScopedSpan span("retrain.materialize");
-    for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
-      (void)server_->run_on_shard(k, [&] {
-        store::TelemetryStore& st = engine_->shard(k).store();
-        for (std::uint32_t id = 0; id < st.drive_count(); ++id) {
-          smart::DriveRecord rec;
-          rec.serial = st.drive(id).serial;
-          rec.samples = st.read_drive(id, window.first, window.second - 1);
-          goods.push_back(std::move(rec));
+  // The window, each shard read on its own worker and appended in shard
+  // order (train_and_gate's split permutes the drives by index).
+  auto step = pipeline::run_gated_cycle(
+      scheduler_, metrics_, total, last, force,
+      [this](std::int64_t from, std::int64_t to) {
+        std::vector<smart::DriveRecord> goods;
+        for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
+          (void)server_->run_on_shard(k, [&] {
+            auto part = engine_->shard(k).store().read_window(from, to);
+            std::move(part.begin(), part.end(), std::back_inserter(goods));
+          });
         }
-      });
+        return goods;
+      },
+      config_.failed_pool, config_.pipeline);
+  pipeline::CycleResult& r = step.result;
+  r.generation = engine_->max_generation();
+  if (step.candidate == nullptr) {
+    if (r.outcome != pipeline::Outcome::kSkipped) {
+      server_->set_last_outcome(static_cast<std::uint8_t>(r.outcome));
     }
-  }
-  const int weeks = static_cast<int>((window.second - window.first) / 168);
-  auto gate = pipeline::train_and_gate(std::move(goods), config_.failed_pool,
-                                       weeks, config_.pipeline);
-  scheduler_.mark(total, last);
-
-  r.outcome = gate.outcome;
-  r.val_far = gate.val_far;
-  r.val_fdr = gate.val_fdr;
-  r.reason = std::move(gate.reason);
-  if (gate.outcome != pipeline::Outcome::kPromoted) {
-    metrics_.record(gate.outcome);
-    log_info() << "retrain loop: candidate "
-               << pipeline::outcome_name(gate.outcome)
-               << (r.reason.empty() ? "" : ": " + r.reason);
-    publish(r);
     return r;
   }
-
   if (config_.pipeline.min_shadow_samples == 0) {
-    metrics_.record(pipeline::Outcome::kPromoted);
-    promote(std::move(gate.candidate), r);
-    publish(r);
+    promote(std::move(step.candidate), r);
     return r;
   }
 
   // Gates passed but the candidate must first prove itself on live
   // traffic: install it as every shard's shadow and defer promotion.
-  metrics_.cycles->inc();
-  pending_ = std::move(gate.candidate);
-  pending_far_ = r.val_far;
-  pending_fdr_ = r.val_fdr;
+  pending_ = std::move(step.candidate);
+  pending_gate_ = r;
   shadow_baseline_ = fleet_shadow_samples();
   for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
     engine_->shard(k).fleet().set_shadow(pending_);
@@ -179,15 +141,12 @@ pipeline::CycleResult RetrainLoop::tick(bool force) {
   log_info() << "retrain loop: candidate passed gates; shadow-scoring "
              << config_.pipeline.min_shadow_samples
              << " samples before promotion";
-  publish(r);
   return r;
 }
 
 pipeline::CycleResult RetrainLoop::maybe_promote(bool force) {
-  pipeline::CycleResult r;
+  pipeline::CycleResult r = pending_gate_;
   r.generation = engine_->max_generation();
-  r.val_far = pending_far_;
-  r.val_fdr = pending_fdr_;
   const std::uint64_t scored = fleet_shadow_samples() - shadow_baseline_;
   if (!force && scored < config_.pipeline.min_shadow_samples) {
     r.outcome = pipeline::Outcome::kSkipped;
@@ -197,10 +156,8 @@ pipeline::CycleResult RetrainLoop::maybe_promote(bool force) {
     r.reason = os.str();
     return r;
   }
-  metrics_.promotions->inc();
   promote(std::move(pending_), r);
   pending_ = nullptr;
-  publish(r);
   return r;
 }
 
@@ -233,9 +190,11 @@ void RetrainLoop::promote(
     engine_->shard(k).swappable()->swap(candidate, next);
     engine_->shard(k).fleet().set_shadow(nullptr);
   }
+  metrics_.promotions->inc();
   metrics_.generation->set(static_cast<double>(next));
   r.outcome = pipeline::Outcome::kPromoted;
   r.generation = next;
+  server_->set_last_outcome(static_cast<std::uint8_t>(r.outcome));
   log_info() << "retrain loop: promoted generation " << next << " (val FAR "
              << r.val_far << ", FDR " << r.val_fdr << ")";
 }

@@ -1,10 +1,11 @@
 // RetrainLoop — the serve daemon's continuous model-update controller.
 //
-// A background thread runs the pipeline::RetrainScheduler against the
-// daemon's own journals: on each due tick it materializes the training
-// window from every shard's TelemetryStore (on that shard's worker, so
-// reads never race ingest), trains + gates one candidate via
-// pipeline::train_and_gate, and promotes it fleet-wide.
+// A background thread runs pipeline::run_gated_cycle, the same cycle as
+// UpdatePipeline, against the daemon's own journals: the watermarks and
+// the training window come from every shard's TelemetryStore (each read on
+// that shard's worker, so reads never race ingest). What is left here is
+// what only the daemon has: the cross-shard watermarks, the shadow stage
+// and the fleet-wide, shard-by-shard promotion.
 //
 // Promotion state machine (DESIGN.md §10):
 //
@@ -24,10 +25,8 @@
 // is healed by ShardEngine::resume()'s generation reconciliation.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -72,14 +71,12 @@ class RetrainLoop {
   // regardless of accumulated shadow samples.
   pipeline::CycleResult tick(bool force = false);
 
-  pipeline::CycleResult last_result() const;
   bool shadowing() const { return pending_ != nullptr; }
 
  private:
   pipeline::CycleResult maybe_promote(bool force);
   void promote(std::shared_ptr<const core::SampleScorer> candidate,
                pipeline::CycleResult& r);
-  void publish(const pipeline::CycleResult& r);
   std::uint64_t fleet_shadow_samples() const;
   void loop();
 
@@ -91,12 +88,8 @@ class RetrainLoop {
 
   // Shadowing state; only the tick caller touches it.
   std::shared_ptr<const core::SampleScorer> pending_;
+  pipeline::CycleResult pending_gate_;  // its gate's outcome and rails
   std::uint64_t shadow_baseline_ = 0;
-  double pending_far_ = 0.0;
-  double pending_fdr_ = 0.0;
-
-  mutable Mutex mu_{lock_order::Rank::kRetrainResult, "retrain-result"};
-  pipeline::CycleResult last_ HDD_GUARDED_BY(mu_);
 
   std::thread thread_;
   Mutex stop_mu_{lock_order::Rank::kRetrainStop, "retrain-stop"};

@@ -280,14 +280,19 @@ void TelemetryStore::apply_record(std::string_view payload, Segment& seg) {
     m_rec_record_dropped_->inc();
     return;
   }
-  DriveInfo& info = drives_[rec->drive];
-  if (info.n_samples == 0) info.first_hour = rec->sample.hour;
-  info.last_hour = rec->sample.hour;
-  ++info.n_samples;
-  ++seg.n_samples;
-  auto& segs = drive_segments_[rec->drive];
-  if (segs.empty() || segs.back() != seg.seq) segs.push_back(seg.seq);
+  index_samples(rec->drive, seg.seq, rec->sample.hour, rec->sample.hour, 1);
   ++recovery_.records_recovered;
+}
+
+void TelemetryStore::index_samples(std::uint32_t drive, std::uint64_t seq,
+                                   std::int64_t first_hour,
+                                   std::int64_t last_hour, std::size_t n) {
+  DriveInfo& info = drives_[drive];
+  if (info.n_samples == 0) info.first_hour = first_hour;
+  info.last_hour = last_hour;
+  info.n_samples += n;
+  auto& segs = drive_segments_[drive];
+  if (segs.empty() || segs.back() != seq) segs.push_back(seq);
 }
 
 const DriveInfo& TelemetryStore::drive(std::uint32_t id) const {
@@ -406,14 +411,7 @@ std::uint32_t TelemetryStore::register_drive(const std::string& serial) {
 void TelemetryStore::append(std::uint32_t drive, const smart::Sample& sample) {
   HDD_REQUIRE(drive < drives_.size(), "append to an unregistered drive");
   write_frame(encode_sample_record(drive, sample));
-  DriveInfo& info = drives_[drive];
-  if (info.n_samples == 0) info.first_hour = sample.hour;
-  info.last_hour = sample.hour;
-  ++info.n_samples;
-  Segment& seg = segments_.back();
-  ++seg.n_samples;
-  auto& segs = drive_segments_[drive];
-  if (segs.empty() || segs.back() != seg.seq) segs.push_back(seg.seq);
+  index_samples(drive, segments_.back().seq, sample.hour, sample.hour, 1);
 }
 
 void TelemetryStore::append_batch(std::uint32_t drive,
@@ -477,15 +475,10 @@ void TelemetryStore::append_batch(std::uint32_t drive,
                       " failed: " + s.message);
     }
     seg->data_end += batch_buf_.size();
-    seg->n_samples += k;
     m_appends_->inc(static_cast<std::uint64_t>(k));
     m_bytes_->inc(static_cast<std::uint64_t>(batch_buf_.size()));
-    DriveInfo& info = drives_[drive];
-    if (info.n_samples == 0) info.first_hour = samples[done].hour;
-    info.last_hour = samples[done + k - 1].hour;
-    info.n_samples += k;
-    auto& segs = drive_segments_[drive];
-    if (segs.empty() || segs.back() != seg->seq) segs.push_back(seg->seq);
+    index_samples(drive, seg->seq, samples[done].hour,
+                  samples[done + k - 1].hour, k);
     done += k;
   }
   if (options_.fsync_appends && out_ != nullptr) {
@@ -537,55 +530,76 @@ void TelemetryStore::flush_to_os() {
   }
 }
 
-void TelemetryStore::scan_range(
-    const Segment& seg,
-    const std::function<void(std::string_view)>& fn) const {
-  std::string buf;
-  if (auto s = env_->read_file(seg.path, buf); !s.ok()) {
-    throw DataError("telemetry store: cannot open " + seg.path + ": " +
-                    s.message);
-  }
-  const std::size_t end =
-      std::min<std::size_t>(buf.size(), static_cast<std::size_t>(seg.data_end));
-  std::size_t pos = kSegmentHeaderBytes;
-  while (pos + kFrameHeaderBytes <= end) {
-    const std::uint32_t len = load_le<std::uint32_t>(buf.data() + pos);
-    if (len == 0 || pos + kFrameHeaderBytes + len > end) break;
-    fn(std::string_view(buf.data() + pos + kFrameHeaderBytes, len));
-    pos += kFrameHeaderBytes + len;
-  }
+void TelemetryStore::scan(const SampleFn& fn) const {
+  walk_indexed(std::nullopt, std::numeric_limits<std::int64_t>::min(),
+               std::numeric_limits<std::int64_t>::max(), fn);
 }
 
-void TelemetryStore::scan(const SampleFn& fn) const {
+void TelemetryStore::walk_indexed(std::optional<std::uint32_t> only,
+                                  std::int64_t from_hour,
+                                  std::int64_t to_hour,
+                                  const SampleFn& fn) const {
   // Best effort: a failed flush means readers see a shorter (still
   // well-formed) log; append paths surface the error.
   if (out_ != nullptr) (void)out_->flush();
+  const auto indexed = [this](std::uint32_t drive, std::uint64_t seq) {
+    const auto& segs = drive_segments_[drive];
+    return std::binary_search(segs.begin(), segs.end(), seq);
+  };
+  std::string buf;
   for (const Segment& seg : segments_) {
-    scan_range(seg, [&fn](std::string_view payload) {
-      const auto rec = decode_record(payload);
-      if (rec && rec->type == RecordType::kSample) {
-        fn(rec->drive, rec->sample);
+    if (only && !indexed(*only, seg.seq)) continue;
+    if (auto s = env_->read_file(seg.path, buf); !s.ok()) {
+      throw DataError("telemetry store: cannot open " + seg.path + ": " +
+                      s.message);
+    }
+    // Frames up to the validated end only: recovery vouched for those.
+    const std::size_t end = std::min<std::size_t>(
+        buf.size(), static_cast<std::size_t>(seg.data_end));
+    std::size_t pos = kSegmentHeaderBytes;
+    while (pos + kFrameHeaderBytes <= end) {
+      const std::uint32_t len = load_le<std::uint32_t>(buf.data() + pos);
+      if (len == 0 || pos + kFrameHeaderBytes + len > end) break;
+      const auto rec =
+          decode_record({buf.data() + pos + kFrameHeaderBytes, len});
+      pos += kFrameHeaderBytes + len;
+      if (!rec || rec->type != RecordType::kSample) continue;
+      const std::uint32_t d = rec->drive;
+      if (d < drives_.size() && (!only || d == *only) &&
+          rec->sample.hour >= from_hour && rec->sample.hour <= to_hour &&
+          indexed(d, seg.seq)) {
+        fn(d, rec->sample);
       }
-    });
+    }
   }
 }
 
 std::vector<smart::Sample> TelemetryStore::read_drive(
     std::uint32_t drive, std::int64_t from_hour, std::int64_t to_hour) const {
   HDD_REQUIRE(drive < drives_.size(), "drive id out of range");
-  if (out_ != nullptr) (void)out_->flush();  // best effort, as in scan()
   std::vector<smart::Sample> out;
-  const auto& segs = drive_segments_[drive];
-  for (const Segment& seg : segments_) {
-    if (!std::binary_search(segs.begin(), segs.end(), seg.seq)) continue;
-    scan_range(seg, [&](std::string_view payload) {
-      const auto rec = decode_record(payload);
-      if (rec && rec->type == RecordType::kSample && rec->drive == drive &&
-          rec->sample.hour >= from_hour && rec->sample.hour <= to_hour) {
-        out.push_back(rec->sample);
-      }
-    });
+  walk_indexed(drive, from_hour, to_hour,
+               [&out](std::uint32_t, const smart::Sample& s) {
+                 out.push_back(s);
+               });
+  return out;
+}
+
+std::vector<smart::DriveRecord> TelemetryStore::read_window(
+    std::int64_t from_hour, std::int64_t to_hour) const {
+  std::vector<smart::DriveRecord> out(drives_.size());
+  for (std::size_t id = 0; id < out.size(); ++id) {
+    const DriveInfo& info = drives_[id];
+    out[id].serial = info.serial;
+    // Exact capacity when the window spans all of the drive's samples.
+    if (from_hour <= info.first_hour && info.last_hour <= to_hour) {
+      out[id].samples.reserve(info.n_samples);
+    }
   }
+  walk_indexed(std::nullopt, from_hour, to_hour,
+               [&out](std::uint32_t drive, const smart::Sample& s) {
+                 out[drive].samples.push_back(s);
+               });
   return out;
 }
 
@@ -678,7 +692,6 @@ TelemetryStore::CompactionResult TelemetryStore::snapshot_to(
     HDD_REQUIRE(!parse_segment_name(name).has_value(),
                 "snapshot destination already holds segments");
   }
-  if (out_ != nullptr) (void)out_->flush();  // best effort, as in scan()
   const fs::path final = fs::path(dest_dir) / (std::string(kSegmentPrefix) +
                                                "00000001" + kSegmentSuffix);
   return write_compacted(final.string() + ".tmp", final.string(), 1, min_hour);

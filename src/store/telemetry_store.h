@@ -164,13 +164,21 @@ class TelemetryStore {
   using SampleFn =
       std::function<void(std::uint32_t drive, const smart::Sample&)>;
 
-  // Streams every sample in append order (the replay order resume_from and
-  // the update strategies consume).
+  // Streams every indexed sample in append order (the replay order
+  // resume_from and compaction consume): the unbounded read_window.
   void scan(const SampleFn& fn) const;
 
   // One drive's samples with hour in [from_hour, to_hour], in append order.
   std::vector<smart::Sample> read_drive(
       std::uint32_t drive,
+      std::int64_t from_hour = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t to_hour = std::numeric_limits<std::int64_t>::max()) const;
+
+  // A training window in one pass over the segments: one record per
+  // registered drive, in drive-id order (empty when the drive has no
+  // samples in the window), each with its serial and exactly what
+  // read_drive(id, from_hour, to_hour) returns.
+  std::vector<smart::DriveRecord> read_window(
       std::int64_t from_hour = std::numeric_limits<std::int64_t>::min(),
       std::int64_t to_hour = std::numeric_limits<std::int64_t>::max()) const;
 
@@ -197,7 +205,6 @@ class TelemetryStore {
     std::string path;
     std::uint64_t data_end = 0;  // bytes of validated data (scan stops here)
     bool clean = true;           // false after a CRC-stop: never append here
-    std::size_t n_samples = 0;
   };
 
   void recover();
@@ -208,6 +215,11 @@ class TelemetryStore {
   // when the header was unreadable.
   [[nodiscard]] bool scan_segment(Segment& seg);
   void apply_record(std::string_view payload, Segment& seg);
+  // Records n samples of `drive` with hours first_hour..last_hour in
+  // segment `seq`: the one update of the per-drive index.
+  void index_samples(std::uint32_t drive, std::uint64_t seq,
+                     std::int64_t first_hour, std::int64_t last_hour,
+                     std::size_t n);
   void ensure_writer();
   void write_frame(std::string_view payload);
   std::string segment_path(std::uint64_t seq) const;
@@ -215,8 +227,13 @@ class TelemetryStore {
                                    const std::string& path_final,
                                    std::uint64_t seq,
                                    std::int64_t min_hour) const;
-  void scan_range(const Segment& seg,
-                  const std::function<void(std::string_view)>& fn) const;
+  // The read path under scan, read_drive and read_window: streams the
+  // samples with hour in [from_hour, to_hour] that the index holds, in
+  // append order. A sample counts only when its drive is registered and
+  // drive_segments_ lists the segment for that drive, so records recovery
+  // dropped stay invisible. `only` restricts the walk to one drive.
+  void walk_indexed(std::optional<std::uint32_t> only, std::int64_t from_hour,
+                    std::int64_t to_hour, const SampleFn& fn) const;
 
   std::string dir_;
   StoreOptions options_;

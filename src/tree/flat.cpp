@@ -28,14 +28,11 @@ void FlatEnsemble::add_member(const Member& member) {
   const std::span<const Node> nodes = member.nodes;
   const std::size_t n = nodes.size();
   HDD_ASSERT_MSG(n > 0, "pack: member has no nodes");
-  // Children follow their parent in `nodes`, so one forward pass both marks
-  // what the root reaches and numbers it: every split gets a larger index
-  // than its parent, and a shared child is packed once.
-  std::vector<char> reached(n, 0);
+  // Every node is the root or has exactly one parent, which precedes it
+  // (DecisionTree::from_nodes), so one forward pass numbers every node in
+  // order and a second links the children.
   std::vector<std::int32_t> ref(n, 0);  // split index, or ~leaf index
-  reached[0] = 1;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!reached[i]) continue;
     const Node& src = nodes[i];
     if (src.is_leaf()) {
       ref[i] = ~static_cast<std::int32_t>(leaves_.size());
@@ -58,11 +55,10 @@ void FlatEnsemble::add_member(const Member& member) {
     splits_.push_back({member.features.empty() ? src.feature
                                                : member.features[column],
                        src.threshold, 0, 0});
-    reached[left] = reached[right] = 1;
   }
   for (std::size_t i = 0; i < n; ++i) {
     const Node& src = nodes[i];
-    if (!reached[i] || src.is_leaf()) continue;
+    if (src.is_leaf()) continue;
     Split& s = splits_[static_cast<std::size_t>(ref[i])];
     s.left = ref[static_cast<std::size_t>(src.left)];
     s.right = ref[static_cast<std::size_t>(src.right)];

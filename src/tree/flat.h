@@ -37,7 +37,7 @@ class FlatEnsemble {
     kNorm,  // AdaBoost: sum / Σalpha (0 when Σalpha <= 0)
   };
 
-  // One member tree: its nodes (children after their parent, as
+  // One member tree: its nodes (children after their single parent, as
   // DecisionTree stores them), the row column of each member column (empty
   // = identity) and its vote weight (Scale::kNorm only).
   struct Member {
@@ -48,9 +48,8 @@ class FlatEnsemble {
 
   FlatEnsemble() = default;
 
-  // Packs `members` for rows of `num_features` columns. Each node the root
-  // reaches is packed once through an index map, so children shared by
-  // several splits stay shared instead of being expanded per path.
+  // Packs `members` for rows of `num_features` columns, splits and leaves
+  // each in node order.
   static FlatEnsemble pack(Scale scale, int num_features,
                            std::span<const Member> members);
 

@@ -449,6 +449,9 @@ DecisionTree DecisionTree::from_nodes(std::vector<Node> nodes, Task task,
                                       int num_features) {
   HDD_REQUIRE(!nodes.empty(), "node list is empty");
   const auto n_nodes = static_cast<std::int32_t>(nodes.size());
+  // A tree, as CART builds it: a shared child would make the verifier's
+  // path walk exponential, and an orphan is a node no descent reaches.
+  std::vector<int> parents(nodes.size(), 0);
   for (std::int32_t i = 0; i < n_nodes; ++i) {
     const Node& n = nodes[static_cast<std::size_t>(i)];
     if (n.is_leaf()) {
@@ -468,7 +471,12 @@ DecisionTree DecisionTree::from_nodes(std::vector<Node> nodes, Task task,
                 "node feature index out of range");
     HDD_REQUIRE(std::isfinite(n.threshold),
                 "node threshold must be finite");
+    ++parents[static_cast<std::size_t>(n.left)];
+    ++parents[static_cast<std::size_t>(n.right)];
   }
+  HDD_REQUIRE(std::all_of(parents.begin() + 1, parents.end(),
+                          [](int p) { return p == 1; }),
+              "every node but the root needs exactly one parent");
   DecisionTree t;
   t.nodes_ = std::move(nodes);
   t.task_ = task;

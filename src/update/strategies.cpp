@@ -41,15 +41,8 @@ StoreTelemetrySource::StoreTelemetrySource(const store::TelemetryStore& store)
 
 std::vector<smart::DriveRecord> StoreTelemetrySource::good_window(
     int from_week, int to_week) const {
-  const std::size_t n = store_->drive_count();
-  std::vector<smart::DriveRecord> out(n);
-  for (std::uint32_t id = 0; id < n; ++id) {
-    out[id].serial = store_->drive(id).serial;
-    out[id].samples =
-        store_->read_drive(id, static_cast<std::int64_t>(from_week) * 168,
-                           static_cast<std::int64_t>(to_week) * 168 - 1);
-  }
-  return out;
+  return store_->read_window(static_cast<std::int64_t>(from_week) * 168,
+                             static_cast<std::int64_t>(to_week) * 168 - 1);
 }
 
 std::size_t ingest_good_telemetry(const sim::FleetConfig& fleet,

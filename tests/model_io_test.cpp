@@ -221,6 +221,25 @@ TEST(VerifyOnLoad, WarnModeStillLoadsFlaggedTree) {
   }
 }
 
+// Node i goes to i+1 or i+2: 40 splits sharing children, Fibonacci(40)
+// root-to-leaf paths. Rejected as a non-tree before any verifier walk, so
+// a crafted file cannot stall a load in any mode.
+TEST(VerifyOnLoad, SharedChildChainIsRejectedInEveryMode) {
+  std::ostringstream text;
+  text << "hddpred-tree v1\ntask classification\nfeatures 3\nnodes 42\n";
+  for (int i = 0; i < 40; ++i) {
+    text << i + 1 << ' ' << i + 2 << ' ' << i % 3 << " 0.5 0 1 1 0.5\n";
+  }
+  text << "-1 -1 -1 0 0.5 1 1 0\n-1 -1 -1 0 -0.5 1 1 0\n";
+  for (const auto mode : {core::VerifyMode::kStrict, core::VerifyMode::kWarn,
+                          core::VerifyMode::kOff}) {
+    std::istringstream is(text.str());
+    core::LoadOptions opt;
+    opt.verify = mode;
+    EXPECT_THROW((void)core::load_model(is, opt), DataError);
+  }
+}
+
 TEST(VerifyOnLoad, StrictModeAcceptsCleanTree) {
   const auto m = random_matrix(9, 4, 400);
   tree::DecisionTree t;

@@ -8,8 +8,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ann/mlp.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "eval/detection.h"
 #include "forest/adaboost.h"
@@ -413,7 +415,20 @@ TEST(PackedKernelProperty, MatchesNodeWalkReferenceForEveryTreeModel) {
   expect_kernel_matches_reference(ab, queries, "AdaBoost");
 }
 
-TEST(PackedKernelProperty, StumpsAndSharedChildrenMatchTheReference) {
+// A node list as a persisted tree file, written without from_nodes so it
+// can hold shapes from_nodes rejects.
+std::string tree_text(const std::vector<tree::Node>& nodes, int features) {
+  std::ostringstream os;
+  os << "hddpred-tree v1\ntask classification\nfeatures " << features
+     << "\nnodes " << nodes.size() << '\n';
+  for (const tree::Node& n : nodes) {
+    os << n.left << ' ' << n.right << ' ' << n.feature << ' ' << n.threshold
+       << ' ' << n.value << " 1 1 0\n";
+  }
+  return os.str();
+}
+
+TEST(PackedKernelProperty, StumpsMatchTheReferenceAndDagsAreRejected) {
   using tree::Node;
   const auto split = [](std::int32_t feature, float threshold,
                         std::int32_t left, std::int32_t right) {
@@ -431,14 +446,19 @@ TEST(PackedKernelProperty, StumpsAndSharedChildrenMatchTheReference) {
   };
   const auto stump = tree::DecisionTree::from_nodes(
       {leaf(-0.25)}, tree::Task::kClassification, 3);
-  // Nodes 1 and 2 share both leaves; node 5 is unreachable.
-  const auto dag = tree::DecisionTree::from_nodes(
-      {split(0, 0.5f, 1, 2), split(1, 0.0f, 3, 4), split(2, 0.0f, 3, 4),
-       leaf(-0.5), leaf(0.75), leaf(1.0)},
+  const auto small = tree::DecisionTree::from_nodes(
+      {split(0, 0.5f, 1, 4), split(1, 0.0f, 2, 3), leaf(-0.5), leaf(0.75),
+       leaf(1.0)},
       tree::Task::kClassification, 3);
-  // A chain where node i goes to i+1 or i+2: Fibonacci(40) root-to-leaf
-  // paths over 42 nodes. Packing through the index map keeps it at 40
-  // splits; expanding it per path would not finish.
+
+  // Node lists that are not trees. Nodes 1 and 2 share both leaves:
+  const std::vector<Node> dag{split(0, 0.5f, 1, 2), split(1, 0.0f, 3, 4),
+                              split(2, 0.0f, 3, 4), leaf(-0.5), leaf(0.75)};
+  // node 3 is unreachable:
+  const std::vector<Node> orphan{split(0, 0.5f, 1, 2), leaf(-0.5),
+                                 leaf(0.75), leaf(1.0)};
+  // and a chain where node i goes to i+1 or i+2, whose Fibonacci(40)
+  // root-to-leaf paths a path-by-path verifier walk would never finish.
   std::vector<Node> chain;
   for (std::int32_t i = 0; i < 40; ++i) {
     chain.push_back(split(i % 3, 0.01f * static_cast<float>(i % 7), i + 1,
@@ -446,36 +466,41 @@ TEST(PackedKernelProperty, StumpsAndSharedChildrenMatchTheReference) {
   }
   chain.push_back(leaf(0.5));
   chain.push_back(leaf(-1.0));
-  const auto deep_dag = tree::DecisionTree::from_nodes(
-      std::move(chain), tree::Task::kClassification, 3);
+  for (const std::vector<Node>& nodes : {dag, orphan, chain}) {
+    std::istringstream is(tree_text(nodes, 3));
+    EXPECT_THROW((void)tree::DecisionTree::load(is), DataError)
+        << nodes.size() << " nodes";
+  }
+  // A forest is rejected when any member is not a tree.
+  std::istringstream dag_forest(
+      "hddpred-forest v1\nfeatures 3\ntrees 2\nsubspace 1 2 0\n" +
+      saved(stump) + "subspace 0 1 2\n" + tree_text(dag, 3));
+  EXPECT_THROW((void)forest::RandomForest::load(dag_forest), DataError);
 
   EXPECT_EQ(stump.flat().splits().size(), 0u);
-  EXPECT_EQ(dag.flat().splits().size(), 3u);
-  EXPECT_EQ(dag.flat().leaves().size(), 2u);
-  EXPECT_EQ(deep_dag.flat().splits().size(), 40u);
-  EXPECT_EQ(deep_dag.flat().leaves().size(), 2u);
-  // NaN goes right at every split: 0 -> 2 -> 4.
+  EXPECT_EQ(small.flat().splits().size(), 2u);
+  EXPECT_EQ(small.flat().leaves().size(), 3u);
+  // NaN goes right at every split: 0 -> 4.
   const std::vector<float> nan_row(3, std::numeric_limits<float>::quiet_NaN());
-  EXPECT_EQ(dag.predict(nan_row), 0.75);
+  EXPECT_EQ(small.predict(nan_row), 1.0);
 
-  // A forest whose second member is a stump and third the DAG, each on its
-  // own subspace (loaded, as RandomForest has no member constructor).
+  // A forest whose second member is a stump, each member on its own
+  // subspace (loaded, as RandomForest has no member constructor).
   std::istringstream forest_text(
       "hddpred-forest v1\nfeatures 3\ntrees 3\nsubspace 2 0 1\n" +
-      saved(dag) + "subspace 1 2 0\n" + saved(stump) + "subspace 0 1 2\n" +
-      saved(dag));
+      saved(small) + "subspace 1 2 0\n" + saved(stump) +
+      "subspace 0 1 2\n" + saved(small));
   const auto rf = forest::RandomForest::load(forest_text);
-  EXPECT_EQ(rf.flat().splits().size(), 6u);
+  EXPECT_EQ(rf.flat().splits().size(), 4u);
 
   const auto ab = forest::AdaBoost::from_members(
-      {{stump, 0.4}, {dag, 1.25}, {deep_dag, 0.7}});
+      {{stump, 0.4}, {small, 1.25}, {stump, 0.7}});
 
   Rng rng(50);
-  const std::vector<float> thresholds{0.5f, 0.0f, 0.01f, 0.03f, 0.06f};
+  const std::vector<float> thresholds{0.5f, 0.0f};
   const auto queries = edge_queries(rng, 3, thresholds);
   expect_kernel_matches_reference(stump, queries, "stump");
-  expect_kernel_matches_reference(dag, queries, "dag");
-  expect_kernel_matches_reference(deep_dag, queries, "deep dag");
+  expect_kernel_matches_reference(small, queries, "small tree");
   expect_kernel_matches_reference(rf, queries, "forest with stump member");
   expect_kernel_matches_reference(ab, queries, "AdaBoost with stump member");
 }

@@ -13,12 +13,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "core/predictor.h"
 #include "core/runtime.h"
+#include "core/swappable.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "serve/client.h"
@@ -261,6 +263,96 @@ TEST_F(RetrainLoopTest, ShadowsBeforePromoting) {
   EXPECT_EQ(engine.max_generation(), 1u);
   EXPECT_EQ(reg.counter("hdd_pipeline_promotions_total", "").value(), 1u);
   server.stop();
+}
+
+// The daemon's loop and the offline UpdatePipeline run one cycle core: on
+// the same journal and config they reach the same outcome, journal
+// byte-identical model text and count the same hdd_pipeline_* values —
+// with and without the shadow stage, and on a rejection.
+TEST_F(RetrainLoopTest, TickAndRunCycleAgreeOnTheSameJournal) {
+  struct Case {
+    std::uint64_t min_shadow_samples;
+    double min_fdr;
+    pipeline::Outcome outcome;
+  };
+  for (const Case c : {Case{0, 0.0, pipeline::Outcome::kPromoted},
+                       Case{50, 0.0, pipeline::Outcome::kPromoted},
+                       Case{0, 1.01, pipeline::Outcome::kRejectedGuardrail}}) {
+    SCOPED_TRACE(testing::Message() << "min_shadow_samples "
+                                    << c.min_shadow_samples << ", min_fdr "
+                                    << c.min_fdr);
+    fs::remove_all(base_dir_ / "s");
+    const std::string snapshot = (base_dir_ / "snapshot").string();
+    fs::remove_all(snapshot);
+    auto config = [&](obs::Registry* reg) {
+      auto pc = pipeline_config(reg);
+      pc.min_shadow_samples = c.min_shadow_samples;
+      pc.guardrail.min_fdr = c.min_fdr;
+      return pc;
+    };
+
+    obs::Registry loop_reg;
+    std::string loop_text;
+    {
+      ShardEngine engine(engine_config(1, &loop_reg));
+      ServeOptions so;
+      so.metrics = &loop_reg;
+      Server server(engine, so);
+      server.start();
+      RetrainLoopConfig lc;
+      lc.pipeline = config(&loop_reg);
+      lc.failed_pool = failure_pool();
+      RetrainLoop loop(engine, server, std::move(lc));
+      Client client;
+      client.connect("127.0.0.1", server.port());
+      ingest_goods(client, 0, kWeek);
+      ASSERT_TRUE(server.run_on_shard(
+          0, [&] { (void)engine.shard(0).store().snapshot_to(snapshot); }));
+
+      auto r = loop.tick(/*force=*/true);
+      if (c.min_shadow_samples > 0) {
+        EXPECT_EQ(r.outcome, pipeline::Outcome::kSkipped);
+        r = loop.tick(/*force=*/true);  // forced past the shadow stage
+      }
+      ASSERT_EQ(r.outcome, c.outcome) << r.reason;
+      server.stop();
+      const auto& gen = engine.shard(0).store().latest_generation();
+      if (gen) loop_text = gen->model_text;
+    }
+
+    obs::Registry pipe_reg;
+    store::TelemetryStore st(snapshot);
+    core::SwappableScorer slot(seed_, 0);
+    pipeline::UpdatePipeline pipe(slot, st, failure_pool(), config(&pipe_reg));
+    const auto r = pipe.run_cycle(/*force=*/true);
+    ASSERT_EQ(r.outcome, c.outcome) << r.reason;
+    const auto& gen = st.latest_generation();
+    EXPECT_EQ(gen ? gen->model_text : "", loop_text);
+    EXPECT_EQ(loop_text.empty(), c.outcome != pipeline::Outcome::kPromoted);
+
+    const auto counter = [](obs::Registry& reg, const char* name,
+                            const char* reason) {
+      return reason == nullptr
+                 ? reg.counter(name, "").value()
+                 : reg.counter(name, "", {{"reason", reason}}).value();
+    };
+    for (const auto& [name, reason] :
+         std::vector<std::pair<const char*, const char*>>{
+             {"hdd_pipeline_retrain_cycles_total", nullptr},
+             {"hdd_pipeline_promotions_total", nullptr},
+             {"hdd_pipeline_rejections_total", "lint"},
+             {"hdd_pipeline_rejections_total", "guardrail"},
+             {"hdd_pipeline_rejections_total", "no_data"},
+             {"hdd_pipeline_rejections_total", "train_failed"}}) {
+      EXPECT_EQ(counter(loop_reg, name, reason),
+                counter(pipe_reg, name, reason))
+          << name << (reason != nullptr ? reason : "");
+    }
+    EXPECT_EQ(counter(pipe_reg, "hdd_pipeline_retrain_cycles_total", nullptr),
+              1u);
+    EXPECT_EQ(loop_reg.gauge("hdd_pipeline_generation", "").value(),
+              pipe_reg.gauge("hdd_pipeline_generation", "").value());
+  }
 }
 
 TEST_F(RetrainLoopTest, ResumeReconcilesPartialPromotion) {

@@ -11,8 +11,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -727,6 +729,145 @@ TEST_F(StoreTest, SnapshotToProducesIndependentStore) {
   EXPECT_EQ(snap.sample_count(), 10u);
   EXPECT_EQ(snap.drive(0).first_hour, 10);
   fs::remove_all(snap_dir);
+}
+
+// --- One read path: read_window agrees with read_drive --------------------
+
+bool same_samples(const std::vector<smart::Sample>& a,
+                  const std::vector<smart::Sample>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const smart::Sample& x, const smart::Sample& y) {
+                      return x.hour == y.hour &&
+                             std::memcmp(x.attrs.data(), y.attrs.data(),
+                                         sizeof x.attrs) == 0;
+                    });
+}
+
+// read_window(f, t)[id].samples == read_drive(id, f, t) for every drive,
+// over an unbounded, a partial, an inverted (empty) and an out-of-range
+// (empty) window. Returns the samples of the unbounded window.
+std::size_t expect_window_agrees(const TelemetryStore& store,
+                                 const char* what) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  const std::array<std::pair<std::int64_t, std::int64_t>, 4> windows{
+      {{kMin, kMax}, {10, 24}, {24, 10}, {1000, 2000}}};
+  std::size_t unbounded = 0;
+  for (const auto& [from, to] : windows) {
+    const auto window = store.read_window(from, to);
+    EXPECT_EQ(window.size(), store.drive_count()) << what;
+    for (std::uint32_t id = 0; id < window.size(); ++id) {
+      EXPECT_EQ(window[id].serial, store.drive(id).serial) << what;
+      EXPECT_TRUE(same_samples(window[id].samples,
+                               store.read_drive(id, from, to)))
+          << what << ": drive " << id << " window [" << from << ", " << to
+          << "]";
+      if (from == kMin) unbounded += window[id].samples.size();
+    }
+  }
+  EXPECT_EQ(unbounded, store.sample_count()) << what;
+  return unbounded;
+}
+
+TEST_F(StoreTest, ReadWindowMatchesReadDriveOnEveryRecoveredShape) {
+  StoreOptions opt;
+  opt.segment_bytes = 512;  // a few hours per segment
+  // Hour-major, as a fleet journals it: every hour touches every drive,
+  // so every segment holds every sampled drive. "idle" never samples.
+  {
+    TelemetryStore store(dir(), opt);
+    for (const char* serial : {"A", "B", "idle", "C"}) {
+      store.register_drive(serial);
+    }
+    for (std::int64_t h = 0; h < 40; ++h) {
+      for (const std::uint32_t id : {0u, 1u, 3u}) {
+        store.append(id, make_sample(h, static_cast<float>(id)));
+      }
+    }
+    EXPECT_GT(store.segment_count(), 5u);
+    EXPECT_EQ(expect_window_agrees(store, "live multi-segment"), 120u);
+    EXPECT_TRUE(store.read_window()[2].samples.empty());
+    store.flush();
+  }
+  {
+    TelemetryStore store(dir(), opt);
+    EXPECT_EQ(expect_window_agrees(store, "reopened multi-segment"), 120u);
+  }
+
+  // A CRC-stopped segment: its suffix is dropped, later segments load.
+  auto segs = segment_files();
+  ASSERT_GT(segs.size(), 3u);
+  auto bytes = read_bytes(segs[2]);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
+  write_bytes(segs[2], bytes);
+  // A torn tail on the last segment.
+  fs::resize_file(segs.back(), fs::file_size(segs.back()) - 7);
+  {
+    TelemetryStore store(dir(), opt);
+    EXPECT_EQ(store.recovery().records_dropped, 1u);
+    EXPECT_TRUE(store.recovery().tail_truncated);
+    const auto n = expect_window_agrees(store, "CRC-stopped, torn tail");
+    EXPECT_LT(n, 119u);
+    EXPECT_GT(n, 0u);
+  }
+
+  // Compacted: one fresh segment holding hours 20 and up.
+  {
+    TelemetryStore store(dir(), opt);
+    store.compact(20);
+    EXPECT_EQ(store.segment_count(), 1u);
+    expect_window_agrees(store, "compacted");
+    EXPECT_TRUE(store.read_window(0, 19)[0].samples.empty());
+  }
+}
+
+TEST_F(StoreTest, SamplesRecoveryDroppedStayOutOfEveryRead) {
+  {
+    TelemetryStore store(dir());
+    const auto id = store.register_drive("A");
+    for (std::int64_t h = 0; h < 5; ++h) store.append(id, make_sample(h));
+    store.flush();
+  }
+  // A CRC-valid sample for drive 7, which was never registered: recovery
+  // drops it, so no read may hand it out (a drive id past drive_count()
+  // would index out of every per-drive table a reader keeps).
+  const auto segs = segment_files();
+  ASSERT_EQ(segs.size(), 1u);
+  write_bytes(segs[0], read_bytes(segs[0]) +
+                           frame_record(encode_sample_record(
+                               7, make_sample(5))));
+  TelemetryStore store(dir());
+  EXPECT_EQ(store.recovery().records_dropped, 1u);
+  std::size_t scanned = 0;
+  store.scan([&](std::uint32_t drive, const smart::Sample&) {
+    EXPECT_LT(drive, store.drive_count());
+    ++scanned;
+  });
+  EXPECT_EQ(scanned, 5u);
+  EXPECT_EQ(expect_window_agrees(store, "dropped record"), 5u);
+}
+
+TEST_F(StoreTest, ASampleAheadOfItsRegistrationIsReadNowhere) {
+  // Segment 1 holds a sample for drive 0 before drive 0's registration,
+  // which recovery drops; segment 2 holds one more sample, which it keeps.
+  fs::create_directories(dir_);
+  write_bytes(dir_ / "seg-00000001.log",
+              encode_segment_header(1, 0) +
+                  frame_record(encode_sample_record(0, make_sample(0))) +
+                  frame_record(encode_drive_record(0, "A")));
+  write_bytes(dir_ / "seg-00000002.log",
+              encode_segment_header(2, 0) +
+                  frame_record(encode_sample_record(0, make_sample(1))));
+  TelemetryStore store(dir());
+  EXPECT_EQ(store.recovery().records_dropped, 1u);
+  EXPECT_EQ(store.drive(0).n_samples, 1u);
+  EXPECT_EQ(expect_window_agrees(store, "sample ahead of registration"), 1u);
+  std::vector<std::int64_t> hours;
+  store.scan([&](std::uint32_t, const smart::Sample& s) {
+    hours.push_back(s.hour);
+  });
+  EXPECT_EQ(hours, std::vector<std::int64_t>{1});
 }
 
 }  // namespace

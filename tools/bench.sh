@@ -73,7 +73,8 @@ for preset in ct forest; do
 done
 
 # micro_perf sweeps large fleets; keep the suite's wall time bounded by
-# running one representative size per benchmark family.
+# running one representative size per benchmark family. The store window
+# reads keep all three fleet sizes: their scaling is what they record.
 run_bench() {
   local bin="$1" json="$2" extra_filter="$3"
   local args=(--benchmark_format=json --benchmark_out="${json}"
@@ -88,7 +89,7 @@ run_bench() {
 }
 
 run_bench micro_perf "${TMP}/perf.json" \
-    'BM_Fleet|BM_StoreAppend|BM_TreePredictBatch|BM_ForestPredictBatch'
+    'BM_Fleet|BM_Store(Append|Read)|BM_TreePredictBatch|BM_ForestPredictBatch'
 run_bench micro_lint "${TMP}/lint.json" 'BM_VerifyTree/20000|BM_VerifyForest/64'
 run_bench micro_obs  "${TMP}/obs.json"  ''
 run_bench micro_io   "${TMP}/io.json"   ''

@@ -11,7 +11,8 @@
 # also exercised under ASan).
 # The plain configuration also smoke-tests `--metrics-out -` end to end,
 # boots a real `hddpredict serve` daemon for an ingest/query/metrics
-# round trip and again for a tracing round trip (`hddpredict trace`
+# round trip, again with its retrain loop until it promotes a model, and
+# again for a tracing round trip (`hddpredict trace`
 # fetching /debug/trace, span chain asserted from the JSON), and a
 # ThreadSanitizer build runs the `obs`, `serve`, `pipeline` and
 # `concurrency` labels (sharded counters, the span rings, the
@@ -193,6 +194,68 @@ pipeline_smoke() {
   echo "=== pipeline smoke passed ==="
 }
 
+# End-to-end smoke of the daemon's retrain loop: boot `serve` with a
+# telemetry-hour retrain trigger and a labeled failure pool, push a fleet
+# through the wire client, poll `client --op stats` until the background
+# loop reports a promoted candidate, then shut down and assert a clean exit
+# on the new generation.
+serve_retrain_smoke() {
+  local build_dir="$1"
+  local tmp
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "${tmp}"' RETURN
+  local bin="${build_dir}/tools/hddpredict"
+  echo "=== serve retrain smoke (${bin}) ==="
+  "${bin}" generate --out "${tmp}/fleet.csv" --scale 0.02 --family W \
+      --seed 11 --interval 2 > /dev/null
+  "${bin}" train --data "${tmp}/fleet.csv" --model "${tmp}/m.tree" \
+      > /dev/null
+  "${bin}" serve --store "${tmp}/store" --model "${tmp}/m.tree" \
+      --retrain-every 24 --failed-data "${tmp}/fleet.csv" \
+      --port 0 --port-file "${tmp}/port" > "${tmp}/serve.log" 2>&1 &
+  local serve_pid=$!
+  local port=""
+  for _ in $(seq 1 100); do
+    [[ -s "${tmp}/port" ]] && { port="$(cat "${tmp}/port")"; break; }
+    sleep 0.1
+  done
+  if [[ -z "${port}" ]]; then
+    echo "serve retrain smoke FAILED: daemon never wrote its port file" >&2
+    kill "${serve_pid}" 2> /dev/null || true
+    return 1
+  fi
+  "${bin}" client --addr "127.0.0.1:${port}" --op ingest \
+      --data "${tmp}/fleet.csv" | grep -q "ingested" || {
+    echo "serve retrain smoke FAILED: wire ingest" >&2
+    kill "${serve_pid}" 2> /dev/null || true
+    return 1
+  }
+  local stats=""
+  for _ in $(seq 1 120); do
+    stats="$("${bin}" client --addr "127.0.0.1:${port}" --op stats)"
+    [[ "${stats}" == *"last retrain promoted"* ]] && break
+    sleep 0.5
+  done
+  if [[ "${stats}" != *"last retrain promoted"* ]]; then
+    echo "serve retrain smoke FAILED: no promotion; last stats: ${stats}" >&2
+    kill "${serve_pid}" 2> /dev/null || true
+    cat "${tmp}/serve.log" >&2
+    return 1
+  fi
+  "${bin}" client --addr "127.0.0.1:${port}" --op shutdown > /dev/null
+  if ! wait "${serve_pid}"; then
+    echo "serve retrain smoke FAILED: daemon exited non-zero" >&2
+    cat "${tmp}/serve.log" >&2
+    return 1
+  fi
+  grep -q "model generation 1" "${tmp}/serve.log" || {
+    echo "serve retrain smoke FAILED: shutdown summary not on generation 1" >&2
+    cat "${tmp}/serve.log" >&2
+    return 1
+  }
+  echo "=== serve retrain smoke passed ==="
+}
+
 # End-to-end smoke of request tracing: boot `serve` (tracing defaults on),
 # push a fleet through the wire client so a traced request crosses the
 # daemon, fetch the flight recorder with `hddpredict trace`, and assert
@@ -265,6 +328,7 @@ tools/static.sh "${JOBS}"
 run_config build
 obs_smoke build
 serve_smoke build
+serve_retrain_smoke build
 pipeline_smoke build
 trace_smoke build
 if [[ "${FAST}" == "1" ]]; then
