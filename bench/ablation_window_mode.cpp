@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     core::HealthDegreeModel model(cfg);
     model.fit(exp.fleet, exp.split);
 
-    const auto scores = eval::score_dataset(
+    const auto scores = eval::score_dataset_batch(
         exp.fleet, exp.split, cfg.ct_config.training.features,
         model.sample_model());
     // Default operating point...

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
     model.fit(exp.fleet, exp.split);
 
     const auto scores =
-        eval::score_dataset(exp.fleet, exp.split,
-                            cfg.ct_config.training.features,
-                            model.sample_model());
+        eval::score_dataset_batch(exp.fleet, exp.split,
+                                  cfg.ct_config.training.features,
+                                  model.sample_model());
     const double thresholds[] = {-0.5, -0.37, -0.3, -0.2, -0.1, -0.02, 0.0};
     const auto points = eval::roc_over_thresholds(scores, 11, thresholds);
 
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     auto cfg = core::paper_rt_classifier_config();
     core::FailurePredictor predictor(cfg);
     predictor.fit(exp.fleet, exp.split);
-    const auto scores = eval::score_dataset(
+    const auto scores = eval::score_dataset_batch(
         exp.fleet, exp.split, cfg.training.features, predictor.sample_model());
     const double thresholds[] = {-0.94, -0.86, -0.6, -0.4, -0.2, -0.05, 0.0};
     const auto points = eval::roc_over_thresholds(scores, 11, thresholds);

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     auto cfg = use_ct ? core::paper_ct_config() : core::paper_ann_config();
     core::FailurePredictor predictor(cfg);
     predictor.fit(exp.fleet, exp.split);
-    const auto scores = eval::score_dataset(
+    const auto scores = eval::score_dataset_batch(
         exp.fleet, exp.split, cfg.training.features, predictor.sample_model());
     const auto points = eval::roc_over_voters(scores, voter_counts);
 

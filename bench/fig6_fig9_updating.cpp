@@ -20,15 +20,19 @@ update::ModelTrainer make_trainer(bool use_ct,
     return [cfg](const data::DataMatrix& m) {
       auto tree = std::make_shared<tree::DecisionTree>();
       tree->fit(m, tree::Task::kClassification, cfg.tree_params);
-      return eval::SampleModel(
-          [tree](std::span<const float> x) { return tree->predict(x); });
+      return eval::BatchSampleModel(
+          [tree](std::span<const float> xs, std::span<double> out) {
+            tree->predict_batch(xs, out);
+          });
     };
   }
   return [cfg](const data::DataMatrix& m) {
     auto mlp = std::make_shared<ann::MlpModel>();
     mlp->fit(m, cfg.ann);
-    return eval::SampleModel(
-        [mlp](std::span<const float> x) { return mlp->predict(x); });
+    return eval::BatchSampleModel(
+        [mlp](std::span<const float> xs, std::span<double> out) {
+          mlp->predict_batch(xs, out);
+        });
   };
 }
 

@@ -272,8 +272,10 @@ BENCHMARK(BM_FleetIntervalBatched)->Arg(10000)->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 // End-to-end record replay (feature extraction + scoring + voting) through
-// eval::score_record vs eval::score_record_batch (block extraction, one
-// predict_batch call per block), both voted by eval::vote_drive.
+// eval::score_record_batch (block extraction, one model call per block),
+// voted by eval::vote_drive. Scalar: the model is wrapped in eval::per_row,
+// one predict call per row — what a model without predict_batch pays.
+// Batched: the model's own predict_batch.
 data::DriveDataset make_bench_fleet(std::size_t n_drives) {
   const sim::TraceGenerator gen(sim::family_w_profile(), 42, 0);
   data::DriveDataset ds;
@@ -293,13 +295,12 @@ void BM_FleetReplayScalar(benchmark::State& state) {
   const auto ds = make_bench_fleet(n_drives);
   const auto fs = smart::stat13_features();
   const auto vote = never_alarm_vote();
-  const eval::SampleModel model = [&scorer](std::span<const float> x) {
-    return scorer.predict(x);
-  };
+  const eval::BatchSampleModel model = eval::per_row(
+      [&scorer](std::span<const float> x) { return scorer.predict(x); });
   for (auto _ : state) {
     std::size_t alarms = 0;
     for (const auto& d : ds.drives) {
-      const auto scores = eval::score_record(d, 0, fs, model);
+      const auto scores = eval::score_record_batch(d, 0, fs, model);
       alarms += eval::vote_drive(scores, vote).alarmed ? 1 : 0;
     }
     benchmark::DoNotOptimize(alarms);

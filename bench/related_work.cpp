@@ -49,9 +49,11 @@ int main(int argc, char** argv) {
     det.fit(matrix, cfg);
     eval::VoteConfig vote;
     vote.voters = 1;  // firmware warns on any tripped reading
-    const auto r = eval::evaluate(
+    const auto r = eval::evaluate_batch(
         exp.fleet, exp.split, features,
-        [&det](std::span<const float> x) { return det.predict(x); }, vote);
+        eval::per_row(
+            [&det](std::span<const float> x) { return det.predict(x); }),
+        vote);
     t.row().cell("firmware thresholds").cell(100 * r.far(), 3)
         .cell(100 * r.fdr(), 2).cell(r.mean_tia(), 1);
   }
@@ -60,9 +62,11 @@ int main(int argc, char** argv) {
     nb.fit(matrix);
     eval::VoteConfig vote;
     vote.voters = 11;
-    const auto r = eval::evaluate(
+    const auto r = eval::evaluate_batch(
         exp.fleet, exp.split, features,
-        [&nb](std::span<const float> x) { return nb.predict(x); }, vote);
+        eval::per_row(
+            [&nb](std::span<const float> x) { return nb.predict(x); }),
+        vote);
     t.row().cell("naive Bayes [7]").cell(100 * r.far(), 3)
         .cell(100 * r.fdr(), 2).cell(r.mean_tia(), 1);
   }
@@ -88,9 +92,11 @@ int main(int argc, char** argv) {
     det.fit(matrix);
     eval::VoteConfig vote;
     vote.voters = 11;
-    const auto r = eval::evaluate(
+    const auto r = eval::evaluate_batch(
         exp.fleet, exp.split, features,
-        [&det](std::span<const float> x) { return det.predict(x); }, vote);
+        eval::per_row(
+            [&det](std::span<const float> x) { return det.predict(x); }),
+        vote);
     t.row().cell("Mahalanobis distance [12]").cell(100 * r.far(), 3)
         .cell(100 * r.fdr(), 2).cell(r.mean_tia(), 1);
   }
@@ -106,9 +112,11 @@ int main(int argc, char** argv) {
     svm.fit(svm_matrix);
     eval::VoteConfig vote;
     vote.voters = 11;
-    const auto r = eval::evaluate(
+    const auto r = eval::evaluate_batch(
         exp.fleet, exp.split, features,
-        [&svm](std::span<const float> x) { return svm.predict(x); }, vote);
+        eval::per_row(
+            [&svm](std::span<const float> x) { return svm.predict(x); }),
+        vote);
     t.row().cell("linear SVM [6]").cell(100 * r.far(), 3)
         .cell(100 * r.fdr(), 2).cell(r.mean_tia(), 1);
   }

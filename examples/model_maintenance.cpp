@@ -27,8 +27,10 @@ int main(int argc, char** argv) {
       [&paper](const hdd::data::DataMatrix& m) {
         auto tree = std::make_shared<hdd::tree::DecisionTree>();
         tree->fit(m, hdd::tree::Task::kClassification, paper.tree_params);
-        return hdd::eval::SampleModel(
-            [tree](std::span<const float> x) { return tree->predict(x); });
+        return hdd::eval::BatchSampleModel(
+            [tree](std::span<const float> xs, std::span<double> out) {
+              tree->predict_batch(xs, out);
+            });
       };
 
   struct Strat {

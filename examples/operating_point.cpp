@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   {
     hdd::core::FailurePredictor ct(hdd::core::preset("ct"));
     ct.fit(fleet, split);
-    const auto scores = hdd::eval::score_dataset(
+    const auto scores = hdd::eval::score_dataset_batch(
         fleet, split, ct.config().training.features, ct.sample_model());
     const int candidates[] = {1, 3, 5, 7, 9, 11, 15, 17, 21, 27};
     const auto best = hdd::eval::tune_voters(scores, candidates, budget);
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   {
     hdd::core::HealthDegreeModel rt;
     rt.fit(fleet, split);
-    const auto scores = hdd::eval::score_dataset(
+    const auto scores = hdd::eval::score_dataset_batch(
         fleet, split, rt.config().ct_config.training.features,
         rt.sample_model());
     const auto thresholds = hdd::linspace(-0.9, 0.0, 19);

@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace hdd::baselines {
 
@@ -332,43 +331,11 @@ eval::DriveOutcome HmmDetector::detect(const smart::DriveRecord& drive,
 
 eval::EvalResult HmmDetector::evaluate(const data::DriveDataset& dataset,
                                        const data::DatasetSplit& split) const {
-  struct Job {
-    std::size_t drive;
-    std::size_t begin;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t kdx = 0; kdx < split.good_drives.size(); ++kdx) {
-    if (split.good_test_begin[kdx] >=
-        dataset.drives[split.good_drives[kdx]].samples.size()) {
-      continue;
-    }
-    jobs.push_back({split.good_drives[kdx], split.good_test_begin[kdx]});
-  }
-  for (std::size_t di : split.test_failed) {
-    if (!dataset.drives[di].empty()) jobs.push_back({di, 0});
-  }
-
-  std::vector<eval::DriveOutcome> outcomes(jobs.size());
-  ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
-    outcomes[j] = detect(dataset.drives[jobs[j].drive], jobs[j].begin);
-  });
-
-  eval::EvalResult r;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto& d = dataset.drives[jobs[j].drive];
-    if (d.failed) {
-      ++r.n_failed;
-      if (outcomes[j].alarmed) {
-        ++r.detections;
-        r.tia_hours.push_back(
-            static_cast<double>(d.fail_hour - outcomes[j].alarm_hour));
-      }
-    } else {
-      ++r.n_good;
-      if (outcomes[j].alarmed) ++r.false_alarms;
-    }
-  }
-  return r;
+  return eval::evaluate_detector(
+      dataset, split,
+      [this](const smart::DriveRecord& drive, std::size_t begin) {
+        return detect(drive, begin);
+      });
 }
 
 }  // namespace hdd::baselines

@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "stats/nonparametric.h"
 
 namespace hdd::baselines {
@@ -89,43 +88,11 @@ eval::DriveOutcome RankSumDetector::detect(const smart::DriveRecord& drive,
 
 eval::EvalResult RankSumDetector::evaluate(
     const data::DriveDataset& dataset, const data::DatasetSplit& split) const {
-  struct Job {
-    std::size_t drive;
-    std::size_t begin;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t k = 0; k < split.good_drives.size(); ++k) {
-    if (split.good_test_begin[k] >=
-        dataset.drives[split.good_drives[k]].samples.size()) {
-      continue;
-    }
-    jobs.push_back({split.good_drives[k], split.good_test_begin[k]});
-  }
-  for (std::size_t di : split.test_failed) {
-    if (!dataset.drives[di].empty()) jobs.push_back({di, 0});
-  }
-
-  std::vector<eval::DriveOutcome> outcomes(jobs.size());
-  ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
-    outcomes[j] = detect(dataset.drives[jobs[j].drive], jobs[j].begin);
-  });
-
-  eval::EvalResult r;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto& d = dataset.drives[jobs[j].drive];
-    if (d.failed) {
-      ++r.n_failed;
-      if (outcomes[j].alarmed) {
-        ++r.detections;
-        r.tia_hours.push_back(
-            static_cast<double>(d.fail_hour - outcomes[j].alarm_hour));
-      }
-    } else {
-      ++r.n_good;
-      if (outcomes[j].alarmed) ++r.false_alarms;
-    }
-  }
-  return r;
+  return eval::evaluate_detector(
+      dataset, split,
+      [this](const smart::DriveRecord& drive, std::size_t begin) {
+        return detect(drive, begin);
+      });
 }
 
 }  // namespace hdd::baselines

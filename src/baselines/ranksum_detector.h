@@ -7,7 +7,7 @@
 //
 // Unlike the sample-level models, this detector is inherently windowed
 // (it tests a set of recent samples), so it exposes a drive-level detect()
-// rather than the SampleModel interface.
+// rather than a sample-level model.
 #pragma once
 
 #include <cstdint>

@@ -14,66 +14,6 @@
 
 namespace hdd::core {
 
-DriveVoteState::DriveVoteState(const eval::VoteConfig& vote) : vote_(vote) {
-  HDD_REQUIRE(vote_.voters >= 1, "voters must be >= 1");
-  ring_.assign(static_cast<std::size_t>(vote_.voters), 0.0f);
-}
-
-bool DriveVoteState::decide(std::size_t window) const {
-  if (vote_.average_mode) {
-    return output_sum_ / static_cast<double>(window) < vote_.threshold;
-  }
-  return static_cast<double>(failed_votes_) >
-         static_cast<double>(window) / 2.0;
-}
-
-void DriveVoteState::raise_alarm(std::int64_t hour) {
-  alarmed_ = true;
-  alarm_hour_ = hour;
-  if (alarms_counter_ != nullptr) alarms_counter_->inc();
-}
-
-bool DriveVoteState::push(std::int64_t hour, double output) {
-  if (alarmed_) return false;
-  ++seen_;
-  // Outputs round through float exactly as eval::score_record stores them,
-  // so streaming decisions match the offline path bit for bit.
-  const float v = static_cast<float>(output);
-  const bool failed_vote = v < 0.0f;
-  if (seen_ > 1 && failed_vote != last_vote_failed_ &&
-      transitions_counter_ != nullptr) {
-    transitions_counter_->inc();
-  }
-  last_vote_failed_ = failed_vote;
-  const std::size_t want = ring_.size();
-  if (filled_ == want) {
-    const double old = ring_[head_];
-    if (old < 0.0) --failed_votes_;
-    output_sum_ -= old;
-  } else {
-    ++filled_;
-  }
-  ring_[head_] = v;
-  head_ = (head_ + 1) % want;
-  if (v < 0.0f) ++failed_votes_;
-  output_sum_ += v;
-  if (filled_ < want) return false;  // decisions start at a full window
-  if (decide(want)) {
-    raise_alarm(hour);
-    return true;
-  }
-  return false;
-}
-
-void DriveVoteState::reset() {
-  head_ = filled_ = failed_votes_ = 0;
-  output_sum_ = 0.0;
-  seen_ = 0;
-  alarm_hour_ = -1;
-  alarmed_ = false;
-  last_vote_failed_ = false;
-}
-
 FleetScorer::FleetScorer(const SampleScorer& scorer, FleetScorerConfig config)
     : scorer_(&scorer), config_(std::move(config)) {
   HDD_REQUIRE(config_.features.size() == scorer_->num_features(),
@@ -148,9 +88,11 @@ FleetScorer::ScoreCtx FleetScorer::make_ctx(bool live) {
   // installed candidate starts from cold voting windows.
   if (ctx.shadow_pin->epoch != shadow_epoch_seen_) {
     shadow_epoch_seen_ = ctx.shadow_pin->epoch;
-    shadow_states_.assign(states_.size(), DriveVoteState(config_.vote));
+    shadow_states_.assign(states_.size(),
+                          eval::DriveVoteState(config_.vote));
   } else if (shadow_states_.size() < states_.size()) {
-    shadow_states_.resize(states_.size(), DriveVoteState(config_.vote));
+    shadow_states_.resize(states_.size(),
+                          eval::DriveVoteState(config_.vote));
   }
   ctx.shadow = ctx.shadow_pin->model.get();
   return ctx;
@@ -590,7 +532,7 @@ FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
 
 std::size_t FleetScorer::alarm_count() const {
   std::size_t n = 0;
-  for (const DriveVoteState& s : states_) n += s.alarmed() ? 1 : 0;
+  for (const eval::DriveVoteState& s : states_) n += s.alarmed() ? 1 : 0;
   return n;
 }
 
@@ -603,7 +545,7 @@ std::vector<std::size_t> FleetScorer::alarmed_drives() const {
 }
 
 void FleetScorer::reset() {
-  for (DriveVoteState& s : states_) s.reset();
+  for (eval::DriveVoteState& s : states_) s.reset();
   for (smart::DriveRecord& h : history_) h.samples.clear();
 }
 

@@ -8,18 +8,19 @@
 //    row per drive per interval (observe_interval). The engine scores the
 //    snapshot through SampleScorer::predict_batch in row blocks spread over
 //    the thread pool, and advances a per-drive incremental voting window
-//    (DriveVoteState) — detection never rescans a drive's history.
+//    (eval::DriveVoteState) — detection never rescans a drive's history.
 //  * Journaled streaming: attach a store::TelemetryStore and feed raw SMART
 //    samples, a fleet interval at a time (observe_samples) or as drive runs
 //    on their own clocks (ingest_runs; ingest_drive is its one-run call).
 //    Both take each drive's samples through one intake step (stale filter,
 //    quarantine, journal append) before the same bounded-history scoring
 //    step; after a crash, resume_from() replays the log through that
-//    scoring step, restoring every DriveVoteState so the continued run
+//    scoring step, restoring every voting window so the continued run
 //    raises byte-identical alarms.
 //
-// Offline scoring of whole DriveRecords is eval::score_record_batch +
-// eval::vote_drive (eval/detection.h).
+// Offline evaluation (eval::vote_drive) pushes whole DriveRecords' outputs
+// through the same eval::DriveVoteState, so paper FDR/FAR/TIA and live
+// alarms come from one window implementation.
 #pragma once
 
 #include <atomic>
@@ -88,61 +89,9 @@ struct DriveRun {
   std::span<const smart::Sample> samples;
 };
 
-// Incremental sliding-window voting state for one drive: the decision rule
-// of eval::vote_drive (for records of at least N samples) maintained sample
-// by sample over a ring buffer of the last N model outputs.
-class DriveVoteState {
- public:
-  explicit DriveVoteState(const eval::VoteConfig& vote);
-
-  // Feeds one model output; returns true exactly when this sample raises
-  // the drive's (first) alarm. No-op once alarmed. Decisions start once the
-  // window holds N samples.
-  bool push(std::int64_t hour, double output);
-
-  bool alarmed() const { return alarmed_; }
-  std::int64_t alarm_hour() const { return alarm_hour_; }
-  std::int64_t samples_seen() const { return seen_; }
-
-  // The rolling vote verdict over the window's current contents (the rule
-  // push() checks at a full window; short windows vote over what they
-  // have), independent of the alarm latch. Shadow scoring compares the
-  // incumbent's and candidate's verdicts sample by sample with this.
-  bool current_decision() const {
-    return filled_ > 0 && decide(std::min(filled_, ring_.size()));
-  }
-
-  // Forgets all observations (keeps the configuration).
-  void reset();
-
-  // Optional instrumentation (FleetScorer wires these): `transitions`
-  // counts sample-level vote flips — consecutive model outputs of this
-  // drive crossing the failure threshold in either direction — and
-  // `alarms` counts the terminal healthy->alarmed transition. Counters
-  // are sharded atomics, so concurrent pushes from scoring blocks are
-  // safe.
-  void set_metrics(obs::Counter* transitions, obs::Counter* alarms) {
-    transitions_counter_ = transitions;
-    alarms_counter_ = alarms;
-  }
-
- private:
-  bool decide(std::size_t window) const;
-  void raise_alarm(std::int64_t hour);
-
-  eval::VoteConfig vote_;
-  std::vector<float> ring_;  // last N outputs, circular
-  std::size_t head_ = 0;
-  std::size_t filled_ = 0;
-  std::size_t failed_votes_ = 0;
-  double output_sum_ = 0.0;
-  std::int64_t seen_ = 0;
-  bool alarmed_ = false;
-  std::int64_t alarm_hour_ = -1;
-  bool last_vote_failed_ = false;
-  obs::Counter* transitions_counter_ = nullptr;
-  obs::Counter* alarms_counter_ = nullptr;
-};
+// The voting window is eval::DriveVoteState (eval/detection.h). This alias
+// exists only because perfbench/ names core::DriveVoteState.
+using DriveVoteState = eval::DriveVoteState;
 
 class FleetScorer {
  public:
@@ -157,7 +106,9 @@ class FleetScorer {
   std::size_t add_drive(std::string serial);
   std::size_t size() const { return states_.size(); }
   const std::string& serial(std::size_t i) const { return serials_[i]; }
-  const DriveVoteState& state(std::size_t i) const { return states_[i]; }
+  const eval::DriveVoteState& state(std::size_t i) const {
+    return states_[i];
+  }
 
   // Scores one interval snapshot: row i of the row-major block (or matrix)
   // is drive i's current feature row. Batched + parallel; per-drive voting
@@ -375,7 +326,7 @@ class FleetScorer {
   std::uint64_t quarantined_ = 0;
   std::uint64_t journal_failures_ = 0;
   std::vector<std::string> serials_;
-  std::vector<DriveVoteState> states_;
+  std::vector<eval::DriveVoteState> states_;
   std::vector<std::size_t> rows_;  // the drives one call scores
 
   // Shadow scoring state. The slot is the only cross-thread member
@@ -384,7 +335,7 @@ class FleetScorer {
   RcuSlot<const ShadowSlot> shadow_slot_;
   std::uint64_t shadow_installs_ = 0;  // controller-side epoch source
   std::uint64_t shadow_epoch_seen_ = 0;
-  std::vector<DriveVoteState> shadow_states_;
+  std::vector<eval::DriveVoteState> shadow_states_;
   std::atomic<std::uint64_t> sh_samples_{0};
   std::atomic<std::uint64_t> sh_divergence_{0};
   std::atomic<std::uint64_t> sh_vote_flips_{0};

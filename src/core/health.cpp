@@ -85,17 +85,20 @@ double HealthDegreeModel::health(const smart::DriveRecord& drive,
   return rt_.predict(*row);
 }
 
-eval::SampleModel HealthDegreeModel::sample_model() const {
+eval::BatchSampleModel HealthDegreeModel::sample_model() const {
   HDD_REQUIRE(trained(), "health model is not trained");
   const tree::DecisionTree* t = &rt_;
-  return [t](std::span<const float> x) { return t->predict(x); };
+  return [t](std::span<const float> xs, std::span<double> out) {
+    t->predict_batch(xs, out);
+  };
 }
 
 eval::DriveOutcome HealthDegreeModel::detect(const smart::DriveRecord& drive,
                                              std::size_t begin_index) const {
   const auto scores =
-      eval::score_record(drive, begin_index,
-                         config_.ct_config.training.features, sample_model());
+      eval::score_record_batch(drive, begin_index,
+                               config_.ct_config.training.features,
+                               sample_model());
   eval::VoteConfig vote;
   vote.voters = config_.voters;
   vote.average_mode = true;
@@ -110,8 +113,9 @@ eval::EvalResult HealthDegreeModel::evaluate(const data::DriveDataset& dataset,
   vote.voters = config_.voters;
   vote.average_mode = true;
   vote.threshold = threshold;
-  return eval::evaluate(dataset, split, config_.ct_config.training.features,
-                        sample_model(), vote);
+  return eval::evaluate_batch(dataset, split,
+                              config_.ct_config.training.features,
+                              sample_model(), vote);
 }
 
 namespace {

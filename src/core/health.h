@@ -60,7 +60,7 @@ class HealthDegreeModel {
                 std::size_t sample_index) const;
 
   // Sample-level model for the evaluation harness.
-  eval::SampleModel sample_model() const;
+  eval::BatchSampleModel sample_model() const;
 
   // Drive-level detection using average-mode voting at the configured
   // threshold.

@@ -147,9 +147,11 @@ const SampleScorer& FailurePredictor::scorer() const {
   return *scorer_;
 }
 
-eval::SampleModel FailurePredictor::sample_model() const {
+eval::BatchSampleModel FailurePredictor::sample_model() const {
   const SampleScorer* s = &scorer();
-  return [s](std::span<const float> x) { return s->predict(x); };
+  return [s](std::span<const float> xs, std::span<double> out) {
+    s->predict_batch(xs, out);
+  };
 }
 
 double FailurePredictor::score_sample(const smart::DriveRecord& drive,
@@ -162,22 +164,16 @@ double FailurePredictor::score_sample(const smart::DriveRecord& drive,
 
 eval::DriveOutcome FailurePredictor::detect(const smart::DriveRecord& drive,
                                             std::size_t begin_index) const {
-  const auto scores = eval::score_record(drive, begin_index,
-                                         config_.training.features,
-                                         sample_model());
+  const auto scores = eval::score_record_batch(
+      drive, begin_index, config_.training.features, sample_model());
   return eval::vote_drive(scores, config_.vote);
 }
 
 eval::EvalResult FailurePredictor::evaluate(
     const data::DriveDataset& dataset,
     const data::DatasetSplit& split) const {
-  const SampleScorer* s = &scorer();
-  return eval::evaluate_batch(
-      dataset, split, config_.training.features,
-      [s](std::span<const float> xs, std::span<double> out) {
-        s->predict_batch(xs, out);
-      },
-      config_.vote);
+  return eval::evaluate_batch(dataset, split, config_.training.features,
+                              sample_model(), config_.vote);
 }
 
 const tree::DecisionTree* FailurePredictor::tree() const {

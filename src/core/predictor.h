@@ -101,8 +101,9 @@ class FailurePredictor {
   // for FleetScorer and batched evaluation. Throws if untrained.
   const SampleScorer& scorer() const;
 
-  // Sample-level model (margin in [-1,1], negative = failing).
-  eval::SampleModel sample_model() const;
+  // Sample-level model (margin in [-1,1], negative = failing): the
+  // scorer's predict_batch.
+  eval::BatchSampleModel sample_model() const;
 
   // Health of one observed sample of a drive record.
   double score_sample(const smart::DriveRecord& drive,

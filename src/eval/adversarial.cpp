@@ -19,25 +19,11 @@ struct Budget {
   double hi = std::numeric_limits<double>::infinity();
 };
 
-struct ScoreJob {
-  std::size_t drive = 0;
-  std::size_t begin = 0;
-};
-
-std::vector<ScoreJob> collect_jobs(const data::DriveDataset& dataset,
-                                   const data::DatasetSplit& split) {
-  std::vector<ScoreJob> jobs;
-  for (std::size_t k = 0; k < split.good_drives.size(); ++k) {
-    const auto& d = dataset.drives[split.good_drives[k]];
-    const std::size_t begin = split.good_test_begin[k];
-    if (begin >= d.samples.size()) continue;
-    jobs.push_back({split.good_drives[k], begin});
-  }
-  for (std::size_t di : split.test_failed) {
-    if (dataset.drives[di].empty()) continue;
-    jobs.push_back({di, 0});
-  }
-  return jobs;
+// The model's output on one feature row.
+double score_row(const BatchSampleModel& model, std::span<const float> row) {
+  double out = 0.0;
+  model(row, std::span<double>(&out, 1));
+  return out;
 }
 
 // Feature spans: declared domain when finite, observed span otherwise.
@@ -70,10 +56,10 @@ std::vector<Budget> make_budgets(const smart::FeatureSet& features,
 // output healthy (evade detection), -1 to push it failing (trigger an
 // alarm). Returns the best output reached; `row` holds the adversarial
 // point on return. Sets `moved` when any coordinate changed.
-double descend(std::vector<float>& row, const SampleModel& model,
+double descend(std::vector<float>& row, const BatchSampleModel& model,
                const std::vector<Budget>& budgets, double dir, int passes,
                bool* moved) {
-  double best = model(row);
+  double best = score_row(model, row);
   *moved = false;
   // The L-inf ball is centered on the sample as observed; later passes
   // re-probe the same ball (for cross-feature interactions), they do not
@@ -95,7 +81,7 @@ double descend(std::vector<float>& row, const SampleModel& model,
         const float cand = static_cast<float>(cand_raw);
         if (cand == orig) continue;
         row[f] = cand;
-        const double v = model(row);
+        const double v = score_row(model, row);
         if (dir * (v - best) > 0.0) {
           best = v;
           pick = cand;
@@ -112,12 +98,12 @@ double descend(std::vector<float>& row, const SampleModel& model,
   return best;
 }
 
-// score_record with the adversary in the loop: every sample of the drive
-// is descended before its output is recorded.
+// score_record_batch with the adversary in the loop: every sample of the
+// drive is descended before its output is recorded.
 DriveScores score_record_adversarial(const smart::DriveRecord& drive,
                                      std::size_t begin,
                                      const smart::FeatureSet& features,
-                                     const SampleModel& model,
+                                     const BatchSampleModel& model,
                                      const std::vector<Budget>& budgets,
                                      double dir, int passes,
                                      std::size_t* samples_moved) {
@@ -145,7 +131,7 @@ DriveScores score_record_adversarial(const smart::DriveRecord& drive,
 AdversarialResult adversarial_evaluate(const data::DriveDataset& dataset,
                                        const data::DatasetSplit& split,
                                        const smart::FeatureSet& features,
-                                       const SampleModel& model,
+                                       const BatchSampleModel& model,
                                        const AdversarialConfig& config) {
   HDD_REQUIRE(static_cast<bool>(model), "null model");
   HDD_REQUIRE(config.passes >= 1, "adversarial passes must be >= 1");
@@ -153,7 +139,7 @@ AdversarialResult adversarial_evaluate(const data::DriveDataset& dataset,
     HDD_REQUIRE(eps > 0.0 && eps <= 1.0,
                 "adversarial epsilon must be in (0, 1]");
   }
-  const auto jobs = collect_jobs(dataset, split);
+  const auto jobs = test_drives(dataset, split);
   const auto nf = features.specs.size();
 
   // Baseline pass; observed per-feature ranges ride along as the span
@@ -163,7 +149,7 @@ AdversarialResult adversarial_evaluate(const data::DriveDataset& dataset,
       job_hi(jobs.size());
   ThreadPool::global().parallel_for(0, jobs.size(), [&](std::size_t j) {
     const auto& drive = dataset.drives[jobs[j].drive];
-    baseline[j] = score_record(drive, jobs[j].begin, features, model);
+    baseline[j] = score_record_batch(drive, jobs[j].begin, features, model);
     auto& lo = job_lo[j];
     auto& hi = job_hi[j];
     lo.assign(nf, std::numeric_limits<float>::max());

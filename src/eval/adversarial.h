@@ -79,7 +79,7 @@ struct AdversarialResult {
 AdversarialResult adversarial_evaluate(const data::DriveDataset& dataset,
                                        const data::DatasetSplit& split,
                                        const smart::FeatureSet& features,
-                                       const SampleModel& model,
+                                       const BatchSampleModel& model,
                                        const AdversarialConfig& config);
 
 // Lint findings for degradations beyond the config tolerances, one per

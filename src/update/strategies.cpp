@@ -129,7 +129,7 @@ std::vector<WeeklyResult> simulate_long_term(const sim::FleetConfig& fleet,
       static_cast<double>(failed.size()) * config.train_fraction));
 
   std::vector<WeeklyResult> results;
-  eval::SampleModel model;
+  eval::BatchSampleModel model;
   std::pair<int, int> trained_range{-1, -1};
 
   for (int week = 2; week <= fleet.observation_weeks; ++week) {
@@ -180,8 +180,8 @@ std::vector<WeeklyResult> simulate_long_term(const sim::FleetConfig& fleet,
       test_ds.drives.push_back(failed[perm[k]]);
     }
 
-    const auto result = eval::evaluate(test_ds, split, config.training.features,
-                                       model, config.vote);
+    const auto result = eval::evaluate_batch(
+        test_ds, split, config.training.features, model, config.vote);
     results.push_back({week, result.far(), result.fdr()});
   }
   return results;

@@ -37,7 +37,7 @@ using pipeline::strategy_name;
 // Trains a sample-level model from a weighted matrix. Lets the simulation
 // drive CT, RT, BP ANN, forests... uniformly.
 using ModelTrainer =
-    std::function<eval::SampleModel(const data::DataMatrix&)>;
+    std::function<eval::BatchSampleModel(const data::DataMatrix&)>;
 
 struct LongTermConfig {
   Strategy strategy = Strategy::kFixed;

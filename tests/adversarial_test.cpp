@@ -67,7 +67,7 @@ TEST(Adversarial, EvadeAttackFlipsOnlyMarginalFailedDrives) {
   cfg.vote.voters = 3;
   const auto r =
       adversarial_evaluate(fx.dataset, fx.split, fx.features,
-                           boundary_model, cfg);
+                           per_row(boundary_model), cfg);
   EXPECT_DOUBLE_EQ(r.baseline.fdr(), 1.0);
   EXPECT_DOUBLE_EQ(r.baseline.far(), 0.0);
   ASSERT_EQ(r.points.size(), 1u);
@@ -87,7 +87,7 @@ TEST(Adversarial, AlarmAttackRaisesFarOnMarginalGoodDrives) {
   cfg.vote.voters = 3;
   const auto r =
       adversarial_evaluate(fx.dataset, fx.split, fx.features,
-                           boundary_model, cfg);
+                           per_row(boundary_model), cfg);
   EXPECT_DOUBLE_EQ(r.baseline.far(), 0.0);
   ASSERT_EQ(r.points.size(), 1u);
   EXPECT_DOUBLE_EQ(r.points[0].alarm.far(), 1.0);
@@ -106,9 +106,9 @@ TEST(Adversarial, PerturbationsStayClampedInsideTheDeclaredDomain) {
   cfg.vote.voters = 3;
   const auto r = adversarial_evaluate(
       fx.dataset, fx.split, fx.features,
-      [](std::span<const float> x) {
+      per_row([](std::span<const float> x) {
         return static_cast<double>(x[0]) - 0.5;
-      },
+      }),
       cfg);
   ASSERT_EQ(r.points.size(), 1u);
   EXPECT_DOUBLE_EQ(r.points[0].alarm.far(), 0.0);
@@ -127,9 +127,9 @@ TEST(Adversarial, RawCountersFallBackToTheObservedSpan) {
   cfg.vote.voters = 3;
   const auto r = adversarial_evaluate(
       fx.dataset, fx.split, fx.features,
-      [](std::span<const float> x) {
+      per_row([](std::span<const float> x) {
         return 5.0 - static_cast<double>(x[0]);
-      },
+      }),
       cfg);
   EXPECT_DOUBLE_EQ(r.baseline.far(), 0.0);
   ASSERT_EQ(r.points.size(), 1u);
@@ -148,7 +148,7 @@ TEST(Adversarial, FindingsFlagTheSmallestCrossingEpsilon) {
   cfg.vote.voters = 3;
   const auto r =
       adversarial_evaluate(fx.dataset, fx.split, fx.features,
-                           boundary_model, cfg);
+                           per_row(boundary_model), cfg);
   const auto report = robustness_findings(r, cfg, "m.model");
   ASSERT_EQ(report.diagnostics.size(), 1u);
   const auto& d = report.diagnostics[0];
@@ -168,7 +168,7 @@ TEST(Adversarial, NoFindingsWhenDegradationIsWithinTolerance) {
   cfg.far_rise_warn = 1.5;
   const auto r =
       adversarial_evaluate(fx.dataset, fx.split, fx.features,
-                           boundary_model, cfg);
+                           per_row(boundary_model), cfg);
   const auto report = robustness_findings(r, cfg, "m.model");
   EXPECT_FALSE(report.has_findings());
 }
@@ -181,7 +181,7 @@ TEST(Adversarial, FragileAlarmFindingUsesItsOwnCode) {
   cfg.vote.voters = 3;
   const auto r =
       adversarial_evaluate(fx.dataset, fx.split, fx.features,
-                           boundary_model, cfg);
+                           per_row(boundary_model), cfg);
   const auto report = robustness_findings(r, cfg, "m.model");
   ASSERT_EQ(report.diagnostics.size(), 1u);
   EXPECT_EQ(report.diagnostics[0].code, "fragile-alarm");
@@ -195,7 +195,7 @@ TEST(Adversarial, JsonOutputIsWellFormed) {
   cfg.vote.voters = 3;
   const auto r =
       adversarial_evaluate(fx.dataset, fx.split, fx.features,
-                           boundary_model, cfg);
+                           per_row(boundary_model), cfg);
   std::ostringstream os;
   print_json(r, os);
   const std::string json = os.str();
@@ -210,11 +210,11 @@ TEST(Adversarial, RejectsOutOfRangeEpsilon) {
   AdversarialConfig cfg;
   cfg.epsilons = {0.0};
   EXPECT_THROW(adversarial_evaluate(fx.dataset, fx.split, fx.features,
-                                    boundary_model, cfg),
+                                    per_row(boundary_model), cfg),
                ConfigError);
   cfg.epsilons = {1.5};
   EXPECT_THROW(adversarial_evaluate(fx.dataset, fx.split, fx.features,
-                                    boundary_model, cfg),
+                                    per_row(boundary_model), cfg),
                ConfigError);
 }
 

@@ -1,5 +1,6 @@
-// Tests for src/eval: the voting detector (majority and average modes),
-// record scoring, drive-level metrics, TIA histograms, and ROC sweeps.
+// Tests for src/eval: the voting detector (majority and average modes) and
+// its DriveVoteState window, record scoring, drive-level metrics, TIA
+// histograms, and ROC sweeps.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -71,6 +72,29 @@ TEST(VoteDrive, RejectsZeroVoters) {
   EXPECT_THROW(vote_drive(make_scores({1}), cfg), ConfigError);
 }
 
+TEST(DriveVoteState, PushIsNoopOnceAlarmed) {
+  VoteConfig cfg;
+  cfg.voters = 1;
+  DriveVoteState st(cfg);
+  EXPECT_TRUE(st.push(7, -1.0));
+  EXPECT_EQ(st.alarm_hour(), 7);
+  EXPECT_FALSE(st.push(8, -1.0));
+  EXPECT_EQ(st.alarm_hour(), 7);
+  EXPECT_EQ(st.samples_seen(), 1);
+
+  st.reset();
+  EXPECT_FALSE(st.alarmed());
+  EXPECT_EQ(st.samples_seen(), 0);
+  EXPECT_TRUE(st.push(9, -1.0));
+  EXPECT_EQ(st.alarm_hour(), 9);
+}
+
+TEST(DriveVoteState, RejectsZeroVoters) {
+  VoteConfig cfg;
+  cfg.voters = 0;
+  EXPECT_THROW(DriveVoteState{cfg}, ConfigError);
+}
+
 TEST(VoteDrive, AverageModeComparesMeanToThreshold) {
   VoteConfig cfg;
   cfg.voters = 2;
@@ -81,6 +105,16 @@ TEST(VoteDrive, AverageModeComparesMeanToThreshold) {
   const auto o = vote_drive(make_scores({0.9f, -0.8f, -0.9f}), cfg);
   EXPECT_TRUE(o.alarmed);
   EXPECT_EQ(o.alarm_hour, 2);
+
+  // The running sum adds the new output before it subtracts the evicted
+  // one, and the order decides the rounding. Evicting 2^60 from
+  // 2^60 + 1 (which rounds to 2^60) and adding 1 gives 0 in that order,
+  // so the window {1, 1} has mean 0 < 0.5 and alarms at index 2; the
+  // other order would give mean 0.5 and no alarm.
+  cfg.threshold = 0.5;
+  const auto r = vote_drive(make_scores({0x1p60f, 1.0f, 1.0f}), cfg);
+  EXPECT_TRUE(r.alarmed);
+  EXPECT_EQ(r.alarm_hour, 2);
 }
 
 TEST(VoteDrive, AverageModeThresholdBoundaryIsExclusive) {
@@ -157,8 +191,9 @@ TEST(ScoreRecord, AppliesModelToEverySampleFromBegin) {
     d.samples.push_back(s);
   }
   const smart::FeatureSet fs{"poh", {{smart::Attr::kPowerOnHours, 0}}};
-  const auto scores = score_record(
-      d, 4, fs, [](std::span<const float> x) { return x[0] < 7 ? 1 : -1; });
+  const auto scores = score_record_batch(
+      d, 4, fs,
+      per_row([](std::span<const float> x) { return x[0] < 7 ? 1 : -1; }));
   EXPECT_TRUE(scores.failed);
   EXPECT_EQ(scores.fail_hour, 9);
   ASSERT_EQ(scores.outputs.size(), 6u);
@@ -173,8 +208,8 @@ TEST(ScoreRecord, BeginPastEndYieldsEmpty) {
   s.hour = 0;
   d.samples.push_back(s);
   const smart::FeatureSet fs{"poh", {{smart::Attr::kPowerOnHours, 0}}};
-  const auto scores =
-      score_record(d, 5, fs, [](std::span<const float>) { return 1.0; });
+  const auto scores = score_record_batch(
+      d, 5, fs, per_row([](std::span<const float>) { return 1.0; }));
   EXPECT_TRUE(scores.outputs.empty());
 }
 
@@ -226,7 +261,7 @@ TEST(ScoreDataset, RequiresModel) {
   data::DriveDataset ds;
   data::DatasetSplit split;
   const smart::FeatureSet fs{"poh", {{smart::Attr::kPowerOnHours, 0}}};
-  EXPECT_THROW(score_dataset(ds, split, fs, nullptr), ConfigError);
+  EXPECT_THROW(score_dataset_batch(ds, split, fs, nullptr), ConfigError);
 }
 
 }  // namespace

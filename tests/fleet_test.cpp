@@ -1,8 +1,8 @@
-// Tests for core::FleetScorer and core::DriveVoteState: the incremental
-// voting window must agree with eval::vote_drive bit for bit, the batched
-// record scorer and the predictor facade must agree with the scalar eval
-// harness, and the streaming path must be safe under a real multi-threaded
-// pool (the TSan configuration runs this binary).
+// Tests for core::FleetScorer: streaming alarms must agree with
+// eval::vote_drive over each drive's full output sequence, record replay
+// must not depend on the block size, the predictor facade must agree with
+// one-row-per-call scoring, and the streaming path must be safe under a
+// real multi-threaded pool (the TSan configuration runs this binary).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,72 +69,6 @@ data::DriveDataset* FleetFixture::fleet_ = nullptr;
 data::DatasetSplit* FleetFixture::split_ = nullptr;
 FailurePredictor* FleetFixture::predictor_ = nullptr;
 
-// --- DriveVoteState vs eval::vote_drive -------------------------------------
-
-TEST(DriveVoteState, MatchesVoteDriveOnRandomSequences) {
-  Rng rng(91);
-  for (int trial = 0; trial < 300; ++trial) {
-    eval::VoteConfig cfg;
-    cfg.voters = 1 + static_cast<int>(rng.uniform_int(15));
-    cfg.average_mode = rng.chance(0.5);
-    cfg.threshold = rng.uniform(-0.5, 0.5);
-    // Records of at least N samples: streaming decisions start at a full
-    // window (vote_drive's short-record rule has no streaming twin).
-    eval::DriveScores s;
-    const auto len =
-        static_cast<std::size_t>(cfg.voters) + rng.uniform_int(40);
-    for (std::size_t i = 0; i < len; ++i) {
-      s.outputs.push_back(static_cast<float>(rng.uniform(-1.0, 1.0)));
-      s.hours.push_back(static_cast<std::int64_t>(3 * i + 1));
-    }
-
-    DriveVoteState st(cfg);
-    int alarms_signalled = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      alarms_signalled += st.push(s.hours[i], s.outputs[i]) ? 1 : 0;
-    }
-
-    const auto expected = eval::vote_drive(s, cfg);
-    ASSERT_EQ(st.alarmed(), expected.alarmed)
-        << "trial " << trial << " len " << len << " N " << cfg.voters
-        << " avg " << cfg.average_mode;
-    if (expected.alarmed) {
-      ASSERT_EQ(st.alarm_hour(), expected.alarm_hour) << "trial " << trial;
-    }
-    // push returns true exactly once, at the first alarm; pushes after the
-    // alarm are no-ops, so samples_seen stops there.
-    EXPECT_EQ(alarms_signalled, expected.alarmed ? 1 : 0) << "trial " << trial;
-    if (!expected.alarmed) {
-      EXPECT_EQ(st.samples_seen(), static_cast<std::int64_t>(len));
-    } else {
-      EXPECT_LE(st.samples_seen(), static_cast<std::int64_t>(len));
-    }
-  }
-}
-
-TEST(DriveVoteState, PushIsNoopOnceAlarmed) {
-  eval::VoteConfig cfg;
-  cfg.voters = 1;
-  DriveVoteState st(cfg);
-  EXPECT_TRUE(st.push(7, -1.0));
-  EXPECT_EQ(st.alarm_hour(), 7);
-  EXPECT_FALSE(st.push(8, -1.0));
-  EXPECT_EQ(st.alarm_hour(), 7);
-  EXPECT_EQ(st.samples_seen(), 1);
-
-  st.reset();
-  EXPECT_FALSE(st.alarmed());
-  EXPECT_EQ(st.samples_seen(), 0);
-  EXPECT_TRUE(st.push(9, -1.0));
-  EXPECT_EQ(st.alarm_hour(), 9);
-}
-
-TEST(DriveVoteState, RejectsZeroVoters) {
-  eval::VoteConfig cfg;
-  cfg.voters = 0;
-  EXPECT_THROW(DriveVoteState{cfg}, ConfigError);
-}
-
 // --- Streaming mode ----------------------------------------------------------
 
 TEST(FleetScorerStreaming, MatchesOfflineVotingUnderParallelism) {
@@ -178,7 +112,7 @@ TEST(FleetScorerStreaming, MatchesOfflineVotingUnderParallelism) {
       s.hours.push_back(static_cast<std::int64_t>(t));
     }
     const auto expected = eval::vote_drive(s, cfg.vote);
-    const DriveVoteState& st = scorer.state(i);
+    const eval::DriveVoteState& st = scorer.state(i);
     ASSERT_EQ(st.alarmed(), expected.alarmed) << "drive " << i;
     if (expected.alarmed) {
       ASSERT_EQ(st.alarm_hour(), expected.alarm_hour) << "drive " << i;
@@ -225,37 +159,44 @@ TEST(FleetScorer, RejectsMismatchedFeatureWidth) {
   EXPECT_THROW((FleetScorer{model, cfg}), ConfigError);
 }
 
-// --- Batched record scoring vs the scalar eval harness ----------------------
+// --- Record replay and the predictor facade ---------------------------------
 
 TEST_F(FleetFixture, ReplayMatchesScoreRecordPlusVoteDrive) {
+  // Record replay must not depend on the block size: one row per model
+  // call, several blocks per drive, and the default block.
   const auto& features = predictor_->config().training.features;
   const auto& vote = predictor_->config().vote;
-  const SampleScorer& scorer = predictor_->scorer();
-  const eval::BatchSampleModel batch_model =
-      [&scorer](std::span<const float> xs, std::span<double> out) {
-        scorer.predict_batch(xs, out);
-      };
   const auto model = predictor_->sample_model();
   for (std::size_t i = 0; i < fleet_->drives.size(); ++i) {
-    // block_rows 32 forces several blocks per drive.
-    const auto batched = eval::vote_drive(
-        eval::score_record_batch(fleet_->drives[i], 0, features, batch_model,
-                                 32),
-        vote);
-    const auto expected = eval::vote_drive(
-        eval::score_record(fleet_->drives[i], 0, features, model), vote);
-    ASSERT_EQ(batched.alarmed, expected.alarmed) << "drive " << i;
-    ASSERT_EQ(batched.alarm_hour, expected.alarm_hour) << "drive " << i;
+    const auto& drive = fleet_->drives[i];
+    const auto expected = eval::score_record_batch(drive, 0, features, model);
+    const auto expected_vote = eval::vote_drive(expected, vote);
+    for (const std::size_t block_rows : {std::size_t{1}, std::size_t{32}}) {
+      const auto scores =
+          eval::score_record_batch(drive, 0, features, model, block_rows);
+      ASSERT_EQ(scores.hours, expected.hours) << "drive " << i;
+      ASSERT_EQ(scores.outputs, expected.outputs)
+          << "drive " << i << " block_rows " << block_rows;
+      const auto outcome = eval::vote_drive(scores, vote);
+      ASSERT_EQ(outcome.alarmed, expected_vote.alarmed) << "drive " << i;
+      ASSERT_EQ(outcome.alarm_hour, expected_vote.alarm_hour)
+          << "drive " << i;
+    }
   }
 }
 
 TEST_F(FleetFixture, EvaluateMatchesScalarEvalHarness) {
   const auto& features = predictor_->config().training.features;
   const auto& vote = predictor_->config().vote;
-  // The facade's evaluate() runs the batched path.
+  // The facade's evaluate() passes the scorer's predict_batch; the
+  // reference scores one row per SampleScorer::predict call.
+  const SampleScorer& scorer = predictor_->scorer();
   const auto batched = predictor_->evaluate(*fleet_, *split_);
-  const auto scalar = eval::evaluate(*fleet_, *split_, features,
-                                     predictor_->sample_model(), vote);
+  const auto scalar = eval::evaluate_batch(
+      *fleet_, *split_, features,
+      eval::per_row(
+          [&scorer](std::span<const float> x) { return scorer.predict(x); }),
+      vote);
 
   EXPECT_EQ(batched.n_good, scalar.n_good);
   EXPECT_EQ(batched.n_failed, scalar.n_failed);

@@ -102,12 +102,13 @@ TEST_F(Pipeline, PersistedModelDeploysIdentically) {
   std::remove(path.c_str());
 
   const auto& features = p.config().training.features;
-  const auto model = [&loaded](std::span<const float> x) {
-    return loaded.predict(x);
+  const auto model = [&loaded](std::span<const float> xs,
+                               std::span<double> out) {
+    loaded.predict_batch(xs, out);
   };
   const auto r_live = p.evaluate(*fleet_, *split_);
-  const auto r_loaded = eval::evaluate(*fleet_, *split_, features, model,
-                                       p.config().vote);
+  const auto r_loaded = eval::evaluate_batch(*fleet_, *split_, features,
+                                             model, p.config().vote);
   EXPECT_EQ(r_live.detections, r_loaded.detections);
   EXPECT_EQ(r_live.false_alarms, r_loaded.false_alarms);
 }

@@ -77,6 +77,24 @@ TEST_P(VotingProperty, MatchesBruteForceOnRandomSequences) {
     if (fast.alarmed) {
       ASSERT_EQ(fast.alarm_hour, slow.alarm_hour) << "trial " << trial;
     }
+
+    // The window driven directly: push every output (pushes after the
+    // alarm are no-ops), then close a short record. push/finish return
+    // true exactly once, at the alarm, and samples_seen stops there.
+    eval::DriveVoteState st(cfg);
+    int raised = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      raised += st.push(s.hours[i], s.outputs[i]) ? 1 : 0;
+    }
+    if (len > 0) raised += st.finish(s.hours.back()) ? 1 : 0;
+    ASSERT_EQ(st.alarmed(), slow.alarmed) << "trial " << trial;
+    ASSERT_EQ(st.alarm_hour(), slow.alarm_hour) << "trial " << trial;
+    EXPECT_EQ(raised, slow.alarmed ? 1 : 0) << "trial " << trial;
+    // Hours are 2 * sample index.
+    EXPECT_EQ(st.samples_seen(), slow.alarmed
+                                     ? slow.alarm_hour / 2 + 1
+                                     : static_cast<std::int64_t>(len))
+        << "trial " << trial;
   }
 }
 

@@ -41,8 +41,10 @@ ModelTrainer counting_trainer(int& calls,
     auto t = std::make_shared<tree::DecisionTree>();
     tree::TreeParams params;
     t->fit(m, tree::Task::kClassification, params);
-    return eval::SampleModel(
-        [t](std::span<const float> x) { return t->predict(x); });
+    return eval::BatchSampleModel(
+        [t](std::span<const float> xs, std::span<double> out) {
+          t->predict_batch(xs, out);
+        });
   };
 }
 

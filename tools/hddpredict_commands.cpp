@@ -175,9 +175,12 @@ int cmd_evaluate(const Args& args) {
               "model feature count does not match the stat13 layout");
   eval::VoteConfig vote;
   vote.voters = voters;
-  const auto r = eval::evaluate(
+  const auto r = eval::evaluate_batch(
       fleet, split, features,
-      [&tree](std::span<const float> x) { return tree.predict(x); }, vote);
+      [&tree](std::span<const float> xs, std::span<double> out) {
+        tree.predict_batch(xs, out);
+      },
+      vote);
 
   Table t({"metric", "value"});
   t.row().cell("good test drives").cell(static_cast<long long>(r.n_good));
@@ -198,9 +201,11 @@ int cmd_tune(const Args& args) {
               "model feature count does not match the stat13 layout");
 
   const auto split = data::split_dataset(fleet, {});
-  const auto scores = eval::score_dataset(
+  const auto scores = eval::score_dataset_batch(
       fleet, split, features,
-      [&tree](std::span<const float> x) { return tree.predict(x); });
+      [&tree](std::span<const float> xs, std::span<double> out) {
+        tree.predict_batch(xs, out);
+      });
   const int candidates[] = {1, 3, 5, 7, 9, 11, 15, 17, 21, 27};
   const auto best = eval::tune_voters(scores, candidates, budget);
   if (!best) {
@@ -370,7 +375,9 @@ int cmd_adversary(const Args& args) {
   const auto scorer = core::make_model_scorer(std::move(model));
   const auto result = eval::adversarial_evaluate(
       fleet, split, *fs,
-      [&scorer](std::span<const float> x) { return scorer->predict(x); },
+      [&scorer](std::span<const float> xs, std::span<double> out) {
+        scorer->predict_batch(xs, out);
+      },
       cfg);
   const auto report = eval::robustness_findings(result, cfg, model_path);
 
