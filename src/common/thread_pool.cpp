@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hdd {
 
@@ -60,7 +61,7 @@ void ThreadPool::worker_loop() {
     }
     queue_depth_->sub(1.0);
     {
-      obs::ScopedTimer timer(task_latency_);
+      const obs::ScopedSpan span("pool.task", task_latency_);
       task();  // packaged_task captures exceptions into the future
     }
     tasks_total_->inc();

@@ -185,7 +185,7 @@ void FleetScorer::observe_interval(std::span<const float> xs,
               "snapshot must hold one feature row per registered drive");
   const std::size_t n = states_.size();
   if (n == 0) return;
-  const obs::ScopedTimer timer(m_batch_latency_);
+  const obs::ScopedSpan span("fleet.observe_interval", m_batch_latency_);
   rows_.resize(n);
   std::iota(rows_.begin(), rows_.end(), std::size_t{0});
   score(make_ctx(/*live=*/true), rows_, {}, xs, hour);
@@ -342,7 +342,7 @@ FleetScorer::IngestResult FleetScorer::observe_samples(
       journal_failure(std::string("journal flush failed: ") + e.what());
     }
   }
-  const obs::ScopedTimer timer(m_batch_latency_);
+  const obs::ScopedSpan span("fleet.observe_samples", m_batch_latency_);
   score(make_ctx(/*live=*/true), rows_, in.kept, {}, hour);
   return in.result;
 }
@@ -361,9 +361,8 @@ FleetScorer::IngestResult FleetScorer::ingest_runs(
     n += r.samples.size();
   }
   if (n == 0) return {};
-  const obs::ScopedSpan span("fleet.ingest", "samples",
+  const obs::ScopedSpan span("fleet.ingest", m_batch_latency_, "samples",
                              static_cast<std::uint64_t>(n));
-  const obs::ScopedTimer timer(m_batch_latency_);
   Intake& in = begin_intake();
   for (const DriveRun& r : runs) admit(r.drive, r.samples, in);
   log_quarantine(in);
@@ -478,23 +477,17 @@ FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
   }
   reset();
 
-  std::vector<std::vector<smart::Sample>> per(states_.size());
-  for (std::uint32_t id = 0; id < n_store; ++id) {
-    per[id].reserve(store.drive(id).n_samples);
-  }
-  store.scan([&](std::uint32_t drive, const smart::Sample& s) {
-    per[drive].push_back(s);
-  });
+  std::vector<smart::DriveRecord> per = store.read_window();
 
   std::int64_t hmax = -1;
-  for (const auto& v : per) {
-    if (!v.empty()) hmax = std::max(hmax, v.back().hour);
+  for (const auto& d : per) {
+    if (!d.empty()) hmax = std::max(hmax, d.last_hour());
   }
   std::size_t partial_dropped = 0;
   if (drop_partial_tail && hmax >= 0) {
     bool all_reached = true;
-    for (const auto& v : per) {
-      if (v.empty() || v.back().hour != hmax) {
+    for (const auto& d : per) {
+      if (d.empty() || d.last_hour() != hmax) {
         all_reached = false;
         break;
       }
@@ -502,9 +495,9 @@ FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
     if (!all_reached) {
       // A crash mid-append left hour hmax on disk for only some drives.
       // Drop the torn interval everywhere; re-observing hmax completes it.
-      for (auto& v : per) {
-        while (!v.empty() && v.back().hour == hmax) {
-          v.pop_back();
+      for (auto& d : per) {
+        while (!d.empty() && d.last_hour() == hmax) {
+          d.samples.pop_back();
           ++partial_dropped;
         }
       }
@@ -515,15 +508,15 @@ FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
   // (live=false), so the parallel replay touches no shadow state.
   const ScoreCtx ctx = make_ctx(/*live=*/false);
   pool().parallel_for(0, per.size(), [&](std::size_t i) {
-    score(ctx, {&i, 1}, per[i], {}, -1);
+    score(ctx, {&i, 1}, per[i].samples, {}, -1);
   });
 
   ResumeResult r;
   r.drives = per.size();
   r.partial_dropped = partial_dropped;
-  for (const auto& v : per) {
-    r.samples_replayed += v.size();
-    if (!v.empty()) r.last_hour = std::max(r.last_hour, v.back().hour);
+  for (const auto& d : per) {
+    r.samples_replayed += d.samples.size();
+    if (!d.empty()) r.last_hour = std::max(r.last_hour, d.last_hour());
   }
   m_journal_resumes_->inc();
   m_resume_samples_->inc(r.samples_replayed);

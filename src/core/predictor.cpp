@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hdd::core {
 
@@ -133,9 +134,9 @@ FailurePredictor::FailurePredictor(PredictorConfig config)
 
 void FailurePredictor::fit(const data::DriveDataset& dataset,
                            const data::DatasetSplit& split) {
-  const obs::ScopedTimer timer(
-      &obs::Registry::global().histogram("hdd_train_fit_ns",
-                                         "Predictor fit wall time (ns)."));
+  const obs::ScopedSpan span(
+      "train.fit", &obs::Registry::global().histogram(
+                       "hdd_train_fit_ns", "Predictor fit wall time (ns)."));
   const auto matrix =
       data::build_training_matrix(dataset, split, config_.training);
   scorer_.reset();

@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace hdd::data {
 
@@ -15,8 +16,10 @@ DataMatrix build_training_matrix(const DriveDataset& dataset,
                                  const FailedWindowFn& failed_window) {
   // Training runs cold, so the registry lookup per call is fine.
   obs::Registry& reg = obs::Registry::global();
-  const obs::ScopedTimer timer(&reg.histogram(
-      "hdd_train_build_matrix_ns", "build_training_matrix wall time (ns)."));
+  const obs::ScopedSpan span(
+      "train.build_matrix",
+      &reg.histogram("hdd_train_build_matrix_ns",
+                     "build_training_matrix wall time (ns)."));
   obs::Counter& rows = reg.counter("hdd_train_matrix_rows_total",
                                    "Rows emitted into training matrices.");
   HDD_REQUIRE(!config.features.specs.empty(), "empty feature set");

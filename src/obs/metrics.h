@@ -26,7 +26,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -116,7 +115,8 @@ class Gauge {
 };
 
 // Fixed log2-bucket histogram for latencies (nanoseconds by convention;
-// any nonnegative quantity works).
+// any nonnegative quantity works). obs::ScopedSpan (obs/trace.h) times a
+// scope into one.
 //
 // Bucket layout (documented contract, pinned by obs_test):
 //   bucket 0              holds v <= 1 — including 0, negatives and NaN;
@@ -154,35 +154,6 @@ class Histogram {
   const std::atomic<bool>* enabled_;
   std::atomic<std::uint64_t> buckets_[kBuckets] = {};
   std::atomic<double> sum_{0.0};
-};
-
-// RAII latency span: records the enclosed scope's wall time in nanoseconds
-// into a histogram. When the registry is disabled (or the histogram is
-// nullptr) the constructor is a single relaxed load and the destructor a
-// branch — no clock reads.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* h)
-      : h_(h != nullptr && h->enabled() ? h : nullptr) {
-    if (h_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopedTimer() {
-    if (h_ != nullptr) h_->record(elapsed_ns());
-  }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double elapsed_ns() const {
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start_)
-            .count());
-  }
-
-  Histogram* h_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 // Point-in-time copy of one instrument, decoupled from the live atomics.

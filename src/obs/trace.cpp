@@ -72,38 +72,12 @@ std::atomic<std::uint64_t> g_dropped{0};
 thread_local bool t_overflowed = false;
 
 // Shared multi-writer tail-sampling ring. Writers claim an index with
-// fetch_add, fill the slot, then publish the claim into `seq` (release);
-// readers accept a slot only when `seq` reads the same claimed value
-// before and after copying the fields.
-struct SlowSlot {
-  std::atomic<std::uint64_t> seq{0};
-  SpanSlot span;
-  std::atomic<std::uint32_t> tid{0};
-};
+// fetch_add on `head`, then claim the index's slot in record_span_on.
 struct SlowRing {
   std::atomic<std::uint64_t> head{0};
-  SlowSlot slots[kSlowSlots];
+  SpanSlot slots[kSlowSlots];
 };
 SlowRing g_slow;
-
-void copy_span_fields(const SpanSlot& from, SpanSlot& to) {
-  to.trace_id.store(from.trace_id.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  to.span_id.store(from.span_id.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  to.parent_id.store(from.parent_id.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  to.start_ticks.store(from.start_ticks.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  to.end_ticks.store(from.end_ticks.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  to.arg.store(from.arg.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  to.name.store(from.name.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  to.arg_name.store(from.arg_name.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-}
 
 }  // namespace
 
@@ -130,14 +104,6 @@ std::uint64_t overflow_id() {
   static std::atomic<std::uint64_t> counter{0};
   return (static_cast<std::uint64_t>(kMaxThreads) + 1) << 40 |
          (counter.fetch_add(1, std::memory_order_relaxed) + 1);
-}
-
-void slow_copy(const ThreadRing& r, const SpanSlot& s) {
-  const std::uint64_t h = g_slow.head.fetch_add(1, std::memory_order_relaxed);
-  SlowSlot& slot = g_slow.slots[h % kSlowSlots];
-  copy_span_fields(s, slot.span);
-  slot.tid.store(r.index, std::memory_order_relaxed);
-  slot.seq.store(h + 1, std::memory_order_release);
 }
 
 }  // namespace trace_detail
@@ -167,7 +133,11 @@ std::uint64_t ticks_to_abs_ns(std::uint64_t t) {
 }  // namespace
 
 double trace_ticks_to_ns(std::uint64_t dticks) {
-  trace_detail::ensure_calibrated();
+  // Every ScopedSpan with a histogram lands here: skip call_once's
+  // bookkeeping once the calibration is published.
+  if (!g_calib.ready.load(std::memory_order_acquire)) {
+    trace_detail::ensure_calibrated();
+  }
   return static_cast<double>(dticks) * g_calib.ns_per_tick;
 }
 
@@ -178,26 +148,46 @@ void record_span_on(ThreadRing* r, const char* name, std::uint64_t trace_id,
                     std::uint64_t start_ticks, std::uint64_t end_ticks,
                     const char* arg_name, std::uint64_t arg) {
   if (r == nullptr) return;  // > kMaxThreads threads; counted as dropped
+  // The writer half of the slot seqlock: the caller has marked `s` busy;
+  // the fence orders that mark before every field store, and the release
+  // store of idx + 1 publishes the fields.
+  auto fill = [&](SpanSlot& s, std::uint64_t idx) {
+    std::atomic_thread_fence(std::memory_order_release);
+    s.trace_id.store(trace_id, std::memory_order_relaxed);
+    s.span_id.store(span_id, std::memory_order_relaxed);
+    s.parent_id.store(parent_id, std::memory_order_relaxed);
+    s.start_ticks.store(start_ticks, std::memory_order_relaxed);
+    s.end_ticks.store(end_ticks, std::memory_order_relaxed);
+    s.arg.store(arg, std::memory_order_relaxed);
+    s.name.store(name, std::memory_order_relaxed);
+    s.arg_name.store(arg_name, std::memory_order_relaxed);
+    s.tid.store(r->index, std::memory_order_relaxed);
+    s.seq.store(idx + 1, std::memory_order_release);
+  };
   const std::uint64_t h = r->head.load(std::memory_order_relaxed);
   SpanSlot& s = r->slots[h & (kRingSlots - 1)];
-  s.trace_id.store(trace_id, std::memory_order_relaxed);
-  s.span_id.store(span_id, std::memory_order_relaxed);
-  s.parent_id.store(parent_id, std::memory_order_relaxed);
-  s.start_ticks.store(start_ticks, std::memory_order_relaxed);
-  s.end_ticks.store(end_ticks, std::memory_order_relaxed);
-  s.arg.store(arg, std::memory_order_relaxed);
-  s.name.store(name, std::memory_order_relaxed);
-  s.arg_name.store(arg_name, std::memory_order_relaxed);
+  s.seq.store(kSlotBusy, std::memory_order_relaxed);  // sole writer
+  fill(s, h);
   r->head.store(h + 1, std::memory_order_release);
 
   const std::uint64_t slow = g_slow_ticks.load(std::memory_order_relaxed);
   if (slow == ~0ull) return;  // slow log off
-  if (end_ticks - start_ticks >= slow) {
-    slow_copy(*r, s);
-  } else if (++r->sample_clock >= Tracer::global().slow_sample_every()) {
-    r->sample_clock = 0;
-    slow_copy(*r, s);
+  if (end_ticks - start_ticks < slow) {
+    if (++r->sample_clock < Tracer::global().slow_sample_every()) return;
+    r->sample_clock = 0;  // a sampled fast span
   }
+  // Writers that lap onto one slow slot race for it: the slot goes to
+  // whoever marks it busy first, and is never rewound to an older index.
+  // The loser's copy is dropped and counted.
+  const std::uint64_t sh = g_slow.head.fetch_add(1, std::memory_order_relaxed);
+  SpanSlot& ss = g_slow.slots[sh & (kSlowSlots - 1)];
+  std::uint64_t cur = ss.seq.load(std::memory_order_relaxed);
+  if (cur > sh || !ss.seq.compare_exchange_strong(
+                      cur, kSlotBusy, std::memory_order_relaxed)) {
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  fill(ss, sh);
 }
 
 }  // namespace trace_detail
@@ -227,8 +217,8 @@ void ScopedSpan::begin(const char* name, std::uint64_t start_ticks,
   arg_name_ = arg_name;
   arg_ = arg;
   start_ = start_ticks;
-  saved_ = trace_detail::t_context;
-  parent_id_ = saved_.span_id;
+  saved_trace_ = trace_detail::t_context.trace_id;
+  saved_span_ = trace_detail::t_context.span_id;
   // One thread-local ring lookup serves both id draws here and the slot
   // write in end().
   ring_ = trace_detail::ring();
@@ -236,23 +226,25 @@ void ScopedSpan::begin(const char* name, std::uint64_t start_ticks,
     const std::uint64_t base =
         (static_cast<std::uint64_t>(ring_->index) + 1) << 40;
     span_id_ = base | ++ring_->next_span;
-    trace_id_ = saved_.trace_id != 0 ? saved_.trace_id
-                                     : (base | ++ring_->next_span);
+    trace_id_ = saved_trace_ != 0 ? saved_trace_ : (base | ++ring_->next_span);
   } else {
     span_id_ = trace_detail::overflow_id();
-    trace_id_ =
-        saved_.trace_id != 0 ? saved_.trace_id : trace_detail::overflow_id();
+    trace_id_ = saved_trace_ != 0 ? saved_trace_ : trace_detail::overflow_id();
   }
   trace_detail::t_context = TraceContext{trace_id_, span_id_};
 }
 
 void ScopedSpan::end() {
-  trace_detail::t_context = saved_;
+  const std::uint64_t now = trace_detail::now_ticks();
+  if (hist_ != nullptr) {
+    hist_->record(trace_ticks_to_ns(now > start_ ? now - start_ : 0));
+  }
+  if (name_ == nullptr) return;
+  trace_detail::t_context = TraceContext{saved_trace_, saved_span_};
   // Record even if tracing was flipped off mid-span: the begin already
   // claimed ids, and a half-open scope would otherwise vanish.
   trace_detail::record_span_on(ring_, name_, trace_id_, span_id_,
-                               parent_id_, start_,
-                               trace_detail::now_ticks(), arg_name_, arg_);
+                               saved_span_, start_, now, arg_name_, arg_);
 }
 
 Tracer& Tracer::global() {
@@ -281,44 +273,47 @@ std::uint64_t Tracer::dropped() const {
   return trace_detail::g_dropped.load(std::memory_order_relaxed);
 }
 
-std::vector<SpanView> Tracer::snapshot(std::uint64_t window_ms) const {
-  trace_detail::ensure_calibrated();
-  const std::uint64_t now = trace_detail::now_ticks();
-  std::uint64_t window_ticks = ~0ull;
-  if (window_ms != 0) {
-    window_ticks = static_cast<std::uint64_t>(
-        static_cast<double>(window_ms) * 1e6 / g_calib.ns_per_tick);
-  }
-  const std::uint64_t oldest_end =
-      window_ticks == ~0ull || window_ticks > now ? 0 : now - window_ticks;
+namespace {
 
-  std::vector<SpanView> out;
-  std::unordered_set<std::uint64_t> seen;
-  auto emit = [&](const SpanSlot& s, std::uint32_t tid, bool slow) {
-    const char* name = s.name.load(std::memory_order_relaxed);
-    if (name == nullptr) return;
+// The reader half of the slot seqlock, and the only walk over the rings:
+// visits every slot of one ring whose copy validated (its seq read idx + 1
+// before and after the field loads). Allocation-free, so the flight dump
+// can run it from a signal handler.
+template <class Fn>
+void walk_ring(const SpanSlot* slots, std::uint64_t cap, std::uint64_t head,
+               bool slow, Fn& fn) {
+  for (std::uint64_t idx = head > cap ? head - cap : 0; idx < head; ++idx) {
+    const SpanSlot& s = slots[idx & (cap - 1)];
+    const std::uint64_t seq = s.seq.load(std::memory_order_acquire);
+    if (seq != idx + 1) continue;
+    const std::uint64_t start = s.start_ticks.load(std::memory_order_relaxed);
     const std::uint64_t end = s.end_ticks.load(std::memory_order_relaxed);
-    if (end < oldest_end) return;
-    const std::uint64_t id = s.span_id.load(std::memory_order_relaxed);
-    if (!seen.insert(id).second) return;
     SpanView v;
     v.trace_id = s.trace_id.load(std::memory_order_relaxed);
-    v.span_id = id;
+    v.span_id = s.span_id.load(std::memory_order_relaxed);
     v.parent_id = s.parent_id.load(std::memory_order_relaxed);
-    const std::uint64_t start = s.start_ticks.load(std::memory_order_relaxed);
-    v.start_ns = ticks_to_abs_ns(start);
-    v.dur_ns = end > start
-                   ? static_cast<std::uint64_t>(
-                         static_cast<double>(end - start) * ns_per_tick())
-                   : 0;
     v.arg = s.arg.load(std::memory_order_relaxed);
-    v.name = name;
+    v.name = s.name.load(std::memory_order_relaxed);
     v.arg_name = s.arg_name.load(std::memory_order_relaxed);
-    v.tid = tid;
+    v.tid = s.tid.load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (s.seq.load(std::memory_order_relaxed) != seq || v.name == nullptr) {
+      continue;
+    }
+    v.start_ns = ticks_to_abs_ns(start);
+    v.dur_ns = end > start ? static_cast<std::uint64_t>(
+                                 static_cast<double>(end - start) *
+                                 ns_per_tick())
+                           : 0;
     v.slow = slow;
-    out.push_back(v);
-  };
+    fn(v);
+  }
+}
 
+// Every validated slot: each thread ring in registration order, then the
+// slow ring.
+template <class Fn>
+void for_each_slot(Fn fn) {
   const std::uint32_t count = std::min<std::uint32_t>(
       trace_detail::g_ring_count.load(std::memory_order_acquire),
       trace_detail::kMaxThreads);
@@ -326,44 +321,55 @@ std::vector<SpanView> Tracer::snapshot(std::uint64_t window_ms) const {
     const ThreadRing* r =
         trace_detail::g_rings[i].load(std::memory_order_acquire);
     if (r == nullptr) continue;
-    const std::uint64_t h1 = r->head.load(std::memory_order_acquire);
-    const std::uint64_t lo = h1 > kRingSlots ? h1 - kRingSlots : 0;
-    // Copy candidates, then re-read the head: any index the writer could
-    // have been re-filling during the copy (at or below h2 - kRingSlots)
-    // is discarded as torn.
-    std::vector<std::pair<std::uint64_t, SpanSlot*>> copies;
-    copies.reserve(static_cast<std::size_t>(h1 - lo));
-    std::vector<SpanSlot> stash(static_cast<std::size_t>(h1 - lo));
-    for (std::uint64_t idx = lo; idx < h1; ++idx) {
-      SpanSlot& dst = stash[static_cast<std::size_t>(idx - lo)];
-      trace_detail::copy_span_fields(r->slots[idx & (kRingSlots - 1)], dst);
-      copies.emplace_back(idx, &dst);
-    }
-    const std::uint64_t h2 = r->head.load(std::memory_order_acquire);
-    for (auto& [idx, slot] : copies) {
-      if (h2 >= kRingSlots && idx <= h2 - kRingSlots) continue;
-      emit(*slot, r->index, false);
-    }
+    walk_ring(r->slots, kRingSlots, r->head.load(std::memory_order_acquire),
+              false, fn);
   }
+  walk_ring(trace_detail::g_slow.slots, kSlowSlots,
+            trace_detail::g_slow.head.load(std::memory_order_acquire), true,
+            fn);
+}
 
-  // Slow ring: seq must read the same claimed value before and after the
-  // field copy, otherwise a concurrent writer was re-filling the slot.
-  const std::uint64_t slow_head =
-      trace_detail::g_slow.head.load(std::memory_order_acquire);
-  const std::uint64_t slow_lo =
-      slow_head > kSlowSlots ? slow_head - kSlowSlots : 0;
-  for (std::uint64_t idx = slow_lo; idx < slow_head; ++idx) {
-    const trace_detail::SlowSlot& s = trace_detail::g_slow.slots[idx % kSlowSlots];
-    const std::uint64_t seq1 = s.seq.load(std::memory_order_acquire);
-    if (seq1 != idx + 1) continue;
-    SpanSlot copy;
-    trace_detail::copy_span_fields(s.span, copy);
-    const std::uint32_t tid = s.tid.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != seq1) continue;
-    emit(copy, tid, true);
+// The one trace_event formatter: one Chrome "X" event for a span, preceded
+// by ",\n" unless it is the first. snprintf only, so the flight dump can
+// use it. Returns the bytes formatted; 0 when the event does not fit.
+int format_event(char* buf, std::size_t cap, const SpanView& v, int pid,
+                 bool first) {
+  char arg_field[96] = {};
+  if (v.arg_name != nullptr) {
+    std::snprintf(arg_field, sizeof arg_field, ",\"%s\":%" PRIu64,
+                  v.arg_name, v.arg);
   }
+  const int n = std::snprintf(
+      buf, cap,
+      "%s{\"name\":\"%s\",\"cat\":\"hdd\",\"ph\":\"X\","
+      "\"ts\":%" PRIu64 ".%03" PRIu64 ",\"dur\":%" PRIu64 ".%03" PRIu64 ","
+      "\"pid\":%d,\"tid\":%u,\"args\":{"
+      "\"trace_id\":\"0x%" PRIx64 "\",\"span_id\":\"0x%" PRIx64 "\","
+      "\"parent_id\":\"0x%" PRIx64 "\"%s%s}}",
+      first ? "" : ",\n", v.name, v.start_ns / 1000, v.start_ns % 1000,
+      v.dur_ns / 1000, v.dur_ns % 1000, pid, v.tid, v.trace_id, v.span_id,
+      v.parent_id, v.slow ? ",\"slow\":1" : "", arg_field);
+  return n > 0 && static_cast<std::size_t>(n) < cap ? n : 0;
+}
 
+}  // namespace
+
+std::vector<SpanView> Tracer::snapshot(std::uint64_t window_ms) const {
+  trace_detail::ensure_calibrated();
+  const double now_ns =
+      static_cast<double>(ticks_to_abs_ns(trace_detail::now_ticks()));
+  const double window_ns = static_cast<double>(window_ms) * 1e6;
+  const std::uint64_t oldest_end =
+      window_ms == 0 || window_ns > now_ns
+          ? 0
+          : static_cast<std::uint64_t>(now_ns - window_ns);
+
+  std::vector<SpanView> out;
+  std::unordered_set<std::uint64_t> seen;
+  for_each_slot([&](const SpanView& v) {
+    if (v.start_ns + v.dur_ns < oldest_end) return;
+    if (seen.insert(v.span_id).second) out.push_back(v);
+  });
   std::sort(out.begin(), out.end(), [](const SpanView& a, const SpanView& b) {
     return a.start_ns < b.start_ns;
   });
@@ -390,38 +396,6 @@ void write_all(int fd, const char* buf, std::size_t n) {
   }
 }
 
-// One trace_event line for a slot; returns bytes formatted (0 = skip).
-int format_event(char* buf, std::size_t cap, const SpanSlot& s,
-                 std::uint32_t tid, int pid, bool first) {
-  const char* name = s.name.load(std::memory_order_relaxed);
-  if (name == nullptr) return 0;
-  const std::uint64_t start = s.start_ticks.load(std::memory_order_relaxed);
-  const std::uint64_t end = s.end_ticks.load(std::memory_order_relaxed);
-  const std::uint64_t start_ns = ticks_to_abs_ns(start);
-  const std::uint64_t dur_ns =
-      end > start ? static_cast<std::uint64_t>(
-                        static_cast<double>(end - start) * ns_per_tick())
-                  : 0;
-  const char* arg_name = s.arg_name.load(std::memory_order_relaxed);
-  char arg_field[96] = {};
-  if (arg_name != nullptr) {
-    std::snprintf(arg_field, sizeof arg_field, ",\"%s\":%" PRIu64, arg_name,
-                  s.arg.load(std::memory_order_relaxed));
-  }
-  return std::snprintf(
-      buf, cap,
-      "%s{\"name\":\"%s\",\"cat\":\"hdd\",\"ph\":\"X\","
-      "\"ts\":%" PRIu64 ".%03" PRIu64 ",\"dur\":%" PRIu64 ".%03" PRIu64 ","
-      "\"pid\":%d,\"tid\":%u,\"args\":{"
-      "\"trace_id\":\"0x%" PRIx64 "\",\"span_id\":\"0x%" PRIx64 "\","
-      "\"parent_id\":\"0x%" PRIx64 "\"%s}}",
-      first ? "" : ",\n", name, start_ns / 1000, start_ns % 1000,
-      dur_ns / 1000, dur_ns % 1000, pid, tid,
-      s.trace_id.load(std::memory_order_relaxed),
-      s.span_id.load(std::memory_order_relaxed),
-      s.parent_id.load(std::memory_order_relaxed), arg_field);
-}
-
 }  // namespace
 
 void dump_flight_recorder(const char* reason) {
@@ -438,44 +412,17 @@ void dump_flight_recorder(const char* reason) {
   }
 
   char buf[768];
-  int n = std::snprintf(buf, sizeof buf,
-                        "{\"flightReason\":\"%s\",\"traceEvents\":[\n",
-                        reason != nullptr ? reason : "unknown");
+  const int n = std::snprintf(buf, sizeof buf,
+                              "{\"flightReason\":\"%s\",\"traceEvents\":[\n",
+                              reason != nullptr ? reason : "unknown");
   write_all(fd, buf, static_cast<std::size_t>(n));
-
   bool first = true;
-  const std::uint32_t count = std::min<std::uint32_t>(
-      trace_detail::g_ring_count.load(std::memory_order_acquire),
-      trace_detail::kMaxThreads);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const ThreadRing* r =
-        trace_detail::g_rings[i].load(std::memory_order_acquire);
-    if (r == nullptr) continue;
-    const std::uint64_t h = r->head.load(std::memory_order_acquire);
-    const std::uint64_t lo = h > kRingSlots ? h - kRingSlots : 0;
-    for (std::uint64_t idx = lo; idx < h; ++idx) {
-      n = format_event(buf, sizeof buf, r->slots[idx & (kRingSlots - 1)],
-                       r->index, pid, first);
-      if (n <= 0) continue;
-      write_all(fd, buf, static_cast<std::size_t>(n));
-      first = false;
-    }
-  }
-  const std::uint64_t slow_head =
-      trace_detail::g_slow.head.load(std::memory_order_acquire);
-  const std::uint64_t slow_lo =
-      slow_head > kSlowSlots ? slow_head - kSlowSlots : 0;
-  for (std::uint64_t idx = slow_lo; idx < slow_head; ++idx) {
-    const trace_detail::SlowSlot& s =
-        trace_detail::g_slow.slots[idx % kSlowSlots];
-    if (s.seq.load(std::memory_order_acquire) != idx + 1) continue;
-    n = format_event(buf, sizeof buf, s.span,
-                     s.tid.load(std::memory_order_relaxed), pid, first);
-    if (n <= 0) continue;
-    write_all(fd, buf, static_cast<std::size_t>(n));
+  for_each_slot([&](const SpanView& v) {
+    const int len = format_event(buf, sizeof buf, v, pid, first);
+    if (len == 0) return;
+    write_all(fd, buf, static_cast<std::size_t>(len));
     first = false;
-  }
-
+  });
   write_all(fd, "\n]}\n", 4);
   ::close(fd);
   g_dumping.store(false);
@@ -497,22 +444,8 @@ std::string Tracer::render_chrome_json(std::uint64_t window_ms) const {
   char buf[768];
   bool first = true;
   for (const SpanView& v : spans) {
-    char arg_field[96] = {};
-    if (v.arg_name != nullptr) {
-      std::snprintf(arg_field, sizeof arg_field, ",\"%s\":%" PRIu64,
-                    v.arg_name, v.arg);
-    }
-    const int n = std::snprintf(
-        buf, sizeof buf,
-        "%s{\"name\":\"%s\",\"cat\":\"hdd\",\"ph\":\"X\","
-        "\"ts\":%" PRIu64 ".%03" PRIu64 ",\"dur\":%" PRIu64 ".%03" PRIu64 ","
-        "\"pid\":%d,\"tid\":%u,\"args\":{"
-        "\"trace_id\":\"0x%" PRIx64 "\",\"span_id\":\"0x%" PRIx64 "\","
-        "\"parent_id\":\"0x%" PRIx64 "\"%s%s}}",
-        first ? "" : ",\n", v.name, v.start_ns / 1000, v.start_ns % 1000,
-        v.dur_ns / 1000, v.dur_ns % 1000, pid, v.tid, v.trace_id, v.span_id,
-        v.parent_id, v.slow ? ",\"slow\":1" : "", arg_field);
-    if (n <= 0) continue;
+    const int n = format_event(buf, sizeof buf, v, pid, first);
+    if (n == 0) continue;
     out.append(buf, static_cast<std::size_t>(n));
     first = false;
   }

@@ -18,11 +18,12 @@
 //    enabled span and <= ~2 ns (one relaxed flag load) disabled, measured
 //    by BM_Span* in bench/micro_obs.cpp exactly like the PR 4 instrument
 //    budget.
-//  * TSan-clean: every slot field is a relaxed std::atomic; the single
-//    writer publishes a slot with a release store of the ring head, and
-//    readers discard any slot the writer may have been re-filling during
-//    the copy (the index window below the re-read head). Torn slots are
-//    therefore logically discarded, never undefined behavior.
+//  * TSan-clean: every slot field is a relaxed std::atomic, and every slot
+//    (thread ring or slow ring) is a seqlock: a writer marks the slot busy
+//    before it stores the fields and publishes the slot's index after, and
+//    a reader keeps a copy only when the index reads the same before and
+//    after it. Torn slots are therefore logically discarded, never
+//    undefined behavior.
 //  * Always on: the rings are a flight recorder. dump_flight_recorder()
 //    writes them as Chrome trace_event JSON using only async-signal-safe
 //    calls (no malloc, no locks), so a fatal signal, a lock-rank abort or
@@ -47,6 +48,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
 #define HDD_TRACE_TSC 1
@@ -63,19 +66,23 @@ struct TraceContext {
 
 namespace trace_detail {
 
-// Per-thread ring capacity (power of two). 4096 slots x 64 B = 256 KiB
+// Per-thread ring capacity (power of two). 4096 slots x 80 B = 320 KiB
 // per recording thread, ~0.4 s of history at 10k spans/s.
 inline constexpr std::size_t kRingSlots = 4096;
 // Threads that can ever record (rings are registered once and never
 // freed, so the flight dump can walk them from a signal handler).
 inline constexpr std::size_t kMaxThreads = 256;
-// Shared tail-sampling ring for slow (and 1-in-N sampled) spans.
+// Shared tail-sampling ring for slow (and 1-in-N sampled) spans (power of
+// two).
 inline constexpr std::size_t kSlowSlots = 1024;
 
 // One recorded span. Every field is a relaxed atomic so a snapshot racing
-// the writer reads stale-or-new values, never UB; the index window check
-// in the reader discards logically torn slots.
+// the writer reads stale-or-new values, never UB; `seq` is the slot's
+// seqlock word: ring index + 1 once the fields hold that index's span,
+// kSlotBusy while a writer is filling them, 0 before the first write.
+inline constexpr std::uint64_t kSlotBusy = ~0ull;
 struct SpanSlot {
+  std::atomic<std::uint64_t> seq{0};
   std::atomic<std::uint64_t> trace_id{0};
   std::atomic<std::uint64_t> span_id{0};
   std::atomic<std::uint64_t> parent_id{0};
@@ -84,12 +91,13 @@ struct SpanSlot {
   std::atomic<std::uint64_t> arg{0};
   std::atomic<const char*> name{nullptr};
   std::atomic<const char*> arg_name{nullptr};
+  std::atomic<std::uint32_t> tid{0};  // the recording thread's ring index
 };
 
 struct ThreadRing {
   // Next slot index to write; slots [head - kRingSlots, head) hold the
-  // newest spans. Only the owning thread writes it (release publishes the
-  // slot fields); any thread may read it (acquire).
+  // newest spans. Only the owning thread writes it; readers use it to
+  // bound their walk (each slot's seq validates its own copy).
   std::atomic<std::uint64_t> head{0};
   std::uint32_t index = 0;       // position in the global ring table
   std::uint64_t next_span = 0;   // per-thread span/trace id counter
@@ -126,10 +134,6 @@ inline std::uint64_t now_ticks() {
           .count());
 #endif
 }
-
-// Copies a just-written slot into the shared slow ring (slow span or
-// sampled fast span). Out of line: not on the common path.
-void slow_copy(const ThreadRing& r, const SpanSlot& s);
 
 // Slot write against an already-resolved ring (nullptr = drop). The
 // ScopedSpan fast path resolves its thread's ring once in begin() and
@@ -198,12 +202,25 @@ void record_child_span(const char* name, std::uint64_t start_ticks,
 // when there is none (trace_id taken from the context's trace_id slot if
 // pre-seeded via WithTraceContext). Makes itself the current parent for
 // its scope and restores the previous context on destruction.
+//
+// It is also the one scoped timer: given an enabled histogram, the span
+// records its scope's duration there in nanoseconds (from the same two
+// tick reads), whether or not tracing is on. With tracing off and no
+// histogram the constructor is one relaxed load and a pointer test (a
+// disabled histogram adds its registry flag load), and no clock is read.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name, const char* arg_name = nullptr,
-                      std::uint64_t arg = 0) {
-    if (!trace_enabled()) return;
-    begin(name, trace_detail::now_ticks(), arg_name, arg);
+                      std::uint64_t arg = 0)
+      : ScopedSpan(name, static_cast<Histogram*>(nullptr), arg_name, arg) {}
+  ScopedSpan(const char* name, Histogram* hist,
+             const char* arg_name = nullptr, std::uint64_t arg = 0)
+      : hist_(hist != nullptr && hist->enabled() ? hist : nullptr) {
+    if (trace_enabled()) {
+      begin(name, trace_detail::now_ticks(), arg_name, arg);
+    } else if (hist_ != nullptr) {
+      start_ = trace_detail::now_ticks();
+    }
   }
   // Explicit start for intervals that began before the span object could
   // be constructed (e.g. the request root starting at first frame byte).
@@ -213,7 +230,7 @@ class ScopedSpan {
     begin(name, start_ticks, arg_name, arg);
   }
   ~ScopedSpan() {
-    if (name_ != nullptr) end();
+    if (name_ != nullptr || hist_ != nullptr) end();
   }
 
   // Attaches/overwrites the span's single integer argument mid-scope.
@@ -223,8 +240,8 @@ class ScopedSpan {
   }
 
   bool active() const { return name_ != nullptr; }
-  std::uint64_t span_id() const { return span_id_; }
-  std::uint64_t trace_id() const { return trace_id_; }
+  std::uint64_t span_id() const { return active() ? span_id_ : 0; }
+  std::uint64_t trace_id() const { return active() ? trace_id_ : 0; }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -234,15 +251,22 @@ class ScopedSpan {
              const char* arg_name, std::uint64_t arg);
   void end();
 
+  // Only name_ and hist_ are set on the disabled path (DESIGN.md §7
+  // budgets it at ~2 ns); begin() sets the span fields, and start_ is set
+  // whenever either pointer is.
   const char* name_ = nullptr;
-  const char* arg_name_ = nullptr;
-  std::uint64_t arg_ = 0;
-  std::uint64_t start_ = 0;
-  std::uint64_t trace_id_ = 0;
-  std::uint64_t span_id_ = 0;
-  std::uint64_t parent_id_ = 0;
-  trace_detail::ThreadRing* ring_ = nullptr;  // resolved once in begin()
-  TraceContext saved_;
+  Histogram* hist_ = nullptr;  // enabled histogram to time into, if any
+  const char* arg_name_;
+  std::uint64_t arg_;
+  std::uint64_t start_;
+  std::uint64_t trace_id_;
+  std::uint64_t span_id_;
+  trace_detail::ThreadRing* ring_;  // resolved once in begin()
+  // The context begin() replaced, restored by end(); its span is our
+  // parent. Two words rather than a TraceContext, whose initializers
+  // would cost the disabled path two stores.
+  std::uint64_t saved_trace_;
+  std::uint64_t saved_span_;
 };
 
 // Installs a captured context as current for a scope — how a trace
@@ -314,7 +338,8 @@ class Tracer {
   // ({"traceEvents":[{"ph":"X",...}]}) — what GET /debug/trace serves.
   std::string render_chrome_json(std::uint64_t window_ms) const;
 
-  // Spans dropped because more than kMaxThreads threads recorded.
+  // Spans dropped because more than kMaxThreads threads recorded, plus
+  // slow-ring copies dropped because another writer held their slot.
   std::uint64_t dropped() const;
 
  private:
@@ -323,9 +348,11 @@ class Tracer {
 };
 
 // Writes every ring to <flight_dir>/flight-<pid>.json as trace_event
-// JSON. Async-signal-safe (snprintf of integers + write(2) only); no-op
-// when no flight dir is set. `reason` lands in the JSON ("crash-point",
-// "lock-rank", a signal name).
+// JSON, one object per retained slot (a span can appear twice: from its
+// thread ring and, with "slow":1, from the slow ring), formatted exactly
+// as render_chrome_json() formats it. Async-signal-safe (snprintf of
+// integers + write(2) only); no-op when no flight dir is set. `reason`
+// lands in the JSON ("crash-point", "lock-rank", a signal name).
 void dump_flight_recorder(const char* reason);
 
 // Installs SIGSEGV/SIGBUS/SIGILL/SIGFPE/SIGABRT handlers that dump the

@@ -28,7 +28,8 @@ RetrainLoop::RetrainLoop(ShardEngine& engine, Server& server,
     HDD_REQUIRE(engine_->shard(k).swappable() != nullptr,
                 "retrain loop needs hot-swappable shard runtimes");
   }
-  metrics_.generation->set(static_cast<double>(engine_->max_generation()));
+  metrics_.generation->set(
+      static_cast<double>(engine_->model_stats().generation));
 }
 
 RetrainLoop::~RetrainLoop() { stop(); }
@@ -71,14 +72,6 @@ void RetrainLoop::loop() {
   }
 }
 
-std::uint64_t RetrainLoop::fleet_shadow_samples() const {
-  std::uint64_t total = 0;
-  for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
-    total += engine_->shard(k).fleet().shadow_stats().samples;
-  }
-  return total;
-}
-
 pipeline::CycleResult RetrainLoop::tick(bool force) {
   // Each cycle is its own trace (never a child of whatever request
   // context happens to linger on the caller's thread).
@@ -116,7 +109,7 @@ pipeline::CycleResult RetrainLoop::tick(bool force) {
       },
       config_.failed_pool, config_.pipeline);
   pipeline::CycleResult& r = step.result;
-  r.generation = engine_->max_generation();
+  r.generation = engine_->model_stats().generation;
   if (step.candidate == nullptr) {
     if (r.outcome != pipeline::Outcome::kSkipped) {
       server_->set_last_outcome(static_cast<std::uint8_t>(r.outcome));
@@ -132,7 +125,7 @@ pipeline::CycleResult RetrainLoop::tick(bool force) {
   // traffic: install it as every shard's shadow and defer promotion.
   pending_ = std::move(step.candidate);
   pending_gate_ = r;
-  shadow_baseline_ = fleet_shadow_samples();
+  shadow_baseline_ = engine_->model_stats().shadow_samples;
   for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
     engine_->shard(k).fleet().set_shadow(pending_);
   }
@@ -146,8 +139,9 @@ pipeline::CycleResult RetrainLoop::tick(bool force) {
 
 pipeline::CycleResult RetrainLoop::maybe_promote(bool force) {
   pipeline::CycleResult r = pending_gate_;
-  r.generation = engine_->max_generation();
-  const std::uint64_t scored = fleet_shadow_samples() - shadow_baseline_;
+  const StatsResponse now = engine_->model_stats();
+  r.generation = now.generation;
+  const std::uint64_t scored = now.shadow_samples - shadow_baseline_;
   if (!force && scored < config_.pipeline.min_shadow_samples) {
     r.outcome = pipeline::Outcome::kSkipped;
     std::ostringstream os;
@@ -168,7 +162,7 @@ void RetrainLoop::promote(
   std::ostringstream os;
   candidate->save(os);
   const std::string text = std::move(os).str();
-  const std::uint64_t next = engine_->max_generation() + 1;
+  const std::uint64_t next = engine_->model_stats().generation + 1;
 
   // Journal-first, shard by shard, each append on that shard's worker so
   // it serializes with the shard's ingest writes. A kill -9 after a prefix

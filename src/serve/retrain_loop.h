@@ -77,7 +77,6 @@ class RetrainLoop {
   pipeline::CycleResult maybe_promote(bool force);
   void promote(std::shared_ptr<const core::SampleScorer> candidate,
                pipeline::CycleResult& r);
-  std::uint64_t fleet_shadow_samples() const;
   void loop();
 
   ShardEngine* engine_;

@@ -443,45 +443,8 @@ bool Server::process_request(int fd, std::string& payload, ConnTrace& trace) {
       return send_response(fd, encode_query_response(qr));
     }
 
-    case Op::kStats: {
-      std::vector<StatsResponse> per_shard(workers_.size());
-      // char, not bool: vector<bool> is bit-packed, so concurrent writes
-      // to distinct slots would race on the shared word.
-      std::vector<char> got(workers_.size(), 0);
-      Completion comp;
-      comp.pending = workers_.size();
-      for (std::size_t k = 0; k < workers_.size(); ++k) {
-        const bool posted = post(k, [this, k, &per_shard, &got, &comp] {
-          DoneGuard g{comp};
-          try {
-            per_shard[k] = engine_.shard_stats(k);
-            got[k] = 1;
-          } catch (const std::exception&) {
-          }
-        });
-        if (!posted) comp.done();
-      }
-      comp.wait();
-      StatsResponse merged;
-      for (std::size_t k = 0; k < per_shard.size(); ++k) {
-        // A crashed/unavailable shard reports degraded rather than failing
-        // the whole stats call.
-        if (!got[k]) {
-          merged.degraded = true;
-          continue;
-        }
-        merged.drives += per_shard[k].drives;
-        merged.samples += per_shard[k].samples;
-        merged.alarms += per_shard[k].alarms;
-        merged.degraded = merged.degraded || per_shard[k].degraded;
-        merged.generation = std::max(merged.generation,
-                                     per_shard[k].generation);
-        merged.shadow_samples += per_shard[k].shadow_samples;
-        merged.shadow_divergence += per_shard[k].shadow_divergence;
-      }
-      merged.last_outcome = last_outcome_.load(std::memory_order_relaxed);
-      return send_response(fd, encode_stats_response(merged));
-    }
+    case Op::kStats:
+      return send_response(fd, encode_stats_response(status()));
 
     case Op::kShutdown: {
       (void)send_response(fd, encode_shutdown_response());
@@ -560,6 +523,15 @@ void Server::handle_http(int fd, const std::string& first) {
   (void)send_all(fd, os.str());
 }
 
+StatsResponse Server::status() {
+  StatsResponse s = engine_.stats(
+      [this](std::size_t k, const std::function<void()>& task) {
+        return run_on_shard(k, task);
+      });
+  s.last_outcome = last_outcome_.load(std::memory_order_relaxed);
+  return s;
+}
+
 std::string Server::debug_vars_json() {
   std::size_t conns = 0;
   {
@@ -570,6 +542,7 @@ std::string Server::debug_vars_json() {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - started_)
           .count();
+  const StatsResponse st = status();
   const obs::Tracer& tracer = obs::Tracer::global();
   std::ostringstream os;
   os << "{\"build\":{\"compiler\":\"" << __VERSION__
@@ -577,11 +550,16 @@ std::string Server::debug_vars_json() {
      << ",\"pid\":" << ::getpid()
      << ",\"uptime_ms\":" << uptime_ms
      << ",\"shards\":" << engine_.shard_count()
-     << ",\"model_generation\":" << engine_.max_generation()
+     << ",\"model_generation\":" << st.generation
      << ",\"retrain_outcome\":\""
-     << pipeline::outcome_name(static_cast<pipeline::Outcome>(
-            last_outcome_.load(std::memory_order_relaxed)))
+     << pipeline::outcome_name(static_cast<pipeline::Outcome>(st.last_outcome))
      << "\""
+     << ",\"drives\":" << st.drives
+     << ",\"samples\":" << st.samples
+     << ",\"alarms\":" << st.alarms
+     << ",\"degraded\":" << (st.degraded ? 1 : 0)
+     << ",\"shadow_samples\":" << st.shadow_samples
+     << ",\"shadow_divergence\":" << st.shadow_divergence
      << ",\"connections\":" << conns
      << ",\"tracing\":" << (tracer.enabled() ? 1 : 0)
      << ",\"trace_slow_threshold_ns\":" << tracer.slow_threshold_ns()

@@ -14,8 +14,12 @@
 // registry (obs/exposition.h), `GET /healthz` answers "ok",
 // `GET /debug/trace?ms=N` returns the last N ms of the span flight
 // recorder as Chrome trace_event JSON (obs/trace.h), and
-// `GET /debug/vars` returns a JSON snapshot of build/uptime/shard/model/
-// connection state.
+// `GET /debug/vars` returns one JSON object: build, pid, uptime_ms,
+// shards, model_generation, retrain_outcome, drives, samples, alarms,
+// degraded, shadow_samples, shadow_divergence, connections, tracing,
+// trace_slow_threshold_ns and trace_dropped. Its fleet and model figures
+// come from the same status call as the wire stats op, so the two always
+// agree.
 //
 // Tracing: every wire request runs under a `serve.request` root span
 // (adopting the client's trace id when the frame carries one), with
@@ -49,6 +53,7 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "serve/wire.h"
 
 namespace hdd::obs {
 class Counter;
@@ -148,6 +153,10 @@ class Server {
   [[nodiscard]] bool process_request(int fd, std::string& payload,
                                      ConnTrace& trace);
   void handle_http(int fd, const std::string& first);
+  // The fleet-wide status behind both the wire stats op and
+  // GET /debug/vars: ShardEngine::stats() read on the shard workers, plus
+  // the last retrain outcome.
+  StatsResponse status();
   // JSON body of GET /debug/vars.
   std::string debug_vars_json();
   [[nodiscard]] bool send_all(int fd, std::string_view bytes);

@@ -118,14 +118,6 @@ std::size_t ShardEngine::resume() {
   return replayed;
 }
 
-std::uint64_t ShardEngine::max_generation() const {
-  std::uint64_t g = 0;
-  for (const Shard& sh : shards_) {
-    g = std::max(g, sh.runtime->model_generation());
-  }
-  return g;
-}
-
 std::size_t ShardEngine::drive_index(Shard& shard, const std::string& serial) {
   const auto it = shard.index.find(serial);
   if (it != shard.index.end()) return it->second;
@@ -175,32 +167,36 @@ QueryResponse ShardEngine::query(const std::string& serial) const {
   return res;
 }
 
-StatsResponse ShardEngine::shard_stats(std::size_t k) const {
-  HDD_REQUIRE(k < shards_.size(), "shard index out of range");
-  const core::FleetRuntime& rt = *shards_[k].runtime;
-  StatsResponse res;
-  res.drives = rt.fleet().size();
-  res.alarms = rt.fleet().alarm_count();
-  res.degraded = rt.fleet().degraded();
-  res.samples = rt.store().sample_count();
-  res.generation = rt.model_generation();
-  const auto sh = rt.fleet().shadow_stats();
-  res.shadow_samples = sh.samples;
-  res.shadow_divergence = sh.divergence;
+StatsResponse ShardEngine::stats(const ShardRunner& run) const {
+  StatsResponse res = model_stats();
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    const core::FleetRuntime& rt = *shards_[k].runtime;
+    bool answered = false;
+    const auto read = [&] {
+      res.drives += rt.fleet().size();
+      res.alarms += rt.fleet().alarm_count();
+      res.samples += rt.store().sample_count();
+      res.degraded = res.degraded || rt.fleet().degraded();
+      answered = true;
+    };
+    if (run) {
+      (void)run(k, read);
+    } else {
+      read();
+    }
+    res.degraded = res.degraded || !answered;
+  }
   return res;
 }
 
-StatsResponse ShardEngine::stats() const {
+StatsResponse ShardEngine::model_stats() const {
   StatsResponse res;
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const StatsResponse s = shard_stats(k);
-    res.drives += s.drives;
-    res.samples += s.samples;
-    res.alarms += s.alarms;
-    res.degraded = res.degraded || s.degraded;
-    res.generation = std::max(res.generation, s.generation);
-    res.shadow_samples += s.shadow_samples;
-    res.shadow_divergence += s.shadow_divergence;
+  for (const Shard& sh : shards_) {
+    res.generation =
+        std::max(res.generation, sh.runtime->model_generation());
+    const auto shadow = sh.runtime->fleet().shadow_stats();
+    res.shadow_samples += shadow.samples;
+    res.shadow_divergence += shadow.divergence;
   }
   return res;
 }

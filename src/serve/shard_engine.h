@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -62,9 +63,6 @@ class ShardEngine {
   // well-defined model again.
   std::size_t resume();
 
-  // Newest promoted generation across shards (0 = seed model everywhere).
-  std::uint64_t max_generation() const;
-
   // Ingest one batch routed to shard k (every entry's serial must hash
   // there) as one FleetScorer::ingest_runs call: consecutive same-serial
   // entries form one drive run, so the shard's part of a request costs one
@@ -73,11 +71,25 @@ class ShardEngine {
 
   QueryResponse query(const std::string& serial) const;
 
-  // Whole-engine stats; only safe when nothing is mutating any shard.
-  StatsResponse stats() const;
-  // One shard's contribution — the Server gathers these on each shard's
-  // own worker so stats never race a concurrent ingest.
-  StatsResponse shard_stats(std::size_t k) const;
+  // Runs a task on shard k's thread; false when the shard cannot (crashed
+  // or closed), and then the task has not run.
+  using ShardRunner =
+      std::function<bool(std::size_t k, const std::function<void()>& task)>;
+
+  // The fleet-wide status, the one fold behind the wire stats op,
+  // GET /debug/vars and the serve exit summary. Drives, samples on disk,
+  // alarms and degraded are read per shard through `run` — the Server
+  // passes its run_on_shard, so each read happens on that shard's worker
+  // and never races an ingest — and summed here; a shard that cannot
+  // answer counts as degraded. The model figures come from model_stats().
+  // The default runs each read on the caller, which is only safe when
+  // nothing is mutating any shard. last_outcome is left 0: the retrain
+  // outcome is the Server's.
+  StatsResponse stats(const ShardRunner& run = {}) const;
+  // The figures any thread may read, as atomics: the live generation
+  // (newest across shards; 0 = the seed model everywhere) and the shadow
+  // samples and divergence summed over shards. Every other field is 0.
+  StatsResponse model_stats() const;
 
   // Durably flushes every shard's journal (fsync).
   void seal();

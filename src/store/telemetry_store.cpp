@@ -630,14 +630,16 @@ TelemetryStore::CompactionResult TelemetryStore::write_compacted(
                                               generation_->model_text)));
   }
   CompactionResult res;
-  scan([&](std::uint32_t drive, const smart::Sample& s) {
-    if (s.hour >= min_hour) {
-      put(frame_record(encode_sample_record(drive, s)));
-      ++res.kept;
-    } else {
-      ++res.dropped;
-    }
-  });
+  walk_indexed(std::nullopt, std::numeric_limits<std::int64_t>::min(),
+               std::numeric_limits<std::int64_t>::max(),
+               [&](std::uint32_t drive, const smart::Sample& s) {
+                 if (s.hour >= min_hour) {
+                   put(frame_record(encode_sample_record(drive, s)));
+                   ++res.kept;
+                 } else {
+                   ++res.dropped;
+                 }
+               });
   const auto synced = retryer_.run("fsync compaction tmp",
                                    [&] { return f->sync(); });
   m_fsyncs_->inc();

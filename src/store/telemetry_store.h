@@ -164,8 +164,8 @@ class TelemetryStore {
   using SampleFn =
       std::function<void(std::uint32_t drive, const smart::Sample&)>;
 
-  // Streams every indexed sample in append order (the replay order
-  // resume_from and compaction consume): the unbounded read_window.
+  // Streams every indexed sample in append order: the unbounded
+  // read_window, not split by drive.
   void scan(const SampleFn& fn) const;
 
   // One drive's samples with hour in [from_hour, to_hour], in append order.

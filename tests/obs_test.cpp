@@ -19,6 +19,7 @@
 #include "core/scorer.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "store/telemetry_store.h"
 
 namespace hdd::obs {
@@ -163,7 +164,7 @@ TEST(Registry, DisabledRegistryDropsEveryObservation) {
   g.add(2.0);
   h.record(8.0);
   {
-    const ScopedTimer timer(&h);
+    const ScopedSpan span("obs_test_disabled", &h);
   }
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
@@ -172,14 +173,14 @@ TEST(Registry, DisabledRegistryDropsEveryObservation) {
   reg.set_enabled(true);
   c.inc();
   {
-    const ScopedTimer timer(&h);
+    const ScopedSpan span("obs_test_disabled", &h);
   }
   EXPECT_EQ(c.value(), 1u);
   EXPECT_EQ(h.count(), 1u);
 }
 
-TEST(Registry, ScopedTimerToleratesNullHistogram) {
-  const ScopedTimer timer(nullptr);  // must not crash
+TEST(Registry, ScopedSpanToleratesNullHistogram) {
+  const ScopedSpan span("obs_test_null", static_cast<Histogram*>(nullptr));
 }
 
 // --- Exposition --------------------------------------------------------------

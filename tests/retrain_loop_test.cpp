@@ -171,7 +171,7 @@ TEST_F(RetrainLoopTest, ForcedTickPromotesFleetWide) {
   const auto r = loop.tick(/*force=*/true);
   ASSERT_EQ(r.outcome, pipeline::Outcome::kPromoted) << r.reason;
   EXPECT_EQ(r.generation, 1u);
-  EXPECT_EQ(engine.max_generation(), 1u);
+  EXPECT_EQ(engine.model_stats().generation, 1u);
   // Every shard journaled the generation record durably.
   for (std::size_t k = 0; k < engine.shard_count(); ++k) {
     ASSERT_TRUE(engine.shard(k).store().latest_generation().has_value());
@@ -210,7 +210,7 @@ TEST_F(RetrainLoopTest, GuardrailRejectionLeavesIncumbent) {
 
   const auto r = loop.tick(/*force=*/true);
   EXPECT_EQ(r.outcome, pipeline::Outcome::kRejectedGuardrail);
-  EXPECT_EQ(engine.max_generation(), 0u);
+  EXPECT_EQ(engine.model_stats().generation, 0u);
   EXPECT_FALSE(engine.shard(0).store().latest_generation().has_value());
   EXPECT_EQ(reg.counter("hdd_pipeline_rejections_total", "",
                         {{"reason", "guardrail"}})
@@ -246,7 +246,7 @@ TEST_F(RetrainLoopTest, ShadowsBeforePromoting) {
   const auto first = loop.tick(/*force=*/true);
   EXPECT_EQ(first.outcome, pipeline::Outcome::kSkipped);
   EXPECT_TRUE(loop.shadowing());
-  EXPECT_EQ(engine.max_generation(), 0u);
+  EXPECT_EQ(engine.model_stats().generation, 0u);
 
   // Not enough shadow samples yet: the loop keeps waiting.
   const auto waiting = loop.tick(/*force=*/false);
@@ -260,7 +260,7 @@ TEST_F(RetrainLoopTest, ShadowsBeforePromoting) {
   const auto second = loop.tick(/*force=*/false);
   EXPECT_EQ(second.outcome, pipeline::Outcome::kPromoted) << second.reason;
   EXPECT_FALSE(loop.shadowing());
-  EXPECT_EQ(engine.max_generation(), 1u);
+  EXPECT_EQ(engine.model_stats().generation, 1u);
   EXPECT_EQ(reg.counter("hdd_pipeline_promotions_total", "").value(), 1u);
   server.stop();
 }
@@ -383,7 +383,7 @@ TEST_F(RetrainLoopTest, ResumeReconcilesPartialPromotion) {
   // generation into the lagging shard and swaps it in everywhere.
   ShardEngine engine(engine_config(2, nullptr));
   engine.resume();
-  EXPECT_EQ(engine.max_generation(), 1u);
+  EXPECT_EQ(engine.model_stats().generation, 1u);
   for (std::size_t k = 0; k < engine.shard_count(); ++k) {
     EXPECT_EQ(engine.shard(k).model_generation(), 1u) << "shard " << k;
     ASSERT_TRUE(engine.shard(k).store().latest_generation().has_value())

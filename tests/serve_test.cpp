@@ -27,6 +27,7 @@
 #include "json_lite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pipeline/pipeline.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/shard_engine.h"
@@ -830,6 +831,42 @@ TEST_F(ServeTest, DebugVarsReportsBuildAndRuntimeState) {
   EXPECT_NE(vars.find("\"uptime_ms\""), std::string::npos);
   EXPECT_NE(vars.find("\"tracing\":0"), std::string::npos);
   server.stop();
+}
+
+// The wire stats op, GET /debug/vars and the engine's own fold after stop()
+// report one status: they are one call, not three readings that a test
+// compares.
+TEST_F(ServeTest, StatsAndDebugVarsAgree) {
+  ShardEngine engine(engine_config(base_dir_ / "s", 2, &scorer_, nullptr));
+  Server server(engine, {});
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    (void)client.ingest(batch_for_drive(d, 0, kHours));
+  }
+  const auto st = client.stats();
+  ASSERT_GT(st.alarms, 0u);  // the biased drives trip the voters
+  const std::string vars =
+      Client::http_get("127.0.0.1", server.port(), "/debug/vars");
+  EXPECT_TRUE(testjson::json_valid(vars)) << vars;
+  const auto has = [&vars](const std::string& key, const std::string& value) {
+    return vars.find("\"" + key + "\":" + value + ",") != std::string::npos;
+  };
+  EXPECT_TRUE(has("drives", std::to_string(st.drives))) << vars;
+  EXPECT_TRUE(has("samples", std::to_string(st.samples))) << vars;
+  EXPECT_TRUE(has("alarms", std::to_string(st.alarms))) << vars;
+  EXPECT_TRUE(has("model_generation", std::to_string(st.generation)))
+      << vars;
+  EXPECT_TRUE(has("retrain_outcome",
+                  std::string("\"") +
+                      pipeline::outcome_name(
+                          static_cast<pipeline::Outcome>(st.last_outcome)) +
+                      "\""))
+      << vars;
+  server.stop();
+  EXPECT_EQ(encode_stats_response(engine.stats()),
+            encode_stats_response(st));
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -248,6 +250,98 @@ TEST_F(TraceTest, FlightDumpWritesValidChromeJson) {
   EXPECT_NE(json.find("\"flightReason\":\"unit-test\""), std::string::npos);
   EXPECT_NE(json.find("\"trace_test_flight\""), std::string::npos);
   fs::remove_all(dir);
+}
+
+// The trace_event object text between `{"name":"<name>"` and its closing
+// "}}" (first occurrence), or "" when absent.
+std::string event_text(const std::string& json, const std::string& name) {
+  const std::size_t at = json.find("{\"name\":\"" + name + "\"");
+  if (at == std::string::npos) return "";
+  const std::size_t end = json.find("}}", at);
+  return end == std::string::npos ? "" : json.substr(at, end + 2 - at);
+}
+
+TEST_F(TraceTest, FlightDumpAndDebugTraceRenderOneEventAlike) {
+  Tracer::global().set_slow_threshold_ns(1'000'000);  // 1 ms
+  const std::uint64_t t0 = trace_now_ticks();
+  const std::uint64_t id = new_trace_id();
+  record_span("trace_test_alike_slow", id, id, 0, t0, t0 + (1ull << 40));
+  // Lap the thread ring: only the slow ring's copy (with "slow":1) stays.
+  for (std::uint64_t i = 0; i < trace_detail::kRingSlots + 32; ++i) {
+    const ScopedSpan filler("trace_test_alike_filler");
+  }
+  {
+    const ScopedSpan span("trace_test_alike_arg", "n", 7);
+  }
+
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("hdd_trace_alike_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  Tracer::global().set_flight_dir(dir.string());
+  dump_flight_recorder("unit-test");
+  Tracer::global().set_flight_dir("");
+  std::ifstream is(dir / ("flight-" + std::to_string(::getpid()) + ".json"));
+  std::stringstream buf;
+  buf << is.rdbuf();
+  const std::string flight = buf.str();
+  fs::remove_all(dir);
+  const std::string chrome = Tracer::global().render_chrome_json(0);
+
+  for (const std::string name :
+       {"trace_test_alike_slow", "trace_test_alike_arg"}) {
+    const std::string event = event_text(chrome, name);
+    ASSERT_FALSE(event.empty()) << name;
+    EXPECT_EQ(event_text(flight, name), event);
+  }
+  EXPECT_NE(event_text(chrome, "trace_test_alike_slow").find("\"slow\":1"),
+            std::string::npos);
+  EXPECT_NE(event_text(chrome, "trace_test_alike_arg").find("\"n\":7"),
+            std::string::npos);
+}
+
+// Writers lapping one another on the shared slow ring while a reader
+// snapshots: every returned span must be one write's fields, never a mix
+// of two. Each write carries one value in every id and in its arg.
+TEST_F(TraceTest, SnapshotNeverReturnsTornSpans) {
+  Tracer::global().set_slow_threshold_ns(1);  // every span is slow
+  constexpr int kWriters = 6;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([t, &stop, &started] {
+      for (std::uint64_t i = 1; !stop.load(std::memory_order_relaxed); ++i) {
+        const std::uint64_t v = static_cast<std::uint64_t>(t + 1) << 40 | i;
+        const std::uint64_t start = trace_now_ticks();
+        record_span("trace_test_torn", v, v, v, start, start + 1000, "v", v);
+        if (i == 1) started.fetch_add(1);
+      }
+    });
+  }
+  // Snapshot only once every writer is racing.
+  while (started.load() < kWriters) std::this_thread::yield();
+  std::size_t seen = 0;
+  std::size_t torn = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  for (int round = 0;
+       round < 400 && std::chrono::steady_clock::now() < deadline; ++round) {
+    for (const SpanView& s :
+         named(Tracer::global().snapshot(0), "trace_test_torn")) {
+      ++seen;
+      if (s.trace_id != s.span_id || s.parent_id != s.span_id ||
+          s.arg != s.span_id) {
+        ++torn;
+      }
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& w : writers) w.join();
+  EXPECT_GT(seen, 0u);
+  EXPECT_EQ(torn, 0u) << "of " << seen << " spans";
 }
 
 TEST_F(TraceTest, FlightDumpWithoutDirIsANoOp) {

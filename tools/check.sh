@@ -11,7 +11,8 @@
 # also exercised under ASan).
 # The plain configuration also smoke-tests `--metrics-out -` end to end,
 # boots a real `hddpredict serve` daemon for an ingest/query/metrics
-# round trip, again with its retrain loop until it promotes a model, and
+# round trip, again with its retrain loop until it promotes a model (and
+# /debug/vars reports the same promotion as the wire stats op), and
 # again for a tracing round trip (`hddpredict trace`
 # fetching /debug/trace, span chain asserted from the JSON), and a
 # ThreadSanitizer build runs the `obs`, `serve`, `pipeline` and
@@ -240,6 +241,20 @@ serve_retrain_smoke() {
     echo "serve retrain smoke FAILED: no promotion; last stats: ${stats}" >&2
     kill "${serve_pid}" 2> /dev/null || true
     cat "${tmp}/serve.log" >&2
+    return 1
+  fi
+  # /debug/vars comes from the same status call as the wire stats op, so
+  # it must report the promotion too. Plain HTTP over bash's /dev/tcp.
+  local vars=""
+  exec 3<> "/dev/tcp/127.0.0.1/${port}"
+  printf 'GET /debug/vars HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n' >&3
+  vars="$(cat <&3)"
+  exec 3<&-
+  if [[ "${vars}" != *'"model_generation":1,'* ||
+        "${vars}" != *'"retrain_outcome":"promoted"'* ]]; then
+    echo "serve retrain smoke FAILED: /debug/vars disagrees with stats" \
+        "(${stats}): ${vars}" >&2
+    kill "${serve_pid}" 2> /dev/null || true
     return 1
   fi
   "${bin}" client --addr "127.0.0.1:${port}" --op shutdown > /dev/null

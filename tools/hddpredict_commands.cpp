@@ -260,8 +260,9 @@ std::optional<smart::FeatureSet> named_feature_set(const std::string& name) {
 }
 
 int cmd_lint(const Args& args) {
-  const obs::ScopedTimer timer(&obs::Registry::global().histogram(
-      "hdd_lint_wall_ns", "lint subcommand wall time (ns)."));
+  const obs::ScopedSpan span(
+      "cli.lint", &obs::Registry::global().histogram(
+                      "hdd_lint_wall_ns", "lint subcommand wall time (ns)."));
   const std::string model_path = args.get("model");
   const std::string format = args.get("format");
   const std::string features = args.get("features");
@@ -314,8 +315,10 @@ int cmd_lint(const Args& args) {
 }
 
 int cmd_adversary(const Args& args) {
-  const obs::ScopedTimer timer(&obs::Registry::global().histogram(
-      "hdd_adversary_wall_ns", "adversary subcommand wall time (ns)."));
+  const obs::ScopedSpan span(
+      "cli.adversary",
+      &obs::Registry::global().histogram(
+          "hdd_adversary_wall_ns", "adversary subcommand wall time (ns)."));
   const std::string model_path = args.get("model");
   const auto fleet = data::load_csv_file(args.get("data"));
   auto model = core::load_model_file(model_path);
@@ -678,7 +681,7 @@ int cmd_serve(const Args& args) {
   const auto stats = engine.stats();
   std::cout << "served " << stats.drives << " drive(s), " << stats.samples
             << " samples on disk, " << stats.alarms << " alarm(s)"
-            << ", model generation " << engine.max_generation()
+            << ", model generation " << stats.generation
             << (stats.degraded ? " [degraded]" : "") << '\n';
   return 0;
 }
