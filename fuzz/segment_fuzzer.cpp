@@ -1,7 +1,7 @@
 // segment_fuzzer — hostile bytes as an on-disk telemetry segment.
 //
 // Layer 1 drives the store::format decoders directly (segment header,
-// manual frame walk, record decode). Layer 2 writes the same bytes to a
+// parse_frame walk, record decode). Layer 2 writes the same bytes to a
 // scratch directory as seg-1.log and opens a real TelemetryStore over it:
 // the recovery taxonomy (torn tail, CRC drop, header skip, bad reference)
 // must classify anything without throwing for corrupt *data* — only
@@ -37,22 +37,13 @@ const std::string& scratch_dir() {
 void walk_frames(std::string_view bytes) {
   (void)store::decode_segment_header(bytes);
   std::size_t pos = store::kSegmentHeaderBytes;
-  while (pos < bytes.size()) {
-    const std::size_t remaining = bytes.size() - pos;
-    if (remaining < store::kFrameHeaderBytes) break;
-    const std::uint32_t len = store::load_le<std::uint32_t>(bytes.data() + pos);
-    const std::uint32_t crc =
-        store::load_le<std::uint32_t>(bytes.data() + pos + 4);
-    if (len == 0 || len > store::kMaxPayloadBytes ||
-        len > remaining - store::kFrameHeaderBytes) {
-      break;
+  for (;;) {
+    const auto f = store::parse_frame(bytes, pos, store::kMaxPayloadBytes);
+    if (f.status != store::ParsedFrame::kFrame) break;
+    if (store::crc32(f.payload.data(), f.payload.size()) == f.crc) {
+      (void)store::decode_record(f.payload);
     }
-    const std::string_view payload =
-        bytes.substr(pos + store::kFrameHeaderBytes, len);
-    if (store::crc32(payload.data(), payload.size()) == crc) {
-      (void)store::decode_record(payload);
-    }
-    pos += store::kFrameHeaderBytes + len;
+    pos += store::kFrameHeaderBytes + f.payload.size();
   }
 }
 

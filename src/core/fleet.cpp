@@ -166,12 +166,13 @@ ThreadPool& FleetScorer::pool() const {
 }
 
 std::size_t FleetScorer::add_drive(std::string serial) {
-  smart::DriveRecord rec;
-  rec.serial = serial;
-  history_.push_back(std::move(rec));
+  // Journal first: a registration that throws leaves no drive behind.
   if (journal_ != nullptr) {
     journal_ids_.push_back(journal_->register_drive(serial));
   }
+  smart::DriveRecord rec;
+  rec.serial = serial;
+  history_.push_back(std::move(rec));
   serials_.push_back(std::move(serial));
   states_.emplace_back(config_.vote);
   states_.back().set_metrics(m_vote_transitions_, m_alarms_);

@@ -167,7 +167,9 @@ void RetrainLoop::promote(
   // Journal-first, shard by shard, each append on that shard's worker so
   // it serializes with the shard's ingest writes. A kill -9 after a prefix
   // of shards leaves mixed generations on disk; ShardEngine::resume()
-  // reconciles to the newest on restart.
+  // reconciles to the newest on restart. An append that throws (I/O, or a
+  // model over the record cap) ends the promotion the same way: it
+  // reaches run()'s catch with no model swapped.
   for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
     const bool ok = server_->run_on_shard(k, [&] {
       engine_->shard(k).store().append_generation(next, text);

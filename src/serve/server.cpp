@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -416,27 +417,17 @@ bool Server::process_request(int fd, std::string& payload, ConnTrace& trace) {
     }
 
     case Op::kQuery: {
-      const std::size_t shard = engine_.shard_of(req->serial);
       QueryResponse qr;
-      bool failed = false;
-      Completion comp;
-      comp.pending = 1;
-      const std::string serial = std::move(req->serial);
-      const bool posted = post(shard, [this, &qr, &failed, &serial, &comp] {
-        DoneGuard g{comp};
-        const obs::ScopedSpan span("shard.query");
-        try {
-          qr = engine_.query(serial);
-        } catch (const std::exception&) {
-          failed = true;
-        }
-      });
-      if (!posted) {
-        comp.done();
-        failed = true;
+      bool ok = false;
+      try {
+        ok = run_on_shard(engine_.shard_of(req->serial), [&] {
+          const obs::ScopedSpan span("shard.query");
+          qr = engine_.query(req->serial);
+        });
+      } catch (const std::exception&) {
+        // The shard's query threw: answered as a failed query below.
       }
-      comp.wait();
-      if (failed) {
+      if (!ok) {
         return send_response(
             fd, encode_error_response(Status::kError, "query failed"));
       }
@@ -570,15 +561,21 @@ std::string Server::debug_vars_json() {
 bool Server::run_on_shard(std::size_t k, const std::function<void()>& task) {
   Completion comp;
   comp.pending = 1;
-  const bool posted = post(k, [&task, &comp] {
+  std::exception_ptr failed;
+  const bool posted = post(k, [&task, &comp, &failed] {
     DoneGuard g{comp};
-    task();
+    try {
+      task();
+    } catch (const std::exception&) {
+      failed = std::current_exception();  // rethrown on the caller
+    }
   });
   if (!posted) {
     comp.done();
     return false;
   }
   comp.wait();
+  if (failed) std::rethrow_exception(failed);
   return true;
 }
 

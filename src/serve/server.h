@@ -108,7 +108,9 @@ class Server {
   // Runs `task` on shard k's worker thread and blocks until it finishes —
   // how the retrain loop touches shard state (stores, training windows)
   // without violating the one-thread-per-shard contract. Returns false
-  // (task not run) when the shard is crashed or closed.
+  // (task not run) when the shard is crashed or closed. A std::exception
+  // the task throws is rethrown here, on the caller; the shard keeps
+  // serving. (An io::CrashPoint still fences the shard.)
   [[nodiscard]] bool run_on_shard(std::size_t k,
                                   const std::function<void()>& task);
 

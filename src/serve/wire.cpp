@@ -276,40 +276,32 @@ void FrameParser::feed(std::string_view bytes) {
   // Validate every newly complete length prefix *now*, before the bytes it
   // announces are allowed to accumulate: frame boundaries chain through the
   // declared lengths, so headers can be walked without touching payloads.
-  while (buf_.size() - scan_ >= store::kFrameHeaderBytes) {
-    const std::uint32_t len = load_le<std::uint32_t>(buf_.data() + scan_);
-    if (len == 0 || len > kMaxWirePayloadBytes) {
-      corrupt_ = true;
-      std::string().swap(buf_);  // release, don't just clear
-      pos_ = scan_ = 0;
-      return;
-    }
-    if (buf_.size() - scan_ < store::kFrameHeaderBytes + len) break;
-    scan_ += store::kFrameHeaderBytes + len;
+  for (;;) {
+    const auto f = store::parse_frame(buf_, scan_, kMaxWirePayloadBytes);
+    if (f.status == store::ParsedFrame::kShort) return;
+    if (f.status == store::ParsedFrame::kBadLength) return poison();
+    scan_ += store::kFrameHeaderBytes + f.payload.size();
   }
 }
 
 FrameParser::Result FrameParser::next(std::string& payload) {
   if (corrupt_) return Result::kCorrupt;
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < store::kFrameHeaderBytes) return Result::kNeedMore;
-  const std::uint32_t len = load_le<std::uint32_t>(buf_.data() + pos_);
-  const std::uint32_t crc = load_le<std::uint32_t>(buf_.data() + pos_ + 4);
-  if (len == 0 || len > kMaxWirePayloadBytes) {
-    corrupt_ = true;
+  const auto f = store::parse_frame(buf_, pos_, kMaxWirePayloadBytes);
+  if (f.status == store::ParsedFrame::kShort) return Result::kNeedMore;
+  if (f.status == store::ParsedFrame::kBadLength ||
+      store::crc32(f.payload.data(), f.payload.size()) != f.crc) {
+    poison();
     return Result::kCorrupt;
   }
-  if (avail < store::kFrameHeaderBytes + len) return Result::kNeedMore;
-  const char* data = buf_.data() + pos_ + store::kFrameHeaderBytes;
-  if (store::crc32(data, len) != crc) {
-    corrupt_ = true;
-    std::string().swap(buf_);
-    pos_ = scan_ = 0;
-    return Result::kCorrupt;
-  }
-  payload.assign(data, len);
-  pos_ += store::kFrameHeaderBytes + len;
+  payload.assign(f.payload);
+  pos_ += store::kFrameHeaderBytes + f.payload.size();
   return Result::kFrame;
+}
+
+void FrameParser::poison() {
+  corrupt_ = true;
+  std::string().swap(buf_);  // release, don't just clear
+  pos_ = scan_ = 0;
 }
 
 }  // namespace hdd::serve

@@ -167,6 +167,10 @@ class FrameParser {
   std::size_t buffered() const { return buf_.size() - pos_; }
 
  private:
+  // Marks the stream corrupt and releases the buffer: framing is
+  // untrusted from here on.
+  void poison();
+
   std::string buf_;
   std::size_t pos_ = 0;   // start of the next undrained frame
   std::size_t scan_ = 0;  // start of the next length-unvalidated header

@@ -128,6 +128,38 @@ void store_sample_payload(char* p, std::uint32_t drive,
   store_sample_body(p + 5, sample);
 }
 
+void put_drive_payload(std::string& out, std::uint32_t id,
+                       std::string_view serial) {
+  put_u8(out, static_cast<std::uint8_t>(RecordType::kDrive));
+  put_u32(out, id);
+  put_u16(out, static_cast<std::uint16_t>(serial.size()));
+  out.append(serial);
+}
+
+void put_generation_payload(std::string& out, std::uint64_t generation,
+                            std::string_view model_text) {
+  put_u8(out, static_cast<std::uint8_t>(RecordType::kGeneration));
+  put_u64(out, generation);
+  put_u32(out, static_cast<std::uint32_t>(model_text.size()));
+  out.append(model_text);
+}
+
+// A frame is built in place: open_frame appends a blank header and
+// returns its offset, the payload is appended after it, and seal_frame
+// fills in the header's length and CRC over everything that follows.
+std::size_t open_frame(std::string& out) {
+  out.append(kFrameHeaderBytes, '\0');
+  return out.size() - kFrameHeaderBytes;
+}
+
+void seal_frame(std::string& out, std::size_t at) {
+  char* p = out.data() + at;
+  const auto len =
+      static_cast<std::uint32_t>(out.size() - at - kFrameHeaderBytes);
+  store_le(p, len);
+  store_le(p + 4, crc32(p + kFrameHeaderBytes, len));
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n) {
@@ -188,11 +220,7 @@ std::optional<SegmentHeader> decode_segment_header(std::string_view bytes) {
 
 std::string encode_drive_record(std::uint32_t id, std::string_view serial) {
   std::string out;
-  out.reserve(1 + 4 + 2 + serial.size());
-  put_u8(out, static_cast<std::uint8_t>(RecordType::kDrive));
-  put_u32(out, id);
-  put_u16(out, static_cast<std::uint16_t>(serial.size()));
-  out.append(serial);
+  put_drive_payload(out, id, serial);
   return out;
 }
 
@@ -206,33 +234,38 @@ std::string encode_sample_record(std::uint32_t drive,
 std::string encode_generation_record(std::uint64_t generation,
                                      std::string_view model_text) {
   std::string out;
-  out.reserve(1 + 8 + 4 + model_text.size());
-  put_u8(out, static_cast<std::uint8_t>(RecordType::kGeneration));
-  put_u64(out, generation);
-  put_u32(out, static_cast<std::uint32_t>(model_text.size()));
-  out.append(model_text);
+  put_generation_payload(out, generation, model_text);
   return out;
 }
 
 std::string frame_record(std::string_view payload) {
   std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload.data(), payload.size()));
+  const std::size_t at = open_frame(out);
   out.append(payload);
+  seal_frame(out, at);
   return out;
+}
+
+void append_drive_frame(std::string& out, std::uint32_t id,
+                        std::string_view serial) {
+  const std::size_t at = open_frame(out);
+  put_drive_payload(out, id, serial);
+  seal_frame(out, at);
 }
 
 void append_sample_frame(std::string& out, std::uint32_t drive,
                          const smart::Sample& sample) {
-  constexpr std::uint32_t kPayload =
-      static_cast<std::uint32_t>(kSampleFrameBytes - kFrameHeaderBytes);
   const std::size_t at = out.size();
   out.resize(at + kSampleFrameBytes);
-  char* p = out.data() + at;
-  store_le(p, kPayload);
-  store_sample_payload(p + kFrameHeaderBytes, drive, sample);
-  store_le(p + 4, crc32(p + kFrameHeaderBytes, kPayload));
+  store_sample_payload(out.data() + at + kFrameHeaderBytes, drive, sample);
+  seal_frame(out, at);
+}
+
+void append_generation_frame(std::string& out, std::uint64_t generation,
+                             std::string_view model_text) {
+  const std::size_t at = open_frame(out);
+  put_generation_payload(out, generation, model_text);
+  seal_frame(out, at);
 }
 
 std::optional<DecodedRecord> decode_record(std::string_view payload) {

@@ -199,11 +199,16 @@ std::string encode_generation_record(std::uint64_t generation,
 // Wraps a payload in a length + CRC frame.
 std::string frame_record(std::string_view payload);
 
-// Appends a complete frame (header + sample payload) to `out` in place —
-// no intermediate strings. The batched append path encodes thousands of
-// these into one reused buffer per write syscall.
+// These append a complete frame (header + payload) to `out` in place — no
+// intermediate strings. The store's writer encodes every record it
+// journals into one reused buffer this way, thousands of sample frames
+// per write syscall on the batched path.
+void append_drive_frame(std::string& out, std::uint32_t id,
+                        std::string_view serial);
 void append_sample_frame(std::string& out, std::uint32_t drive,
                          const smart::Sample& sample);
+void append_generation_frame(std::string& out, std::uint64_t generation,
+                             std::string_view model_text);
 
 // Bytes one sample occupies on disk: frame header + type/drive/hour/attrs.
 inline constexpr std::size_t kSampleFrameBytes =
@@ -221,5 +226,30 @@ struct DecodedRecord {
 // nullopt on an unknown type or a body that does not match its type's
 // layout (the payload is assumed to have passed its CRC already).
 std::optional<DecodedRecord> decode_record(std::string_view payload);
+
+// One frame header read at bytes[pos].
+struct ParsedFrame {
+  enum Status {
+    kFrame,      // payload and crc are set
+    kShort,      // fewer bytes than a header, or than the declared length
+    kBadLength,  // declared length 0 or over max_payload
+  } status;
+  std::string_view payload;
+  std::uint32_t crc = 0;  // as stored; checking it is the caller's call
+};
+
+// The one reader of the frame header: store recovery and its read walk,
+// the serve FrameParser and the segment fuzzer all walk frames with it.
+// Inline, because recovery runs it once per sample frame (69 bytes).
+inline ParsedFrame parse_frame(std::string_view bytes, std::size_t pos,
+                               std::uint32_t max_payload) {
+  const std::size_t avail = pos < bytes.size() ? bytes.size() - pos : 0;
+  if (avail < kFrameHeaderBytes) return {ParsedFrame::kShort, {}};
+  const std::uint32_t len = load_le<std::uint32_t>(bytes.data() + pos);
+  if (len == 0 || len > max_payload) return {ParsedFrame::kBadLength, {}};
+  if (avail - kFrameHeaderBytes < len) return {ParsedFrame::kShort, {}};
+  return {ParsedFrame::kFrame, bytes.substr(pos + kFrameHeaderBytes, len),
+          load_le<std::uint32_t>(bytes.data() + pos + 4)};
+}
 
 }  // namespace hdd::store

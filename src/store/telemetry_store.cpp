@@ -206,17 +206,12 @@ bool TelemetryStore::scan_segment(Segment& seg) {
   }
   std::size_t pos = kSegmentHeaderBytes;
   seg.data_end = pos;
-  while (pos < buf.size()) {
-    const std::size_t remaining = buf.size() - pos;
-    if (remaining < kFrameHeaderBytes) break;  // torn frame header
-    const std::uint32_t len = load_le<std::uint32_t>(buf.data() + pos);
-    const std::uint32_t crc = load_le<std::uint32_t>(buf.data() + pos + 4);
-    if (len == 0 || len > kMaxPayloadBytes ||
-        len > remaining - kFrameHeaderBytes) {
-      break;  // torn tail (or garbage length — indistinguishable)
-    }
-    const std::string_view payload(buf.data() + pos + kFrameHeaderBytes, len);
-    if (crc32(payload.data(), payload.size()) != crc) {
+  for (;;) {
+    const ParsedFrame f = parse_frame(buf, pos, kMaxPayloadBytes);
+    // Short or bad length: a torn tail (or garbage length — the two are
+    // indistinguishable).
+    if (f.status != ParsedFrame::kFrame) break;
+    if (crc32(f.payload.data(), f.payload.size()) != f.crc) {
       // A flipped bit mid-log: skip the record and stop trusting this
       // segment — framing beyond it may be off. Later segments still load.
       ++recovery_.records_dropped;
@@ -225,8 +220,8 @@ bool TelemetryStore::scan_segment(Segment& seg) {
       m_sealed_->inc();
       return true;
     }
-    apply_record(payload, seg);
-    pos += kFrameHeaderBytes + len;
+    apply_record(f.payload, seg);
+    pos += kFrameHeaderBytes + f.payload.size();
     seg.data_end = pos;
   }
   if (seg.data_end < buf.size()) {
@@ -346,53 +341,59 @@ void TelemetryStore::ensure_writer() {
                     opened.message);
   }
   const std::string header = encode_segment_header(seg.seq, 0);
-  if (auto s = out_->append(header); !s.ok()) {
-    out_->abandon();
-    out_.reset();
-    throw DataError("telemetry store: cannot write header to " + seg.path +
-                    ": " + s.message);
-  }
-  seg.data_end = header.size();
   segments_.push_back(std::move(seg));
+  write_frames(header, 0);  // the header tears and is cut like any frame
 }
 
-void TelemetryStore::write_frame(std::string_view payload) {
-  // Rotate before the write so a record is never split across segments.
-  if (out_ != nullptr &&
-      segments_.back().data_end + kFrameHeaderBytes + payload.size() >
-          options_.segment_bytes &&
-      segments_.back().data_end > kSegmentHeaderBytes) {
+std::size_t TelemetryStore::room(std::size_t frame_bytes) {
+  for (;;) {
+    ensure_writer();
+    const std::uint64_t end = segments_.back().data_end;
+    const std::uint64_t cap = options_.segment_bytes;
+    const std::uint64_t fit = end < cap ? (cap - end) / frame_bytes : 0;
+    // A fresh segment takes at least one frame, however large, so a
+    // record is never split across segments.
+    if (fit > 0 || end <= kSegmentHeaderBytes) {
+      return static_cast<std::size_t>(std::max<std::uint64_t>(fit, 1));
+    }
     close_writer(/*strict=*/true);
     segments_.back().clean = false;  // sealed: rotation point
     m_rotations_->inc();
     m_sealed_->inc();
   }
-  ensure_writer();
-  const std::string frame = frame_record(payload);
-  if (auto s = out_->append(frame); !s.ok()) {
-    // The frame may have partially landed (short write / ENOSPC tear):
-    // never re-send it — a retried prefix would duplicate bytes. Seal the
-    // segment so the next append rotates to a fresh file; recovery will
-    // truncate any torn tail this append left behind.
-    segments_.back().clean = false;
+}
+
+void TelemetryStore::write_frames(std::string_view frames,
+                                  std::size_t records) {
+  Segment& seg = segments_.back();
+  if (auto s = out_->append(frames); !s.ok()) {
+    // A prefix may have landed (short write / ENOSPC tear): never re-send
+    // it — a retried prefix would duplicate bytes. Seal the segment so the
+    // next write rotates to a fresh file.
+    seg.clean = false;
     m_sealed_->inc();
     (void)out_->flush();  // best effort: earlier complete frames reach the OS
     close_writer(/*strict=*/false);
-    throw DataError("telemetry store: append to " + segments_.back().path +
+    // The prefix can hold *complete* frames that the live store never
+    // indexed, and recovery would apply them: a re-sent batch would replay
+    // twice, a registration would come back as a drive nobody holds. Cut
+    // the file back to the last indexed frame; when even that fails
+    // (permanent env failure), the segment is sealed and degraded already,
+    // and the duplicate-on-resend hazard is the smaller of the node's
+    // problems.
+    std::uint64_t on_disk = 0;
+    if (env_->file_size(seg.path, on_disk).ok() && on_disk > seg.data_end) {
+      (void)retryer_.run("truncate torn append", [&] {
+        return env_->resize_file(seg.path, seg.data_end);
+      });
+    }
+    throw DataError("telemetry store: append to " + seg.path +
                     " failed: " + s.message);
   }
-  segments_.back().data_end += frame.size();
-  m_appends_->inc();
-  m_bytes_->inc(static_cast<std::uint64_t>(frame.size()));
-  if (options_.fsync_appends) {
-    const obs::ScopedSpan fsync_span("store.fsync");
-    const auto s = retryer_.run("fsync segment", [&] { return out_->sync(); });
-    m_fsyncs_->inc();
-    if (!s.ok()) {
-      throw DataError("telemetry store: fsync of " + segments_.back().path +
-                      " failed: " + s.message);
-    }
-  }
+  seg.data_end += frames.size();
+  if (records == 0) return;  // a segment header: neither record nor frame
+  m_appends_->inc(static_cast<std::uint64_t>(records));
+  m_bytes_->inc(static_cast<std::uint64_t>(frames.size()));
 }
 
 std::uint32_t TelemetryStore::register_drive(const std::string& serial) {
@@ -401,17 +402,19 @@ std::uint32_t TelemetryStore::register_drive(const std::string& serial) {
   const auto it = by_serial_.find(serial);
   if (it != by_serial_.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(drives_.size());
-  write_frame(encode_drive_record(id, serial));
+  batch_buf_.clear();
+  append_drive_frame(batch_buf_, id, serial);
+  (void)room(batch_buf_.size());
+  write_frames(batch_buf_, 1);
   by_serial_.emplace(serial, id);
   drives_.push_back(DriveInfo{serial, 0, -1, -1});
   drive_segments_.emplace_back();
+  if (options_.fsync_appends) flush();
   return id;
 }
 
 void TelemetryStore::append(std::uint32_t drive, const smart::Sample& sample) {
-  HDD_REQUIRE(drive < drives_.size(), "append to an unregistered drive");
-  write_frame(encode_sample_record(drive, sample));
-  index_samples(drive, segments_.back().seq, sample.hour, sample.hour, 1);
+  append_batch(drive, &sample, 1);
 }
 
 void TelemetryStore::append_batch(std::uint32_t drive,
@@ -420,76 +423,18 @@ void TelemetryStore::append_batch(std::uint32_t drive,
   HDD_REQUIRE(drive < drives_.size(), "append to an unregistered drive");
   const obs::ScopedSpan span("store.append", "samples",
                              static_cast<std::uint64_t>(n));
-  std::size_t done = 0;
-  while (done < n) {
-    ensure_writer();
-    Segment* seg = &segments_.back();
-    // How many whole frames fit before the rotation threshold. Always at
-    // least one: a fresh segment holds just its header and segment_bytes
-    // is validated to fit a record past it.
-    std::size_t fit = 0;
-    if (seg->data_end + kSampleFrameBytes <= options_.segment_bytes ||
-        seg->data_end <= kSegmentHeaderBytes) {
-      fit = (options_.segment_bytes - seg->data_end) / kSampleFrameBytes;
-      if (fit == 0) fit = 1;
-    }
-    if (fit == 0) {
-      // Rotate exactly as write_frame would: seal, then loop to a fresh
-      // segment.
-      close_writer(/*strict=*/true);
-      seg->clean = false;
-      m_rotations_->inc();
-      m_sealed_->inc();
-      continue;
-    }
-    const std::size_t k = std::min(fit, n - done);
+  for (std::size_t done = 0, k = 0; done < n; done += k) {
+    k = std::min(room(kSampleFrameBytes), n - done);
     batch_buf_.clear();
     batch_buf_.reserve(k * kSampleFrameBytes);
     for (std::size_t i = 0; i < k; ++i) {
       append_sample_frame(batch_buf_, drive, samples[done + i]);
     }
-    if (auto s = out_->append(batch_buf_); !s.ok()) {
-      // Same contract as write_frame: a prefix may have landed, so never
-      // re-send — seal and let recovery truncate the torn tail. None of
-      // this batch is indexed.
-      seg->clean = false;
-      m_sealed_->inc();
-      (void)out_->flush();  // best effort: earlier complete frames reach the OS
-      close_writer(/*strict=*/false);
-      // Unlike write_frame's single record, a torn multi-frame buffer can
-      // leave *complete* frames of this failed batch on disk. The live
-      // store does not index them, so recovery must not either — a
-      // re-sent batch would otherwise replay those samples twice. Cut the
-      // file back to the last indexed frame; when even that fails
-      // (permanent env failure), the segment is sealed and degraded
-      // already, and the duplicate-on-resend hazard is the smaller of the
-      // node's problems.
-      std::uint64_t on_disk = 0;
-      if (env_->file_size(seg->path, on_disk).ok() &&
-          on_disk > seg->data_end) {
-        (void)retryer_.run("truncate torn append", [&] {
-          return env_->resize_file(seg->path, seg->data_end);
-        });
-      }
-      throw DataError("telemetry store: append to " + seg->path +
-                      " failed: " + s.message);
-    }
-    seg->data_end += batch_buf_.size();
-    m_appends_->inc(static_cast<std::uint64_t>(k));
-    m_bytes_->inc(static_cast<std::uint64_t>(batch_buf_.size()));
-    index_samples(drive, seg->seq, samples[done].hour,
+    write_frames(batch_buf_, k);
+    index_samples(drive, segments_.back().seq, samples[done].hour,
                   samples[done + k - 1].hour, k);
-    done += k;
   }
-  if (options_.fsync_appends && out_ != nullptr) {
-    const obs::ScopedSpan fsync_span("store.fsync");
-    const auto s = retryer_.run("fsync segment", [&] { return out_->sync(); });
-    m_fsyncs_->inc();
-    if (!s.ok()) {
-      throw DataError("telemetry store: fsync of " + segments_.back().path +
-                      " failed: " + s.message);
-    }
-  }
+  if (options_.fsync_appends) flush();
 }
 
 void TelemetryStore::append_generation(std::uint64_t generation,
@@ -500,9 +445,12 @@ void TelemetryStore::append_generation(std::uint64_t generation,
                     "generation record (" +
                     std::to_string(model_text.size()) + " bytes)");
   }
-  write_frame(encode_generation_record(generation, model_text));
-  flush();  // a promotion must be durable before the in-memory swap
+  batch_buf_.clear();
+  append_generation_frame(batch_buf_, generation, model_text);
+  (void)room(batch_buf_.size());
+  write_frames(batch_buf_, 1);
   generation_ = GenerationRecord{generation, std::string(model_text)};
+  flush();  // a promotion must be durable before the caller swaps models
 }
 
 void TelemetryStore::flush() {
@@ -553,16 +501,16 @@ void TelemetryStore::walk_indexed(std::optional<std::uint32_t> only,
       throw DataError("telemetry store: cannot open " + seg.path + ": " +
                       s.message);
     }
-    // Frames up to the validated end only: recovery vouched for those.
-    const std::size_t end = std::min<std::size_t>(
-        buf.size(), static_cast<std::size_t>(seg.data_end));
+    // Frames up to the validated end only: recovery vouched for those, so
+    // their CRCs are not checked again.
+    const std::string_view valid = std::string_view(buf).substr(
+        0, static_cast<std::size_t>(seg.data_end));
     std::size_t pos = kSegmentHeaderBytes;
-    while (pos + kFrameHeaderBytes <= end) {
-      const std::uint32_t len = load_le<std::uint32_t>(buf.data() + pos);
-      if (len == 0 || pos + kFrameHeaderBytes + len > end) break;
-      const auto rec =
-          decode_record({buf.data() + pos + kFrameHeaderBytes, len});
-      pos += kFrameHeaderBytes + len;
+    for (;;) {
+      const ParsedFrame f = parse_frame(valid, pos, kMaxPayloadBytes);
+      if (f.status != ParsedFrame::kFrame) break;
+      const auto rec = decode_record(f.payload);
+      pos += kFrameHeaderBytes + f.payload.size();
       if (!rec || rec->type != RecordType::kSample) continue;
       const std::uint32_t d = rec->drive;
       if (d < drives_.size() && (!only || d == *only) &&

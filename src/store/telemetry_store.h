@@ -8,8 +8,12 @@
 //
 // Guarantees:
 //  * Appends are sequential writes to the highest segment; segments rotate
-//    at StoreOptions::segment_bytes. flush() pushes buffered appends to the
-//    OS (fsync_appends trades throughput for power-loss durability).
+//    at StoreOptions::segment_bytes, also for the first write after a
+//    reopen. flush() pushes buffered appends to the OS (fsync_appends
+//    trades throughput for power-loss durability).
+//  * A write that throws leaves the segment file holding exactly the
+//    frames the index, drive table and generation reflect: a torn prefix
+//    is cut back before the error surfaces.
 //  * Opening recovers deterministically from a crash: a torn tail record is
 //    truncated away (the log ends at the last complete record); a record
 //    whose CRC fails is skipped and scanning of that segment stops — later
@@ -120,23 +124,26 @@ class TelemetryStore {
 
   // --- Append path ----------------------------------------------------------
 
-  // Appends one sample for a registered drive. Samples for one drive should
-  // arrive in chronological order (replay preserves append order).
+  // Appends one sample for a registered drive: append_batch of one.
+  // Samples for one drive should arrive in chronological order (replay
+  // preserves append order).
   void append(std::uint32_t drive, const smart::Sample& sample);
 
-  // Appends a block of samples for one drive, encoding all frames into one
-  // reused buffer per write syscall (the serve ingest hot path; see
-  // BENCH_obs.json BM_StoreAppendBatch vs BM_StoreAppend). Semantics match
-  // n append() calls: rotation still happens on frame boundaries, and an
-  // I/O failure seals the segment with none of this batch's samples
-  // indexed (recovery truncates whatever prefix tore).
+  // Appends a block of samples for one drive, encoding the frames that fit
+  // in the open segment into one reused buffer per write syscall (the
+  // serve ingest hot path). Rotation happens on frame boundaries. An I/O
+  // failure throws DataError with the segment sealed and cut back to the
+  // samples the index holds: those of earlier segments, none of the
+  // failed write.
   void append_batch(std::uint32_t drive, const smart::Sample* samples,
                     std::size_t n);
 
-  // Journals a promoted model generation durably (frame + fsync): the
+  // Journals a promoted model generation durably (frame + one fsync): the
   // update pipeline writes this record *before* hot-swapping the scorer, so
   // a crash at any promotion step resumes to a well-defined generation.
   // Throws DataError when the serialized model exceeds kMaxPayloadBytes.
+  // When only the fsync fails, latest_generation() already names the
+  // record, as a reopen would.
   void append_generation(std::uint64_t generation,
                          std::string_view model_text);
 
@@ -146,7 +153,8 @@ class TelemetryStore {
     return generation_;
   }
 
-  // Durable flush: fsyncs buffered appends to stable storage.
+  // Durable flush: fsyncs buffered appends to stable storage. Also the
+  // sync step of every write (fsync_appends, append_generation).
   void flush();
 
   // Cheap flush: pushes buffered appends to the OS page cache without the
@@ -221,7 +229,16 @@ class TelemetryStore {
                      std::int64_t first_hour, std::int64_t last_hour,
                      std::size_t n);
   void ensure_writer();
-  void write_frame(std::string_view payload);
+  // The one write path, in three steps: room, write_frames, then the
+  // in-memory update, then flush() (the sync step) when the caller's
+  // contract asks for it.
+  // How many frames of frame_bytes fit in the open segment; when none do,
+  // seals it and rotates first. Always at least 1.
+  std::size_t room(std::size_t frame_bytes);
+  // Appends whole frames (`records` of them; 0 for a segment header) to
+  // the open segment. On failure the segment is sealed, closed and cut
+  // back to the last frame the index holds before DataError is thrown.
+  void write_frames(std::string_view frames, std::size_t records);
   std::string segment_path(std::uint64_t seq) const;
   CompactionResult write_compacted(const std::string& path_tmp,
                                    const std::string& path_final,
@@ -263,7 +280,7 @@ class TelemetryStore {
   std::optional<GenerationRecord> generation_;
   std::uint64_t next_seq_ = 1;
   mutable std::unique_ptr<io::File> out_;  // current segment writer (lazy)
-  std::string batch_buf_;  // reused frame buffer for append_batch
+  std::string batch_buf_;  // reused frame buffer for every write
 };
 
 }  // namespace hdd::store

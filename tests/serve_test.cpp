@@ -570,6 +570,29 @@ TEST_F(ServeTest, ServerEndToEnd) {
   EXPECT_EQ(resumed.stats().alarms, st.alarms);
 }
 
+TEST_F(ServeTest, ShardTaskExceptionReachesTheCallerAndTheShardServesOn) {
+  ShardEngine engine(engine_config(base_dir_ / "s", 1, &scorer_, nullptr));
+  Server server(engine, ServeOptions{});
+  server.start();
+  // What a retrain cycle's read_window or append_generation throws on an
+  // I/O failure: it surfaces on the caller, not as std::terminate.
+  EXPECT_THROW((void)server.run_on_shard(
+                   0, [] { throw DataError("injected shard task failure"); }),
+               DataError);
+
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  EXPECT_EQ(client.ingest(batch_for_drive(0, 0, kHours)).accepted,
+            static_cast<std::uint64_t>(kHours));
+  const auto q = client.query(serial_of(0));
+  EXPECT_TRUE(q.known);
+  EXPECT_EQ(q.last_hour, kHours - 1);
+  bool ran = false;
+  EXPECT_TRUE(server.run_on_shard(0, [&] { ran = true; }));
+  EXPECT_TRUE(ran);
+  server.stop();
+}
+
 TEST_F(ServeTest, ServerRejectsMalformedFrame) {
   ShardEngine engine(engine_config(base_dir_ / "s", 1, &scorer_, nullptr));
   obs::Registry reg;

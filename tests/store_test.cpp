@@ -527,6 +527,88 @@ TEST_F(StoreTest, TornBatchPrefixIsNotReplayedWhenTheBatchIsResent) {
   }
 }
 
+TEST_F(StoreTest, FailedRegistrationIsNeverRecoveredAsAnotherDrive) {
+  // Append #1 is the segment header; #2 is A's registration. Whole: the
+  // frame lands and the write still fails; partial: it tears mid-frame.
+  for (const bool whole : {true, false}) {
+    SCOPED_TRACE(whole ? "whole frame landed" : "partial frame landed");
+    fs::remove_all(dir_);
+    TearingEnv env(io::Env::posix(), /*fail_on_append=*/2,
+                   /*landed_bytes=*/whole ? 64 : 5);
+    StoreOptions opt;
+    opt.env = &env;
+    {
+      TelemetryStore store(dir(), opt);
+      EXPECT_THROW(store.register_drive("A"), DataError);
+      EXPECT_EQ(store.drive_count(), 0u);
+      // The failed id is free again: B takes 0, in a fresh segment.
+      ASSERT_EQ(store.register_drive("B"), 0u);
+      store.append(0, make_sample(7));
+      store.flush();
+    }
+    TelemetryStore reopened(dir());
+    EXPECT_FALSE(reopened.recovery().tail_truncated);
+    EXPECT_EQ(reopened.recovery().records_dropped, 0u);
+    ASSERT_EQ(reopened.drive_count(), 1u);
+    EXPECT_EQ(reopened.drive(0).serial, "B");
+    EXPECT_FALSE(reopened.find_drive("A").has_value());
+    const auto got = reopened.read_drive(0);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].hour, 7);
+  }
+}
+
+TEST_F(StoreTest, FirstWriteAfterReopenRespectsSegmentBytes) {
+  StoreOptions opt;
+  opt.segment_bytes = 4096;
+  const auto largest_segment = [this] {
+    std::uintmax_t largest = 0;
+    for (const auto& p : segment_files()) {
+      largest = std::max(largest, fs::file_size(p));
+    }
+    return largest;
+  };
+  std::vector<smart::Sample> batch;
+  for (std::int64_t h = 0; h < 58; ++h) batch.push_back(make_sample(h));
+  {
+    TelemetryStore store(dir(), opt);
+    const auto id = store.register_drive("D");
+    store.append_batch(id, batch.data(), batch.size());
+  }
+  ASSERT_EQ(segment_files().size(), 1u);  // 4046 bytes: no room for 2 KB more
+  {
+    TelemetryStore store(dir(), opt);
+    store.append_generation(1, std::string(2000, 'm'));
+  }
+  EXPECT_EQ(segment_files().size(), 2u);
+  EXPECT_LE(largest_segment(), opt.segment_bytes);
+  {
+    TelemetryStore store(dir(), opt);
+    // Segment 2 holds the generation record (2049 bytes); a 2100-byte
+    // serial no longer fits after it.
+    (void)store.register_drive(std::string(2100, 's'));
+  }
+  EXPECT_EQ(segment_files().size(), 3u);
+  EXPECT_LE(largest_segment(), opt.segment_bytes);
+
+  // One frame larger than a segment still goes alone into a fresh one.
+  {
+    TelemetryStore store(dir(), opt);
+    store.append_generation(2, std::string(5000, 'g'));
+    store.append(0, make_sample(100));
+  }
+  const auto segs = segment_files();
+  ASSERT_EQ(segs.size(), 5u);
+  EXPECT_EQ(fs::file_size(segs[3]),
+            kSegmentHeaderBytes + kFrameHeaderBytes + 1 + 8 + 4 + 5000);
+  EXPECT_EQ(fs::file_size(segs[4]), kSegmentHeaderBytes + kSampleFrameBytes);
+  TelemetryStore reopened(dir(), opt);
+  EXPECT_EQ(reopened.drive_count(), 2u);
+  EXPECT_EQ(reopened.drive(0).n_samples, 59u);
+  ASSERT_TRUE(reopened.latest_generation().has_value());
+  EXPECT_EQ(reopened.latest_generation()->generation, 2u);
+}
+
 TEST_F(StoreTest, FlippedPayloadBitSkipsRecordAndStopsTheSegment) {
   {
     TelemetryStore store(dir());

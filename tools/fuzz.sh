@@ -10,7 +10,11 @@
 #       replay every checked-in seed (tests/fuzz/corpus/<harness>/)
 #       through them. Works with any compiler — libFuzzer binaries treat
 #       file arguments as single-shot inputs, and the gcc standalone
-#       binaries do the same. This is the mode check.sh runs.
+#       binaries do the same. It also regenerates the corpus with
+#       make_seeds into a temp dir and diffs it against the checked-in
+#       one, so a change to any wire, segment or model byte fails here
+#       unless the seeds are regenerated with it. This is the mode
+#       check.sh runs.
 #   tools/fuzz.sh [--seconds N] [jobs]
 #       Long-run coverage-guided fuzzing (default 60 s per harness) over
 #       a scratch corpus seeded from the checked-in one. Requires clang;
@@ -51,6 +55,7 @@ fi
 cmake -B "${BUILD}" -S . "${CONFIG[@]}"
 TARGETS=()
 for h in "${HARNESSES[@]}"; do TARGETS+=("${h}_fuzzer"); done
+TARGETS+=(make_seeds)
 echo "=== build ${BUILD} (${TARGETS[*]}) ==="
 cmake --build "${BUILD}" -j "${JOBS}" --target "${TARGETS[@]}"
 
@@ -68,6 +73,16 @@ regress() {
       failed=1
     fi
   done
+  local fresh
+  fresh="$(mktemp -d)"
+  echo "=== regenerate the seed corpus and diff it against tests/fuzz/corpus ==="
+  "${BUILD}/fuzz/make_seeds" "${fresh}" > /dev/null
+  if ! diff -r "${fresh}" tests/fuzz/corpus; then
+    echo "fuzz regress FAILED: make_seeds no longer reproduces the" \
+         "checked-in corpus (a format changed)" >&2
+    failed=1
+  fi
+  rm -rf "${fresh}"
   return "${failed}"
 }
 

@@ -2,6 +2,7 @@
 """Net line delta under src/ between two revisions, split by line kind.
 
 Usage: tools/src_delta.py BASE [HEAD]
+       tools/src_delta.py --help
 
 Compares BASE with HEAD (a commit), or with the working tree when HEAD is
 omitted, and prints the lines added and removed under src/, split into
@@ -21,12 +22,18 @@ def kind(line):
 
 
 def main(argv):
+    if any(a in ("-h", "--help") for a in argv[1:]):
+        print(__doc__.strip())
+        return
     if len(argv) not in (2, 3):
         sys.exit(__doc__.strip())
-    diff = subprocess.run(
+    git = subprocess.run(
         ["git", "diff", "--no-color", "--no-renames", "--unified=0",
          *argv[1:], "--", "src/"],
-        check=True, capture_output=True, text=True).stdout
+        capture_output=True, text=True)
+    if git.returncode != 0:
+        sys.exit(git.stderr.strip() or f"git diff exited {git.returncode}")
+    diff = git.stdout
     added = dict.fromkeys(KINDS, 0)
     removed = dict.fromkeys(KINDS, 0)
     in_hunk = False
