@@ -71,38 +71,42 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn) {
   if (begin >= end) return;
-  const std::size_t n = end - begin;
-  // A single index, or a single-worker pool, gains nothing from the future
-  // machinery — run inline on the caller.
-  if (n == 1 || size() == 1) {
+  // The caller is one lane and enlists up to size() - 1 workers, so a pool
+  // of n keeps n threads busy and the call starts at once instead of
+  // waiting for a worker to wake. With no helpers it simply runs inline.
+  const std::size_t helpers = std::min(end - begin, size()) - 1;
+  if (helpers == 0) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  // Chunked dynamic scheduling via a shared atomic cursor. Once any task
+  // Chunked dynamic scheduling via a shared atomic cursor. Once any lane
   // throws, the remaining indices are abandoned.
   std::atomic<std::size_t> next{begin};
   std::atomic<bool> failed{false};
-  const std::size_t n_workers = std::min(n, size());
-  std::vector<std::future<void>> futures;
-  futures.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    futures.push_back(submit([&next, &failed, end, &fn] {
-      for (;;) {
-        if (failed.load(std::memory_order_relaxed)) return;
-        const std::size_t i = next.fetch_add(1);
-        if (i >= end) return;
-        try {
-          fn(i);
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;
-        }
+  const auto lane = [&next, &failed, end, &fn] {
+    for (;;) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      const std::size_t i = next.fetch_add(1);
+      if (i >= end) return;
+      try {
+        fn(i);
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
       }
-    }));
+    }
+  };
+  std::vector<std::future<void>> futures;
+  futures.reserve(helpers);
+  for (std::size_t w = 0; w < helpers; ++w) futures.push_back(submit(lane));
+  std::exception_ptr first_error;
+  try {
+    lane();
+  } catch (...) {
+    first_error = std::current_exception();
   }
   // Every future must be drained before the locals above leave scope, even
   // when one of them holds an exception — so collect first, throw after.
-  std::exception_ptr first_error;
   for (auto& f : futures) {
     try {
       f.get();

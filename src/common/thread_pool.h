@@ -42,8 +42,9 @@ class ThreadPool {
   // Enqueues a task; the returned future reports completion/exception.
   std::future<void> submit(std::function<void()> task);
 
-  // Runs fn(i) for i in [begin, end) across the pool and waits for all.
-  // Exceptions from tasks are rethrown (the first one encountered).
+  // Runs fn(i) for i in [begin, end) on the calling thread plus up to
+  // size() - 1 workers, and waits for all. Exceptions from any lane are
+  // rethrown (the first one encountered).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 

@@ -163,6 +163,17 @@ void RetrainLoop::promote(
   candidate->save(os);
   const std::string text = std::move(os).str();
   const std::uint64_t next = engine_->model_stats().generation + 1;
+  // The candidate stops shadow-scoring on every exit. A promotion that
+  // throws has already taken it out of pending_, so no later cycle would
+  // promote it or clear it.
+  struct DropShadows {
+    ShardEngine* engine;
+    ~DropShadows() {
+      for (std::size_t k = 0; k < engine->shard_count(); ++k) {
+        engine->shard(k).fleet().set_shadow(nullptr);
+      }
+    }
+  } const drop_shadows{engine_};
 
   // Journal-first, shard by shard, each append on that shard's worker so
   // it serializes with the shard's ingest writes. A kill -9 after a prefix
@@ -184,7 +195,6 @@ void RetrainLoop::promote(
   // the new model; swap() is safe against concurrent scoring calls.
   for (std::size_t k = 0; k < engine_->shard_count(); ++k) {
     engine_->shard(k).swappable()->swap(candidate, next);
-    engine_->shard(k).fleet().set_shadow(nullptr);
   }
   metrics_.promotions->inc();
   metrics_.generation->set(static_cast<double>(next));

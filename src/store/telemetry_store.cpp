@@ -562,32 +562,39 @@ TelemetryStore::CompactionResult TelemetryStore::write_compacted(
     throw DataError("telemetry store: cannot create " + path_tmp + ": " +
                     opened.message);
   }
-  auto put = [&f, &path_tmp](std::string_view bytes) {
-    if (auto s = f->append(bytes); !s.ok()) {
+  // Frames are encoded in place into one buffer, handed to the file
+  // whenever it passes kChunk bytes.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string buf = encode_segment_header(seq, kSegCompacted);
+  auto put = [&f, &path_tmp, &buf] {
+    if (auto s = f->append(buf); !s.ok()) {
       f->abandon();
       throw DataError("telemetry store: write to " + path_tmp +
                       " failed: " + s.message);
     }
+    buf.clear();
   };
-  put(encode_segment_header(seq, kSegCompacted));
   for (std::uint32_t id = 0; id < drives_.size(); ++id) {
-    put(frame_record(encode_drive_record(id, drives_[id].serial)));
+    append_drive_frame(buf, id, drives_[id].serial);
+    if (buf.size() >= kChunk) put();
   }
   if (generation_) {
-    put(frame_record(encode_generation_record(generation_->generation,
-                                              generation_->model_text)));
+    append_generation_frame(buf, generation_->generation,
+                            generation_->model_text);
   }
   CompactionResult res;
   walk_indexed(std::nullopt, std::numeric_limits<std::int64_t>::min(),
                std::numeric_limits<std::int64_t>::max(),
                [&](std::uint32_t drive, const smart::Sample& s) {
                  if (s.hour >= min_hour) {
-                   put(frame_record(encode_sample_record(drive, s)));
+                   append_sample_frame(buf, drive, s);
+                   if (buf.size() >= kChunk) put();
                    ++res.kept;
                  } else {
                    ++res.dropped;
                  }
                });
+  put();
   const auto synced = retryer_.run("fsync compaction tmp",
                                    [&] { return f->sync(); });
   m_fsyncs_->inc();

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include "common/csv.h"
 #include "common/log.h"
@@ -269,6 +272,70 @@ TEST(ThreadPool, ParallelForStressWithThrowingTasks) {
     pool.parallel_for(0, 128, [&](std::size_t) { completed++; });
     EXPECT_EQ(completed.load(), 128) << "round " << round;
   }
+}
+
+// Spins until `flag` is set or 10 s pass, so a broken pool fails the test
+// instead of hanging it.
+void wait_for_flag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(ThreadPool, CallerIsOneLaneOfParallelFor) {
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  // Every index runs once, and the caller takes a share: helpers hold
+  // their first index until the caller has run one.
+  std::vector<std::atomic<int>> hits(200);
+  std::atomic<bool> caller_ran{false};
+  pool.parallel_for(0, hits.size(), [&](std::size_t i) {
+    if (std::this_thread::get_id() == caller) {
+      caller_ran = true;
+    } else {
+      wait_for_flag(caller_ran);
+    }
+    hits[i]++;
+  });
+  EXPECT_TRUE(caller_ran.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  // A throw on the caller's lane reaches the caller...
+  std::atomic<bool> threw{false};
+  EXPECT_THROW(pool.parallel_for(0, 64,
+                                 [&](std::size_t) {
+                                   if (std::this_thread::get_id() == caller) {
+                                     threw = true;
+                                     throw std::runtime_error("caller");
+                                   }
+                                   wait_for_flag(threw);
+                                 }),
+               std::runtime_error);
+  // ...and so does a throw on a helper, while the caller's lane waits.
+  threw = false;
+  try {
+    pool.parallel_for(0, 64, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        threw = true;
+        throw std::runtime_error("helper");
+      }
+      wait_for_flag(threw);
+    });
+    ADD_FAILURE() << "the helper's throw was lost";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "helper");
+  }
+
+  // The pool serves on, and a one-index range runs on the caller.
+  std::atomic<int> completed{0};
+  pool.parallel_for(0, 128, [&](std::size_t) { completed++; });
+  EXPECT_EQ(completed.load(), 128);
+  pool.parallel_for(7, 8, [&](std::size_t i) {
+    EXPECT_EQ(i, 7u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {

@@ -203,6 +203,10 @@ data::DataMatrix random_rows(Rng& rng, std::size_t rows, std::size_t cols) {
   return m;
 }
 
+// Batch sizes around the scan's 16-row groups: none, a walked tail only,
+// one group, a group plus a tail, and many groups plus a tail.
+constexpr std::size_t kBatchSizes[] = {0, 1, 7, 16, 17, 31, 257};
+
 template <typename Model>
 void expect_batch_matches_scalar(const Model& model,
                                  const data::DataMatrix& queries,
@@ -213,11 +217,15 @@ void expect_batch_matches_scalar(const Model& model,
     ASSERT_EQ(batch[r], model.predict(queries.row(r)))
         << what << " row " << r;
   }
-  // The raw row-major span overload is the same code path.
-  std::vector<double> raw(queries.rows());
-  model.predict_batch(queries.features(), raw);
-  for (std::size_t r = 0; r < queries.rows(); ++r) {
-    ASSERT_EQ(raw[r], batch[r]) << what << " row " << r;
+  // The raw row-major span overload is the same code path, over prefixes.
+  const auto nf = static_cast<std::size_t>(queries.cols());
+  for (const std::size_t n : kBatchSizes) {
+    ASSERT_LE(n, queries.rows());
+    std::vector<double> raw(n);
+    model.predict_batch(queries.features().first(n * nf), raw);
+    for (std::size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(raw[r], batch[r]) << what << " batch " << n << " row " << r;
+    }
   }
 }
 
@@ -355,16 +363,17 @@ data::DataMatrix edge_queries(Rng& rng, std::size_t cols,
   return m;
 }
 
-// Compared as bit patterns, so even the sign of a zero must match: the
-// kernel reproduces the reference bit for bit. Batch sizes 0, 1, 7 and 257 run the kernel over
-// prefixes of the queries; predict() is checked on every row.
+// Compared as bit patterns, so even the sign of a zero must match: both
+// kernels reproduce the reference bit for bit. kBatchSizes run
+// predict_batch over prefixes of the queries; predict() is checked on
+// every row.
 template <typename Model>
 void expect_kernel_matches_reference(const Model& model,
                                      const data::DataMatrix& queries,
                                      const char* what) {
   model.flat().validate();
   const auto nf = static_cast<std::size_t>(queries.cols());
-  for (const std::size_t n : {0u, 1u, 7u, 257u}) {
+  for (const std::size_t n : kBatchSizes) {
     ASSERT_LE(n, queries.rows());
     std::vector<double> out(n, 42.0);
     model.predict_batch(queries.features().first(n * nf), out);
@@ -381,6 +390,16 @@ void expect_kernel_matches_reference(const Model& model,
                   reference_walk(model, queries.row(r))))
         << what << " row " << r;
   }
+}
+
+// Whether this CPU runs FlatEnsemble's 16-row scan (AVX-512F and CD).
+bool host_scans() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512cd");
+#else
+  return false;
+#endif
 }
 
 std::string saved(const tree::DecisionTree& t) {
@@ -413,6 +432,10 @@ TEST(PackedKernelProperty, MatchesNodeWalkReferenceForEveryTreeModel) {
   fc.tree_params = params;
   forest::RandomForest rf;
   rf.fit(cls_train, tree::Task::kClassification, fc);
+  // Depth 6 keeps every member within the scan's 64 leaves.
+  fc.tree_params.max_depth = 6;
+  forest::RandomForest shallow;
+  shallow.fit(cls_train, tree::Task::kClassification, fc);
   forest::AdaBoostConfig ac;
   ac.n_rounds = 8;
   forest::AdaBoost ab;
@@ -423,6 +446,7 @@ TEST(PackedKernelProperty, MatchesNodeWalkReferenceForEveryTreeModel) {
   collect_thresholds(rt, thresholds);
   for (std::size_t m = 0; m < rf.tree_count(); ++m) {
     collect_thresholds(rf.member_tree(m), thresholds);
+    collect_thresholds(shallow.member_tree(m), thresholds);
   }
   for (const auto& m : ab.members()) collect_thresholds(m.tree, thresholds);
   const auto queries = edge_queries(rng, cols, thresholds);
@@ -430,7 +454,12 @@ TEST(PackedKernelProperty, MatchesNodeWalkReferenceForEveryTreeModel) {
   expect_kernel_matches_reference(ct, queries, "CT");
   expect_kernel_matches_reference(rt, queries, "RT");
   expect_kernel_matches_reference(rf, queries, "RandomForest");
+  expect_kernel_matches_reference(shallow, queries, "RandomForest depth 6");
   expect_kernel_matches_reference(ab, queries, "AdaBoost");
+  // One tree always walks; these ensembles take the scan where it exists.
+  EXPECT_TRUE(ct.flat().scan_splits().empty());
+  EXPECT_EQ(shallow.flat().scan_splits().empty(), !host_scans());
+  EXPECT_EQ(ab.flat().scan_splits().empty(), !host_scans());
 }
 
 // A node list as a persisted tree file, written without from_nodes so it
@@ -521,6 +550,75 @@ TEST(PackedKernelProperty, StumpsMatchTheReferenceAndDagsAreRejected) {
   expect_kernel_matches_reference(small, queries, "small tree");
   expect_kernel_matches_reference(rf, queries, "forest with stump member");
   expect_kernel_matches_reference(ab, queries, "AdaBoost with stump member");
+}
+
+// A tree with `leaves` leaves, split roughly in half at every node, in
+// the children-after-parent order from_nodes takes. Thresholds come from
+// `cuts` (±0 among them) and leaf values are distinct, so a wrong exit
+// leaf shows in the sum.
+void grow_tree(std::vector<tree::Node>& nodes, std::uint32_t leaves,
+               std::uint32_t depth, const std::vector<float>& cuts,
+               Rng& rng) {
+  tree::Node n;
+  if (leaves == 1) {
+    n.value = static_cast<double>(nodes.size()) * 0.125 - 1.0;
+    nodes.push_back(n);
+    return;
+  }
+  const std::size_t at = nodes.size();
+  n.feature = static_cast<std::int32_t>(depth % 3);
+  n.threshold = cuts[rng.uniform_int(cuts.size())];
+  nodes.push_back(n);
+  nodes[at].left = static_cast<std::int32_t>(nodes.size());
+  grow_tree(nodes, leaves / 2, depth + 1, cuts, rng);
+  nodes[at].right = static_cast<std::int32_t>(nodes.size());
+  grow_tree(nodes, leaves - leaves / 2, depth + 1, cuts, rng);
+}
+
+TEST(PackedKernelProperty, ScanAndWalkAgreeAtTheLeafLimitAndEdges) {
+  Rng rng(51);
+  const std::vector<float> cuts{-0.5f, -0.0f, 0.0f, 0.25f, 0.5f, 1.0f};
+  const auto tree_of = [&](std::uint32_t leaves) {
+    std::vector<tree::Node> nodes;
+    grow_tree(nodes, leaves, 0, cuts, rng);
+    return tree::DecisionTree::from_nodes(std::move(nodes),
+                                          tree::Task::kRegression, 3);
+  };
+  const auto forest_of = [&](const std::vector<tree::DecisionTree>& trees) {
+    std::string text = "hddpred-forest v1\nfeatures 3\ntrees " +
+                       std::to_string(trees.size()) + "\n";
+    for (std::size_t m = 0; m < trees.size(); ++m) {
+      text += m % 2 == 0 ? "subspace 0 1 2\n" : "subspace 2 0 1\n";
+      text += saved(trees[m]);
+    }
+    std::istringstream is(text);
+    return forest::RandomForest::load(is);
+  };
+  const auto small = tree_of(5);
+  // 64 leaves fill a member's leaf set: the scan runs. One more and the
+  // whole forest walks.
+  const auto at_limit = forest_of({small, tree_of(64), tree_of(9)});
+  const auto over_limit = forest_of({small, tree_of(65), tree_of(9)});
+  EXPECT_EQ(at_limit.flat().scan_splits().empty(), !host_scans());
+  EXPECT_TRUE(over_limit.flat().scan_splits().empty());
+
+  // AdaBoost with Σalpha < 0 and Σalpha == 0 scores 0 on every row.
+  const auto negative = forest::AdaBoost::from_members(
+      {{small, 0.5}, {tree_of(64), -0.75}});
+  const auto zero_sum = forest::AdaBoost::from_members(
+      {{tree_of(7), 0.5}, {small, -0.5}});
+  EXPECT_EQ(negative.flat().scan_splits().empty(), !host_scans());
+
+  // Every row value on a threshold, ±0 among them, plus NaN and ±inf.
+  const auto queries = edge_queries(rng, 3, cuts);
+  expect_kernel_matches_reference(at_limit, queries, "64-leaf member");
+  expect_kernel_matches_reference(over_limit, queries, "65-leaf member");
+  expect_kernel_matches_reference(negative, queries, "AdaBoost sum < 0");
+  expect_kernel_matches_reference(zero_sum, queries, "AdaBoost sum == 0");
+  for (std::size_t r = 0; r < queries.rows(); ++r) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(negative.predict(queries.row(r))),
+              std::bit_cast<std::uint64_t>(0.0));
+  }
 }
 
 TEST(BatchPredictProperty, EmptyBatchIsNoop) {

@@ -5,9 +5,11 @@
 // promoted generation fleet-wide, guardrail rejections leaving the
 // incumbent untouched, the shadow-then-promote deferral, and
 // ShardEngine::resume()'s generation reconciliation after a promotion that
-// only reached a subset of shards (the crash-mid-promotion heal).
+// only reached a subset of shards (the crash-mid-promotion heal), and a
+// promotion that fails partway dropping its candidate's shadow.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -21,6 +23,7 @@
 #include "core/predictor.h"
 #include "core/runtime.h"
 #include "core/swappable.h"
+#include "io/env.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "serve/client.h"
@@ -353,6 +356,89 @@ TEST_F(RetrainLoopTest, TickAndRunCycleAgreeOnTheSameJournal) {
     EXPECT_EQ(loop_reg.gauge("hdd_pipeline_generation", "").value(),
               pipe_reg.gauge("hdd_pipeline_generation", "").value());
   }
+}
+
+// Fails every fsync of shard 1's journal files while `armed` is set: a
+// generation record's append makes it that far and then throws.
+class ShardOneSyncFails final : public io::EnvWrapper {
+ public:
+  ShardOneSyncFails() : io::EnvWrapper(io::Env::posix()) {}
+
+  io::IoStatus new_append_file(const std::string& path, bool truncate,
+                               std::unique_ptr<io::File>& out) override {
+    io::IoStatus s = target().new_append_file(path, truncate, out);
+    if (s.ok() && path.find("shard-1") != std::string::npos) {
+      out = std::make_unique<Failing>(std::move(out), &armed);
+    }
+    return s;
+  }
+
+  std::atomic<bool> armed{false};
+
+ private:
+  class Failing final : public io::File {
+   public:
+    Failing(std::unique_ptr<io::File> inner, const std::atomic<bool>* armed)
+        : inner_(std::move(inner)), armed_(armed) {}
+    io::IoStatus append(std::string_view data) override {
+      return inner_->append(data);
+    }
+    io::IoStatus flush() override { return inner_->flush(); }
+    io::IoStatus sync() override {
+      if (armed_->load()) {
+        return io::IoStatus::permanent_error("injected fsync failure");
+      }
+      return inner_->sync();
+    }
+    io::IoStatus close() override { return inner_->close(); }
+    void abandon() override { inner_->abandon(); }
+
+   private:
+    std::unique_ptr<io::File> inner_;
+    const std::atomic<bool>* armed_;
+  };
+};
+
+TEST_F(RetrainLoopTest, FailedPromotionDropsTheShadow) {
+  obs::Registry reg;
+  ShardOneSyncFails env;
+  ShardEngineConfig ec = engine_config(2, &reg);
+  ec.runtime.store.env = &env;
+  ShardEngine engine(ec);
+  ServeOptions so;
+  so.metrics = &reg;
+  Server server(engine, so);
+  server.start();
+
+  RetrainLoopConfig lc;
+  lc.pipeline = pipeline_config(&reg);
+  lc.pipeline.min_shadow_samples = 50;
+  lc.failed_pool = failure_pool();
+  RetrainLoop loop(engine, server, std::move(lc));
+
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  ingest_goods(client, 0, kWeek);
+  ASSERT_EQ(loop.tick(/*force=*/true).outcome, pipeline::Outcome::kSkipped);
+  ASSERT_TRUE(loop.shadowing());
+  for (std::size_t k = 0; k < engine.shard_count(); ++k) {
+    ASSERT_TRUE(engine.shard(k).fleet().has_shadow()) << "shard " << k;
+  }
+
+  // Shard 0 journals the generation; shard 1's record fails to sync.
+  env.armed = true;
+  EXPECT_THROW((void)loop.tick(/*force=*/true), DataError);
+  env.armed = false;
+  EXPECT_FALSE(loop.shadowing());
+  EXPECT_EQ(engine.model_stats().generation, 0u);
+  for (std::size_t k = 0; k < engine.shard_count(); ++k) {
+    EXPECT_FALSE(engine.shard(k).fleet().has_shadow()) << "shard " << k;
+  }
+  // Live traffic is no longer shadow-scored by the abandoned candidate.
+  const std::uint64_t shadowed = client.stats().shadow_samples;
+  ingest_goods(client, kWeek, kWeek + 10);
+  EXPECT_EQ(client.stats().shadow_samples, shadowed);
+  server.stop();
 }
 
 TEST_F(RetrainLoopTest, ResumeReconcilesPartialPromotion) {

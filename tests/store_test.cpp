@@ -813,6 +813,39 @@ TEST_F(StoreTest, SnapshotToProducesIndependentStore) {
   fs::remove_all(snap_dir);
 }
 
+// Compaction encodes its frames in place into one buffer; the segment it
+// writes is byte for byte the header plus frame_record(encode_*_record())
+// of every drive, the generation and each kept sample, in journal order.
+// 3 drives x 600 hours of 61-byte frames cross the 64 KiB write chunk.
+TEST_F(StoreTest, CompactedSegmentMatchesFramesBuiltOneByOne) {
+  const auto snap_dir = dir_.string() + "_bytes";
+  fs::remove_all(snap_dir);
+  const std::vector<std::string> serials{"A", "WD-LONGER-SERIAL-01", "C"};
+  std::string expected = encode_segment_header(1, kSegCompacted);
+  for (std::uint32_t id = 0; id < serials.size(); ++id) {
+    expected += frame_record(encode_drive_record(id, serials[id]));
+  }
+  expected += frame_record(encode_generation_record(3, "model text"));
+  {
+    TelemetryStore store(dir());
+    for (const std::string& serial : serials) store.register_drive(serial);
+    store.append_generation(3, "model text");
+    for (std::int64_t h = 0; h < 600; ++h) {
+      for (std::uint32_t id = 0; id < serials.size(); ++id) {
+        const auto s = make_sample(h, static_cast<float>(id));
+        store.append(id, s);
+        if (h >= 100) expected += frame_record(encode_sample_record(id, s));
+      }
+    }
+    store.flush();
+    const auto r = store.snapshot_to(snap_dir, 100);
+    EXPECT_EQ(r.kept, 1500u);
+  }
+  EXPECT_GT(expected.size(), std::size_t{1} << 16);
+  EXPECT_EQ(read_bytes(fs::path(snap_dir) / "seg-00000001.log"), expected);
+  fs::remove_all(snap_dir);
+}
+
 // --- One read path: read_window agrees with read_drive --------------------
 
 bool same_samples(const std::vector<smart::Sample>& a,
