@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -147,21 +148,38 @@ void BM_TreePredictBatch(benchmark::State& state) {
 BENCHMARK(BM_TreePredictBatch);
 
 // The forest preset (40 trees over the CT settings) as it is deployed:
-// trained on a simulated family-W fleet and scored over that fleet's
-// feature rows in the fleet engine's block shape — 256-row predict_batch
-// calls on one thread. (A forest fit to make_training_matrix's diagonal
-// boundary grows trees many times deeper than the preset's.)
+// trained on a simulated family-W fleet, with that fleet's training rows
+// to score. (A forest fit to make_training_matrix's diagonal boundary
+// grows trees many times deeper than the preset's.) Trained once per
+// process.
+struct ForestFixture {
+  std::unique_ptr<core::FailurePredictor> predictor;
+  data::DataMatrix rows;
+};
+
+const ForestFixture& forest_fixture() {
+  static const ForestFixture fixture = [] {
+    sim::FleetConfig fleet;
+    fleet.observation_weeks = 3;
+    fleet.families.push_back({sim::family_w_profile(), 400, 60});
+    const auto ds = sim::generate_fleet_window(fleet, 0, 3);
+    const auto split = data::split_dataset(ds, {});
+    const core::PredictorConfig config = core::forest_config();
+    ForestFixture f;
+    f.predictor = std::make_unique<core::FailurePredictor>(config);
+    f.predictor->fit(ds, split);
+    f.rows = data::build_training_matrix(ds, split, config.training);
+    return f;
+  }();
+  return fixture;
+}
+
+// The forest over its fleet's rows in the fleet engine's block shape:
+// 256-row predict_batch calls on one thread.
 void BM_ForestPredictBatch(benchmark::State& state) {
-  sim::FleetConfig fleet;
-  fleet.observation_weeks = 3;
-  fleet.families.push_back({sim::family_w_profile(), 400, 60});
-  const auto ds = sim::generate_fleet_window(fleet, 0, 3);
-  const auto split = data::split_dataset(ds, {});
-  const core::PredictorConfig config = core::forest_config();
-  core::FailurePredictor predictor(config);
-  predictor.fit(ds, split);
-  const core::SampleScorer& model = predictor.scorer();
-  const auto m = data::build_training_matrix(ds, split, config.training);
+  const ForestFixture& f = forest_fixture();
+  const core::SampleScorer& model = f.predictor->scorer();
+  const data::DataMatrix& m = f.rows;
   const auto nf = static_cast<std::size_t>(m.cols());
   const std::size_t block = core::FleetScorerConfig{}.block_rows;
   std::vector<double> out(m.rows());
@@ -269,6 +287,42 @@ void BM_FleetIntervalBatched(benchmark::State& state) {
   run_fleet_interval(state, core::FleetScorerConfig{}.block_rows);
 }
 BENCHMARK(BM_FleetIntervalBatched)->Arg(10000)->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+// One interval of the forest preset: FleetScorer::observe_interval over a
+// snapshot whose row i is the forest fixture's row i mod its row count, on
+// a single-worker pool, so predict and vote per row are one same-session
+// number.
+void BM_FleetIntervalForest(benchmark::State& state) {
+  const auto n_drives = static_cast<std::size_t>(state.range(0));
+  const ForestFixture& f = forest_fixture();
+  const auto nf = static_cast<std::size_t>(f.rows.cols());
+  std::vector<float> snapshot;
+  snapshot.reserve(n_drives * nf);
+  for (std::size_t i = 0; i < n_drives; ++i) {
+    const auto row = f.rows.row(i % f.rows.rows());
+    snapshot.insert(snapshot.end(), row.begin(), row.end());
+  }
+  obs::Registry metrics;
+  ThreadPool pool(1, &metrics);
+  core::FleetScorerConfig cfg;
+  cfg.features = f.predictor->config().training.features;
+  cfg.vote = never_alarm_vote();
+  cfg.pool = &pool;
+  cfg.metrics = &metrics;
+  core::FleetScorer fleet(f.predictor->scorer(), cfg);
+  for (std::size_t i = 0; i < n_drives; ++i) {
+    fleet.add_drive(std::to_string(i));
+  }
+  std::int64_t hour = 0;
+  for (auto _ : state) {
+    fleet.observe_interval(snapshot, hour);
+    ++hour;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n_drives));
+}
+BENCHMARK(BM_FleetIntervalForest)->Arg(10000)->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 // End-to-end record replay (feature extraction + scoring + voting) through

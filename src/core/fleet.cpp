@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 #include <utility>
 
 #include "common/error.h"
@@ -19,7 +18,7 @@ FleetScorer::FleetScorer(const SampleScorer& scorer, FleetScorerConfig config)
   HDD_REQUIRE(config_.features.size() == scorer_->num_features(),
               "fleet feature set width must match the model");
   HDD_REQUIRE(config_.block_rows >= 1, "block_rows must be >= 1");
-  HDD_REQUIRE(config_.vote.voters >= 1, "voters must be >= 1");
+  eval::VoteWindow::check(config_.vote);
   HDD_REQUIRE(config_.history_hours >= 0, "history_hours must be >= 0");
   if (config_.history_hours > 0) {
     history_hours_ = config_.history_hours;
@@ -88,11 +87,11 @@ FleetScorer::ScoreCtx FleetScorer::make_ctx(bool live) {
   // installed candidate starts from cold voting windows.
   if (ctx.shadow_pin->epoch != shadow_epoch_seen_) {
     shadow_epoch_seen_ = ctx.shadow_pin->epoch;
-    shadow_states_.assign(states_.size(),
-                          eval::DriveVoteState(config_.vote));
-  } else if (shadow_states_.size() < states_.size()) {
-    shadow_states_.resize(states_.size(),
-                          eval::DriveVoteState(config_.vote));
+    shadow_windows_.assign(windows_.size(), {});
+    shadow_rings_.assign(rings_.size(), 0.0f);
+  } else if (shadow_windows_.size() < windows_.size()) {
+    shadow_windows_.resize(windows_.size());
+    shadow_rings_.resize(rings_.size());
   }
   ctx.shadow = ctx.shadow_pin->model.get();
   return ctx;
@@ -126,9 +125,12 @@ void FleetScorer::shadow_push(std::size_t i, std::int64_t hour,
   const bool p_fail = static_cast<float>(primary_output) < 0.0f;
   const bool s_fail = static_cast<float>(shadow_output) < 0.0f;
   if (p_fail != s_fail) ++tally.divergence;
-  const bool shadow_raised = shadow_states_[i].push(hour, shadow_output);
-  if (shadow_states_[i].current_decision() !=
-      states_[i].current_decision()) {
+  const bool shadow_raised =
+      shadow_windows_[i]
+          .push(config_.vote, ring(shadow_rings_, i), hour, shadow_output)
+          .raised;
+  if (shadow_windows_[i].current_decision() !=
+      windows_[i].current_decision()) {
     ++tally.vote_flips;
   }
   if (shadow_raised != primary_raised) ++tally.alarm_delta;
@@ -165,6 +167,12 @@ ThreadPool& FleetScorer::pool() const {
   return config_.pool ? *config_.pool : ThreadPool::global();
 }
 
+std::span<float> FleetScorer::ring(std::vector<float>& rings,
+                                   std::size_t i) const {
+  const auto n = static_cast<std::size_t>(config_.vote.voters);
+  return {rings.data() + i * n, n};
+}
+
 std::size_t FleetScorer::add_drive(std::string serial) {
   // Journal first: a registration that throws leaves no drive behind.
   if (journal_ != nullptr) {
@@ -174,27 +182,24 @@ std::size_t FleetScorer::add_drive(std::string serial) {
   rec.serial = serial;
   history_.push_back(std::move(rec));
   serials_.push_back(std::move(serial));
-  states_.emplace_back(config_.vote);
-  states_.back().set_metrics(m_vote_transitions_, m_alarms_);
-  return states_.size() - 1;
+  windows_.emplace_back();
+  rings_.resize(rings_.size() + static_cast<std::size_t>(config_.vote.voters));
+  return windows_.size() - 1;
 }
 
 void FleetScorer::observe_interval(std::span<const float> xs,
                                    std::int64_t hour) {
   const auto nf = static_cast<std::size_t>(scorer_->num_features());
-  HDD_REQUIRE(xs.size() == states_.size() * nf,
+  HDD_REQUIRE(xs.size() == windows_.size() * nf,
               "snapshot must hold one feature row per registered drive");
-  const std::size_t n = states_.size();
-  if (n == 0) return;
+  if (windows_.empty()) return;
   const obs::ScopedSpan span("fleet.observe_interval", m_batch_latency_);
-  rows_.resize(n);
-  std::iota(rows_.begin(), rows_.end(), std::size_t{0});
-  score(make_ctx(/*live=*/true), rows_, {}, xs, hour);
+  score(make_ctx(/*live=*/true), {}, {}, xs, hour);
 }
 
 void FleetScorer::observe_interval(const data::DataMatrix& m,
                                    std::int64_t hour) {
-  HDD_REQUIRE(m.rows() == states_.size(),
+  HDD_REQUIRE(m.rows() == windows_.size(),
               "snapshot must hold one row per registered drive");
   HDD_REQUIRE(m.cols() == scorer_->num_features(),
               "snapshot width must match the model");
@@ -228,7 +233,7 @@ FleetScorer::Intake& FleetScorer::begin_intake() {
   intake_.kept.clear();
   for (const Intake::Run& r : intake_.runs) intake_.run_of[r.drive] = 0;
   intake_.runs.clear();
-  intake_.run_of.resize(states_.size(), 0);
+  intake_.run_of.resize(windows_.size(), 0);
   return intake_;
 }
 
@@ -320,9 +325,9 @@ void FleetScorer::journal_failure(const std::string& what) {
 
 FleetScorer::IngestResult FleetScorer::observe_samples(
     std::span<const smart::Sample> samples, std::int64_t hour) {
-  HDD_REQUIRE(samples.size() == states_.size(),
+  HDD_REQUIRE(samples.size() == windows_.size(),
               "interval must hold one sample per registered drive");
-  const std::size_t n = states_.size();
+  const std::size_t n = windows_.size();
   if (n == 0) return {};
   for (std::size_t i = 0; i < n; ++i) {
     HDD_REQUIRE(samples[i].hour == hour,
@@ -358,7 +363,7 @@ FleetScorer::IngestResult FleetScorer::ingest_runs(
     std::span<const DriveRun> runs) {
   std::size_t n = 0;
   for (const DriveRun& r : runs) {
-    HDD_REQUIRE(r.drive < states_.size(), "ingest for an unregistered drive");
+    HDD_REQUIRE(r.drive < windows_.size(), "ingest for an unregistered drive");
     n += r.samples.size();
   }
   if (n == 0) return {};
@@ -404,6 +409,9 @@ void FleetScorer::score(const ScoreCtx& ctx,
   const std::size_t n = precomputed ? xs.size() / nf : samples.size();
   const std::size_t block = config_.block_rows;
   const bool one_drive = drives.size() == 1;
+  const auto drive_of = [&](std::size_t k) {
+    return drives.empty() ? k : drives[one_drive ? 0 : k];
+  };
   m_samples_scored_->inc(n);
   const auto score_block = [&](std::size_t b) {
     // Per-thread buffers: pool workers and serve shard threads reuse them
@@ -421,7 +429,7 @@ void FleetScorer::score(const ScoreCtx& ctx,
     } else {
       buf.x.clear();
       for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t i = drives[one_drive ? 0 : k];
+        const std::size_t i = drive_of(k);
         push_history(i, samples[k]);
         const std::size_t last = history_[i].samples.size() - 1;
         smart::extract_features_block(history_[i], last, last + 1,
@@ -437,17 +445,25 @@ void FleetScorer::score(const ScoreCtx& ctx,
     }
     // No early exit at an alarm: history must stay current through the
     // whole run so later feature rows match an uninterrupted run (push()
-    // is a no-op once alarmed).
+    // is a no-op once alarmed). Vote flips and alarms reach their
+    // counters once per block.
     ShadowTally tally;
+    std::uint64_t flips = 0;
+    std::uint64_t alarms = 0;
     for (std::size_t k = lo; k < hi; ++k) {
-      const std::size_t i = drives[one_drive ? 0 : k];
+      const std::size_t i = drive_of(k);
       const std::int64_t h = precomputed ? hour : samples[k].hour;
       const double o = buf.out[k - lo];
-      const bool raised = states_[i].push(h, o);
+      const eval::VoteWindow::Pushed pushed =
+          windows_[i].push(config_.vote, ring(rings_, i), h, o);
+      flips += pushed.flipped ? 1 : 0;
+      alarms += pushed.raised ? 1 : 0;
       if (ctx.shadow != nullptr) {
-        shadow_push(i, h, buf.shadow_out[k - lo], o, raised, tally);
+        shadow_push(i, h, buf.shadow_out[k - lo], o, pushed.raised, tally);
       }
     }
+    if (flips > 0) m_vote_transitions_->inc(flips);
+    if (alarms > 0) m_alarms_->inc(alarms);
     flush_shadow(tally);
   };
   const std::size_t n_blocks = (n + block - 1) / block;
@@ -464,12 +480,12 @@ void FleetScorer::score(const ScoreCtx& ctx,
 FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
                                                    bool drop_partial_tail) {
   const std::size_t n_store = store.drive_count();
-  if (states_.empty()) {
+  if (windows_.empty()) {
     for (std::uint32_t id = 0; id < n_store; ++id) {
       add_drive(store.drive(id).serial);
     }
   } else {
-    HDD_REQUIRE(states_.size() == n_store,
+    HDD_REQUIRE(windows_.size() == n_store,
                 "registry size must match the store");
     for (std::uint32_t id = 0; id < n_store; ++id) {
       HDD_REQUIRE(serials_[id] == store.drive(id).serial,
@@ -526,20 +542,20 @@ FleetScorer::ResumeResult FleetScorer::resume_from(store::TelemetryStore& store,
 
 std::size_t FleetScorer::alarm_count() const {
   std::size_t n = 0;
-  for (const eval::DriveVoteState& s : states_) n += s.alarmed() ? 1 : 0;
+  for (const eval::VoteWindow& w : windows_) n += w.alarmed() ? 1 : 0;
   return n;
 }
 
 std::vector<std::size_t> FleetScorer::alarmed_drives() const {
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (states_[i].alarmed()) out.push_back(i);
+  for (std::size_t i = 0; i < windows_.size(); ++i) {
+    if (windows_[i].alarmed()) out.push_back(i);
   }
   return out;
 }
 
 void FleetScorer::reset() {
-  for (eval::DriveVoteState& s : states_) s.reset();
+  for (eval::VoteWindow& w : windows_) w.reset();
   for (smart::DriveRecord& h : history_) h.samples.clear();
 }
 

@@ -8,7 +8,7 @@
 //    row per drive per interval (observe_interval). The engine scores the
 //    snapshot through SampleScorer::predict_batch in row blocks spread over
 //    the thread pool, and advances a per-drive incremental voting window
-//    (eval::DriveVoteState) — detection never rescans a drive's history.
+//    (eval::VoteWindow) — detection never rescans a drive's history.
 //  * Journaled streaming: attach a store::TelemetryStore and feed raw SMART
 //    samples, a fleet interval at a time (observe_samples) or as drive runs
 //    on their own clocks (ingest_runs; ingest_drive is its one-run call).
@@ -19,8 +19,8 @@
 //    raises byte-identical alarms.
 //
 // Offline evaluation (eval::vote_drive) pushes whole DriveRecords' outputs
-// through the same eval::DriveVoteState, so paper FDR/FAR/TIA and live
-// alarms come from one window implementation.
+// through the same eval::VoteWindow::push, so paper FDR/FAR/TIA and live
+// alarms come from one voting rule.
 #pragma once
 
 #include <atomic>
@@ -89,8 +89,8 @@ struct DriveRun {
   std::span<const smart::Sample> samples;
 };
 
-// The voting window is eval::DriveVoteState (eval/detection.h). This alias
-// exists only because perfbench/ names core::DriveVoteState.
+// One drive's vote with its own ring (eval/detection.h). This alias exists
+// only because perfbench/ names core::DriveVoteState.
 using DriveVoteState = eval::DriveVoteState;
 
 class FleetScorer {
@@ -104,11 +104,9 @@ class FleetScorer {
 
   // Registers a drive; returns its fleet index.
   std::size_t add_drive(std::string serial);
-  std::size_t size() const { return states_.size(); }
+  std::size_t size() const { return windows_.size(); }
   const std::string& serial(std::size_t i) const { return serials_[i]; }
-  const eval::DriveVoteState& state(std::size_t i) const {
-    return states_[i];
-  }
+  const eval::VoteWindow& state(std::size_t i) const { return windows_[i]; }
 
   // Scores one interval snapshot: row i of the row-major block (or matrix)
   // is drive i's current feature row. Batched + parallel; per-drive voting
@@ -283,6 +281,8 @@ class FleetScorer {
                    ShadowTally& tally);
 
   ThreadPool& pool() const;
+  // Drive i's ring in `rings` (rings_ or shadow_rings_).
+  std::span<float> ring(std::vector<float>& rings, std::size_t i) const;
   void push_history(std::size_t i, const smart::Sample& sample);
 
   // The intake step (see observe_samples): filters, quarantines and
@@ -299,9 +299,10 @@ class FleetScorer {
 
   // The scoring step: pushes rows through the pinned incumbent (and
   // shadow) in blocks of block_rows and advances voting. Row k belongs to
-  // drive drives[k] — or drives[0] for every row, for one drive's run — and
-  // is samples[k] (pushed into history, features extracted here) or, when
-  // `xs` is non-empty, row k of the precomputed row-major `xs` at `hour`.
+  // drive drives[k] — or drives[0] for every row, for one drive's run, or
+  // drive k when `drives` is empty — and is samples[k] (pushed into
+  // history, features extracted here) or, when `xs` is non-empty, row k of
+  // the precomputed row-major `xs` at `hour`.
   // Rows of distinct drives are scored in parallel blocks; one drive's run
   // in order. Concurrent calls must cover disjoint drives.
   void score(const ScoreCtx& ctx, std::span<const std::size_t> drives,
@@ -326,8 +327,11 @@ class FleetScorer {
   std::uint64_t quarantined_ = 0;
   std::uint64_t journal_failures_ = 0;
   std::vector<std::string> serials_;
-  std::vector<eval::DriveVoteState> states_;
-  std::vector<std::size_t> rows_;  // the drives one call scores
+  // Drive i votes through windows_[i] over the N outputs at
+  // rings_[i * N, (i + 1) * N).
+  std::vector<eval::VoteWindow> windows_;
+  std::vector<float> rings_;
+  std::vector<std::size_t> rows_;  // the drives one observe_samples scores
 
   // Shadow scoring state. The slot is the only cross-thread member
   // (controller installs, scoring calls pin); the voting states follow the
@@ -335,7 +339,8 @@ class FleetScorer {
   RcuSlot<const ShadowSlot> shadow_slot_;
   std::uint64_t shadow_installs_ = 0;  // controller-side epoch source
   std::uint64_t shadow_epoch_seen_ = 0;
-  std::vector<eval::DriveVoteState> shadow_states_;
+  std::vector<eval::VoteWindow> shadow_windows_;
+  std::vector<float> shadow_rings_;
   std::atomic<std::uint64_t> sh_samples_{0};
   std::atomic<std::uint64_t> sh_divergence_{0};
   std::atomic<std::uint64_t> sh_vote_flips_{0};

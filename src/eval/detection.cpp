@@ -7,7 +7,6 @@
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
-#include "obs/metrics.h"
 
 namespace hdd::eval {
 
@@ -83,76 +82,25 @@ DriveScores score_record_batch(const smart::DriveRecord& drive,
   return s;
 }
 
+void VoteWindow::check(const VoteConfig& vote) {
+  HDD_REQUIRE(vote.voters >= 1, "voters must be >= 1");
+  HDD_REQUIRE(vote.voters <= 65535, "voters must be <= 65535");
+}
+
+bool VoteWindow::finish(const VoteConfig& vote, std::int64_t last_hour) {
+  if (alarmed() || filled_ == 0 ||
+      filled_ >= static_cast<std::size_t>(vote.voters) ||
+      !current_decision()) {
+    return false;
+  }
+  flags_ |= kAlarmed;
+  alarm_hour_ = last_hour;
+  return true;
+}
+
 DriveVoteState::DriveVoteState(const VoteConfig& vote) : vote_(vote) {
-  HDD_REQUIRE(vote_.voters >= 1, "voters must be >= 1");
+  VoteWindow::check(vote_);
   ring_.assign(static_cast<std::size_t>(vote_.voters), 0.0f);
-}
-
-bool DriveVoteState::decide(std::size_t window) const {
-  if (vote_.average_mode) {
-    return output_sum_ / static_cast<double>(window) < vote_.threshold;
-  }
-  return static_cast<double>(failed_votes_) >
-         static_cast<double>(window) / 2.0;
-}
-
-void DriveVoteState::raise_alarm(std::int64_t hour) {
-  alarmed_ = true;
-  alarm_hour_ = hour;
-  if (alarms_counter_ != nullptr) alarms_counter_->inc();
-}
-
-bool DriveVoteState::push(std::int64_t hour, double output) {
-  if (alarmed_) return false;
-  ++seen_;
-  // Outputs round through float exactly as DriveScores stores them, so
-  // streaming and offline decisions match bit for bit.
-  const float v = static_cast<float>(output);
-  const bool failed_vote = v < 0.0f;
-  if (seen_ > 1 && failed_vote != last_vote_failed_ &&
-      transitions_counter_ != nullptr) {
-    transitions_counter_->inc();
-  }
-  last_vote_failed_ = failed_vote;
-  const std::size_t want = ring_.size();
-  const bool full = filled_ == want;
-  const float old = ring_[head_];  // the evicted output when full
-  ring_[head_] = v;
-  head_ = (head_ + 1) % want;
-  // Add the new output before subtracting the evicted one: in average mode
-  // the order decides the rounding of the running sum.
-  if (failed_vote) ++failed_votes_;
-  output_sum_ += v;
-  if (!full) {
-    ++filled_;
-    if (filled_ < want) return false;  // decisions start at a full window
-  } else {
-    if (old < 0.0f) --failed_votes_;
-    output_sum_ -= old;
-  }
-  if (decide(want)) {
-    raise_alarm(hour);
-    return true;
-  }
-  return false;
-}
-
-bool DriveVoteState::finish(std::int64_t last_hour) {
-  if (alarmed_ || filled_ == 0 || filled_ >= ring_.size()) return false;
-  if (decide(filled_)) {
-    raise_alarm(last_hour);
-    return true;
-  }
-  return false;
-}
-
-void DriveVoteState::reset() {
-  head_ = filled_ = failed_votes_ = 0;
-  output_sum_ = 0.0;
-  seen_ = 0;
-  alarm_hour_ = -1;
-  alarmed_ = false;
-  last_vote_failed_ = false;
 }
 
 DriveOutcome vote_drive(const DriveScores& scores, const VoteConfig& config) {

@@ -23,10 +23,6 @@
 #include "data/split.h"
 #include "smart/features.h"
 
-namespace hdd::obs {
-class Counter;
-}
-
 namespace hdd::eval {
 
 // Sample-level model: scores `out.size()` row-major feature rows in one
@@ -86,24 +82,39 @@ struct DriveOutcome {
   std::int64_t alarm_hour = -1;
 };
 
-// The voting rule, advanced one model output at a time over a ring buffer
-// of the last N outputs. Offline evaluation (vote_drive) and the streaming
-// core::FleetScorer both vote through this class.
-class DriveVoteState {
+// The voting rule's state for one drive: the running sum and failed-vote
+// count of the last N outputs, the ring's head and fill, and the alarm
+// latch, in 32 bytes. The N outputs themselves live in a ring the caller
+// owns and passes to every push: DriveVoteState owns one, and
+// core::FleetScorer keeps all its drives' rings in one array, so a drive
+// costs 32 + 4N bytes there. push() is the one voting rule; offline
+// evaluation (vote_drive), the baselines and the streaming FleetScorer
+// all vote through it.
+class VoteWindow {
  public:
-  explicit DriveVoteState(const VoteConfig& vote);
+  // What one push did.
+  struct Pushed {
+    bool raised = false;   // this sample raised the drive's (first) alarm
+    bool flipped = false;  // its vote differs from the drive's previous one
+  };
 
-  // Feeds one model output; returns true exactly when this sample raises
-  // the drive's (first) alarm. No-op once alarmed. Decisions start once the
-  // window holds N samples.
-  bool push(std::int64_t hour, double output);
+  // Throws ConfigError unless 1 <= vote.voters <= 65535 (the window counts
+  // in 16 bits).
+  static void check(const VoteConfig& vote);
+
+  // Feeds one model output; `ring` is this drive's vote.voters outputs and
+  // holds whatever the previous push left in it. Raises the alarm when the
+  // window is full and votes failed. No-op once alarmed. The one voting
+  // rule.
+  Pushed push(const VoteConfig& vote, std::span<float> ring,
+              std::int64_t hour, double output);
 
   // Closes a record shorter than N: it votes once, over what it has, at
   // its last hour `last_hour`. Returns true when that raises the alarm;
   // no-op once alarmed or when the window ever filled.
-  bool finish(std::int64_t last_hour);
+  bool finish(const VoteConfig& vote, std::int64_t last_hour);
 
-  bool alarmed() const { return alarmed_; }
+  bool alarmed() const { return (flags_ & kAlarmed) != 0; }
   std::int64_t alarm_hour() const { return alarm_hour_; }
   std::int64_t samples_seen() const { return seen_; }
 
@@ -111,40 +122,97 @@ class DriveVoteState {
   // push() checks at a full window; short windows vote over what they
   // have), independent of the alarm latch. Shadow scoring compares the
   // incumbent's and candidate's verdicts sample by sample with this.
-  bool current_decision() const {
-    return filled_ > 0 && decide(std::min(filled_, ring_.size()));
-  }
+  bool current_decision() const { return (flags_ & kDecision) != 0; }
 
-  // Forgets all observations (keeps the configuration).
-  void reset();
-
-  // Optional instrumentation (core::FleetScorer wires these): `transitions`
-  // counts sample-level vote flips — consecutive model outputs of this
-  // drive crossing the failure threshold in either direction — and
-  // `alarms` counts the terminal healthy->alarmed transition. Counters
-  // are sharded atomics, so concurrent pushes from scoring blocks are
-  // safe.
-  void set_metrics(obs::Counter* transitions, obs::Counter* alarms) {
-    transitions_counter_ = transitions;
-    alarms_counter_ = alarms;
-  }
+  // Forgets all observations.
+  void reset() { *this = VoteWindow(); }
 
  private:
-  bool decide(std::size_t window) const;
-  void raise_alarm(std::int64_t hour);
+  static constexpr std::uint8_t kAlarmed = 1;
+  static constexpr std::uint8_t kLastVoteFailed = 2;  // the last push's vote
+  static constexpr std::uint8_t kDecision = 4;        // its window's verdict
 
-  VoteConfig vote_;
-  std::vector<float> ring_;  // last N outputs, circular
-  std::size_t head_ = 0;
-  std::size_t filled_ = 0;
-  std::size_t failed_votes_ = 0;
   double output_sum_ = 0.0;
   std::int64_t seen_ = 0;
-  bool alarmed_ = false;
   std::int64_t alarm_hour_ = -1;
-  bool last_vote_failed_ = false;
-  obs::Counter* transitions_counter_ = nullptr;
-  obs::Counter* alarms_counter_ = nullptr;
+  std::uint16_t head_ = 0;
+  std::uint16_t filled_ = 0;
+  std::uint16_t failed_votes_ = 0;
+  std::uint8_t flags_ = 0;
+};
+static_assert(sizeof(VoteWindow) == 32);
+
+// Defined here so that every voting loop inlines it.
+inline VoteWindow::Pushed VoteWindow::push(const VoteConfig& vote,
+                                           std::span<float> ring,
+                                           std::int64_t hour, double output) {
+  if (alarmed()) return {};
+  ++seen_;
+  // Outputs round through float exactly as DriveScores stores them, so
+  // streaming and offline decisions match bit for bit.
+  const float v = static_cast<float>(output);
+  const bool failed_vote = v < 0.0f;
+  Pushed pushed;
+  pushed.flipped =
+      seen_ > 1 && failed_vote != ((flags_ & kLastVoteFailed) != 0);
+  const std::size_t want = ring.size();
+  std::size_t filled = filled_;
+  std::size_t failed = failed_votes_ + (failed_vote ? 1u : 0u);
+  const float old = ring[head_];  // the evicted output when full
+  ring[head_] = v;
+  head_ = static_cast<std::uint16_t>(head_ + 1u == want ? 0u : head_ + 1u);
+  // Add the new output before subtracting the evicted one: in average mode
+  // the order decides the rounding of the running sum.
+  double sum = output_sum_ + v;
+  if (filled == want) {
+    failed -= old < 0.0f ? 1u : 0u;
+    sum -= old;
+  } else {
+    ++filled;
+  }
+  output_sum_ = sum;
+  filled_ = static_cast<std::uint16_t>(filled);
+  failed_votes_ = static_cast<std::uint16_t>(failed);
+  const bool decision =
+      vote.average_mode
+          ? sum / static_cast<double>(filled) < vote.threshold
+          : static_cast<double>(failed) > static_cast<double>(filled) / 2.0;
+  // Decisions start at a full window.
+  pushed.raised = decision && filled == want;
+  if (pushed.raised) alarm_hour_ = hour;
+  flags_ = static_cast<std::uint8_t>((failed_vote ? kLastVoteFailed : 0) |
+                                     (decision ? kDecision : 0) |
+                                     (pushed.raised ? kAlarmed : 0));
+  return pushed;
+}
+
+// A VoteWindow with its own configuration and ring: one drive's vote,
+// for callers that vote drive by drive (vote_drive, the baselines).
+class DriveVoteState {
+ public:
+  explicit DriveVoteState(const VoteConfig& vote);
+
+  // VoteWindow::push; returns true exactly when this sample raises the
+  // alarm. Decisions start once the window holds N samples.
+  bool push(std::int64_t hour, double output) {
+    return window_.push(vote_, ring_, hour, output).raised;
+  }
+  bool finish(std::int64_t last_hour) {
+    return window_.finish(vote_, last_hour);
+  }
+
+  bool alarmed() const { return window_.alarmed(); }
+  std::int64_t alarm_hour() const { return window_.alarm_hour(); }
+  std::int64_t samples_seen() const { return window_.samples_seen(); }
+  bool current_decision() const { return window_.current_decision(); }
+
+  // Forgets all observations (keeps the configuration).
+  void reset() { window_.reset(); }
+
+ private:
+  VoteConfig vote_;
+  std::vector<float> ring_;  // last N outputs, circular
+  VoteWindow window_;
 };
 
 // Applies the voting rule to one drive's scores: pushes each output into a

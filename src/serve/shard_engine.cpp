@@ -157,7 +157,7 @@ QueryResponse ShardEngine::query(const std::string& serial) const {
   const auto it = sh.index.find(serial);
   if (it == sh.index.end()) return res;
   const core::FleetScorer& fleet = sh.runtime->fleet();
-  const eval::DriveVoteState& state = fleet.state(it->second);
+  const eval::VoteWindow& state = fleet.state(it->second);
   res.known = true;
   res.alarmed = state.alarmed();
   res.alarm_hour = state.alarm_hour();

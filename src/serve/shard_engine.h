@@ -16,9 +16,10 @@
 // run) — opening a store laid out for more shards than configured is a
 // ConfigError, not silent re-routing.
 //
-// Per-drive memory is bounded: each drive holds one eval::DriveVoteState
-// ring (N voters) plus a history window trimmed to history_hours,
-// regardless of how many samples it ever ingested.
+// Per-drive memory is bounded: each drive holds one 32-byte
+// eval::VoteWindow and its N outputs in the fleet's ring array, plus a
+// history window trimmed to history_hours, regardless of how many samples
+// it ever ingested.
 #pragma once
 
 #include <cstdint>

@@ -12,11 +12,12 @@
 // Two kernels, one result. The walk descends each member per row. The
 // scan (ensembles of members with at most 64 leaves, on CPUs with
 // AVX-512F/CD) scores 16 rows at once: per feature it visits the splits
-// in ascending threshold order and clears, in each member's 64-bit leaf
-// set, the left subtree of every split a lane goes right at; the lowest
-// surviving leaf is the walk's exit leaf (QuickScorer, Lucchese et al.,
-// SIGIR 2015). Both sum the same leaves in member order and scale alike,
-// so their outputs are bit-identical.
+// in ascending threshold order and clears, in each member's leaf set, the
+// left subtree of every split a lane goes right at; the lowest surviving
+// leaf is the walk's exit leaf (QuickScorer, Lucchese et al., SIGIR 2015).
+// A leaf set is one or two 32-bit slots per lane, as in RapidScorer (Ye et
+// al., KDD 2018). Both sum the same leaves in member order and scale
+// alike, so their outputs are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +41,28 @@ class FlatEnsemble {
   static_assert(sizeof(Split) == 16);
 
   // One split as the scan sees it: lanes whose x[feature] is not below
-  // `threshold` (NaN included) AND `mask` into member `member`'s leaf set.
-  // `mask` has every bit set but those of the split's left-subtree leaves,
-  // numbered left to right within the member.
+  // `threshold` (NaN included) AND `mask` into leaf-set slot `slot`. A
+  // slot holds 32 of a member's leaves, numbered left to right within the
+  // member: a member with up to 32 leaves has one slot, a larger one a
+  // second for leaves 32-63. `mask` has every bit set but those of the
+  // split's left-subtree leaves in this slot; a left subtree that crosses
+  // leaf 32 gives two entries with the same threshold.
   struct ScanSplit {
     float threshold = 0.0f;
-    std::int32_t member = 0;
-    std::uint64_t mask = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t mask = 0;
   };
-  static_assert(sizeof(ScanSplit) == 16);
+  static_assert(sizeof(ScanSplit) == 12);
+
+  // One member as the scan sees it: its first leaf-set slot, its leaf
+  // count, and where its leaves start in scan_leaves_. A one-slot
+  // member's leaves are zero-padded to 16 or 32, so the scan reads them
+  // from registers instead of gathering.
+  struct ScanMember {
+    std::uint32_t slot = 0;
+    std::uint32_t leaves = 0;
+    std::size_t leaf_base = 0;
+  };
 
   // How a row's sum over members becomes the model output.
   enum class Scale : std::uint8_t {
@@ -86,8 +100,9 @@ class FlatEnsemble {
   // `leaves()`, every member root is inside one of the two, and every
   // feature is inside the row. pack() runs it in debug and sanitizer
   // builds. When the scan tables exist it also checks that every scan
-  // split names a member, clears a non-empty contiguous run of leaves
-  // that ends before the member's last leaf, and that thresholds ascend
+  // split's slot belongs to a member and its mask clears one non-empty
+  // contiguous run of that slot's leaves, that no mask clears a member's
+  // last leaf (so every member keeps one), and that thresholds ascend
   // within each feature.
   void validate() const;
 
@@ -113,12 +128,12 @@ class FlatEnsemble {
   double divisor_ = 0.0;  // member count (kMean) or Σalpha (kNorm)
 
   // Scan tables (empty unless build_scan() accepted the model): the splits
-  // of feature f are scan_splits_[scan_begin_[f], scan_begin_[f + 1]); a
-  // member's leaves, left to right, start at scan_leaves_[leaf_base_[m]].
+  // of feature f are scan_splits_[scan_begin_[f], scan_begin_[f + 1]).
   std::vector<ScanSplit> scan_splits_;
   std::vector<std::uint32_t> scan_begin_;
+  std::vector<ScanMember> scan_members_;
   std::vector<double> scan_leaves_;
-  std::vector<std::int64_t> leaf_base_;
+  std::uint32_t scan_slots_ = 0;
 };
 
 }  // namespace hdd::tree

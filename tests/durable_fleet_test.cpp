@@ -115,7 +115,7 @@ struct VoteSnapshot {
 std::vector<VoteSnapshot> vote_states(const FleetScorer& f) {
   std::vector<VoteSnapshot> out(f.size());
   for (std::size_t i = 0; i < f.size(); ++i) {
-    const eval::DriveVoteState& st = f.state(i);
+    const eval::VoteWindow& st = f.state(i);
     out[i] = {st.alarmed(), st.alarm_hour(), st.samples_seen(),
               st.current_decision()};
   }

@@ -112,7 +112,7 @@ TEST(FleetScorerStreaming, MatchesOfflineVotingUnderParallelism) {
       s.hours.push_back(static_cast<std::int64_t>(t));
     }
     const auto expected = eval::vote_drive(s, cfg.vote);
-    const eval::DriveVoteState& st = scorer.state(i);
+    const eval::VoteWindow& st = scorer.state(i);
     ASSERT_EQ(st.alarmed(), expected.alarmed) << "drive " << i;
     if (expected.alarmed) {
       ASSERT_EQ(st.alarm_hour(), expected.alarm_hour) << "drive " << i;

@@ -13,9 +13,12 @@
 #include "ann/mlp.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/fleet.h"
 #include "eval/detection.h"
 #include "forest/adaboost.h"
 #include "forest/random_forest.h"
+#include "obs/metrics.h"
 #include "reliability/markov.h"
 #include "reliability/raid.h"
 #include "stats/nonparametric.h"
@@ -96,6 +99,193 @@ TEST_P(VotingProperty, MatchesBruteForceOnRandomSequences) {
                                      : static_cast<std::int64_t>(len))
         << "trial " << trial;
   }
+}
+
+// The window's state after every push, against a recount of the last
+// min(pushes, N) outputs: the verdict (current_decision), the alarm and
+// its hour, samples_seen, and finish() on a record shorter than N. N
+// spans one voter, the paper's 11 and 100; both modes.
+TEST_P(VotingProperty, WindowMatchesBruteForceAfterEveryPush) {
+  Rng rng(GetParam() + 100);
+  for (const int n : {1, 11, 100}) {
+    for (const bool average : {false, true}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        eval::VoteConfig cfg;
+        cfg.voters = n;
+        cfg.average_mode = average;
+        cfg.threshold = rng.uniform(-0.3, 0.3);
+        // A per-record bias, so some records alarm and some never do.
+        const double bias = rng.uniform(-0.4, 0.4);
+        const auto len = rng.uniform_int(3 * static_cast<std::uint64_t>(n) + 3);
+        std::vector<float> outs;
+        eval::DriveVoteState st(cfg);
+        std::int64_t alarm_hour = -1;
+        bool decision = false;
+        for (std::size_t i = 0; i < len; ++i) {
+          outs.push_back(static_cast<float>(rng.uniform(-1.0, 1.0) + bias));
+          const auto hour = static_cast<std::int64_t>(3 * i + 1);
+          const bool raised = st.push(hour, outs.back());
+          if (alarm_hour < 0) {
+            // Not alarmed before this push: the window moved.
+            const std::size_t w = std::min(i + 1, static_cast<std::size_t>(n));
+            std::size_t bad = 0;
+            double sum = 0.0;
+            for (std::size_t j = i + 1 - w; j <= i; ++j) {
+              bad += outs[j] < 0.0f ? 1 : 0;
+              sum += outs[j];
+            }
+            decision = average ? sum / static_cast<double>(w) < cfg.threshold
+                               : 2 * bad > w;
+            const bool alarm = decision && w == static_cast<std::size_t>(n);
+            ASSERT_EQ(raised, alarm) << "N " << n << " push " << i;
+            if (alarm) alarm_hour = hour;
+            ASSERT_EQ(st.samples_seen(), static_cast<std::int64_t>(i + 1));
+          } else {
+            ASSERT_FALSE(raised) << "push after the alarm";
+          }
+          ASSERT_EQ(st.current_decision(), decision)
+              << "N " << n << " average " << average << " push " << i;
+          ASSERT_EQ(st.alarm_hour(), alarm_hour);
+        }
+        // finish() votes once over a record shorter than N.
+        const bool short_alarm = alarm_hour < 0 && len > 0 &&
+                                 len < static_cast<std::size_t>(n) &&
+                                 decision;
+        const auto last = static_cast<std::int64_t>(3 * len - 2);
+        EXPECT_EQ(len > 0 && st.finish(last), short_alarm) << "N " << n;
+        if (short_alarm) alarm_hour = last;
+        EXPECT_EQ(st.alarmed(), alarm_hour >= 0);
+        EXPECT_EQ(st.alarm_hour(), alarm_hour);
+        st.reset();
+        EXPECT_FALSE(st.alarmed());
+        EXPECT_FALSE(st.current_decision());
+        EXPECT_EQ(st.samples_seen(), 0);
+      }
+    }
+  }
+}
+
+// A model whose output is the row's one feature plus a constant.
+class OffsetScorer final : public core::SampleScorer {
+ public:
+  explicit OffsetScorer(double offset) : offset_(offset) {}
+  double predict(std::span<const float> x) const override {
+    return static_cast<double>(x[0]) + offset_;
+  }
+  void predict_batch(std::span<const float> xs,
+                     std::span<double> out) const override {
+    for (std::size_t r = 0; r < out.size(); ++r) out[r] = predict(xs.subspan(r, 1));
+  }
+  int num_features() const override { return 1; }
+  std::string summary() const override { return "offset"; }
+
+ private:
+  double offset_;
+};
+
+// FleetScorer's windows over one ring array, and its shadow's, against a
+// DriveVoteState per drive fed the same outputs: the same alarms, hours,
+// samples_seen and verdicts, the same shadow statistics, and the flip
+// and alarm counters the fleet bumps once per block.
+TEST_P(VotingProperty, FleetWindowsMatchPerDriveStates) {
+  Rng rng(GetParam() + 200);
+  for (const int n : {1, 11, 100}) {
+    const bool average = rng.chance(0.5);
+    const std::size_t drives = 150;
+    const std::size_t intervals = static_cast<std::size_t>(n) + 25;
+    const std::size_t shadow_from = 3;  // the shadow installs here
+    obs::Registry metrics;
+    ThreadPool pool(2);
+    core::FleetScorerConfig cfg;
+    cfg.features = {"raw", {{smart::Attr::kPowerOnHours, 0}}};
+    cfg.vote.voters = n;
+    cfg.vote.average_mode = average;
+    cfg.vote.threshold = rng.uniform(-0.2, 0.2);
+    cfg.block_rows = 16;
+    cfg.pool = &pool;
+    cfg.metrics = &metrics;
+    const OffsetScorer model(0.0);
+    const double shadow_offset = 0.25;
+    core::FleetScorer fleet(model, cfg);
+    std::vector<double> bias(drives);
+    for (std::size_t i = 0; i < drives; ++i) {
+      fleet.add_drive("d" + std::to_string(i));
+      bias[i] = rng.uniform(-0.5, 0.5);
+    }
+
+    std::vector<eval::DriveVoteState> want(drives,
+                                           eval::DriveVoteState(cfg.vote));
+    std::vector<eval::DriveVoteState> want_shadow(
+        drives, eval::DriveVoteState(cfg.vote));
+    core::FleetScorer::ShadowStats stats;
+    std::uint64_t flips = 0, alarms = 0;
+    std::vector<float> prev(drives);
+    std::vector<float> x(drives);
+    for (std::size_t t = 0; t < intervals; ++t) {
+      if (t == shadow_from) {
+        fleet.set_shadow(std::make_shared<OffsetScorer>(shadow_offset));
+      }
+      for (std::size_t i = 0; i < drives; ++i) {
+        x[i] = static_cast<float>(rng.uniform(-1.0, 1.0) + bias[i]);
+      }
+      const auto hour = static_cast<std::int64_t>(t);
+      fleet.observe_interval(x, hour);
+      for (std::size_t i = 0; i < drives; ++i) {
+        const double o = x[i];
+        if (!want[i].alarmed() && t > 0 && (x[i] < 0.0f) != (prev[i] < 0.0f)) {
+          ++flips;
+        }
+        prev[i] = x[i];
+        const bool raised = want[i].push(hour, o);
+        alarms += raised ? 1 : 0;
+        if (t < shadow_from) continue;
+        const double so = o + shadow_offset;
+        ++stats.samples;
+        stats.divergence +=
+            (static_cast<float>(so) < 0.0f) != (x[i] < 0.0f) ? 1 : 0;
+        const bool shadow_raised = want_shadow[i].push(hour, so);
+        stats.vote_flips +=
+            want_shadow[i].current_decision() != want[i].current_decision()
+                ? 1
+                : 0;
+        stats.alarm_delta += shadow_raised != raised ? 1 : 0;
+      }
+    }
+    for (std::size_t i = 0; i < drives; ++i) {
+      const eval::VoteWindow& got = fleet.state(i);
+      ASSERT_EQ(got.alarmed(), want[i].alarmed()) << "N " << n << " drive " << i;
+      ASSERT_EQ(got.alarm_hour(), want[i].alarm_hour()) << "drive " << i;
+      ASSERT_EQ(got.samples_seen(), want[i].samples_seen()) << "drive " << i;
+      ASSERT_EQ(got.current_decision(), want[i].current_decision())
+          << "drive " << i;
+    }
+    const auto got = fleet.shadow_stats();
+    EXPECT_EQ(got.samples, stats.samples) << "N " << n;
+    EXPECT_EQ(got.divergence, stats.divergence) << "N " << n;
+    EXPECT_EQ(got.vote_flips, stats.vote_flips) << "N " << n;
+    EXPECT_EQ(got.alarm_delta, stats.alarm_delta) << "N " << n;
+    EXPECT_EQ(metrics.counter("hdd_fleet_alarms_total", "").value(), alarms);
+    EXPECT_EQ(metrics.counter("hdd_fleet_vote_transitions_total", "").value(),
+              flips);
+    EXPECT_EQ(fleet.alarm_count(), alarms);
+  }
+}
+
+// The window counts head, fill and failed votes in 16 bits.
+TEST_P(VotingProperty, RejectsMoreThan65535Voters) {
+  eval::VoteConfig cfg;
+  cfg.voters = 65536 + static_cast<int>(GetParam());
+  EXPECT_THROW(eval::DriveVoteState{cfg}, ConfigError);
+  EXPECT_THROW(eval::VoteWindow::check(cfg), ConfigError);
+  const OffsetScorer model(0.0);
+  core::FleetScorerConfig fc;
+  fc.features = {"raw", {{smart::Attr::kPowerOnHours, 0}}};
+  fc.vote = cfg;
+  EXPECT_THROW(core::FleetScorer(model, fc), ConfigError);
+  cfg.voters = 65535;
+  eval::DriveVoteState st(cfg);
+  for (int i = 0; i < 70000; ++i) st.push(i, -1.0);
+  EXPECT_EQ(st.alarm_hour(), 65534);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VotingProperty,
@@ -617,6 +807,88 @@ TEST(PackedKernelProperty, ScanAndWalkAgreeAtTheLeafLimitAndEdges) {
   expect_kernel_matches_reference(zero_sum, queries, "AdaBoost sum == 0");
   for (std::size_t r = 0; r < queries.rows(); ++r) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(negative.predict(queries.row(r))),
+              std::bit_cast<std::uint64_t>(0.0));
+  }
+}
+
+// A left-leaning chain of `leaves` leaves: every split's left subtree is
+// leaves [0, k), so with more than 33 leaves many runs cross leaf 32.
+void grow_chain(std::vector<tree::Node>& nodes, std::uint32_t leaves,
+                const std::vector<float>& cuts, Rng& rng) {
+  tree::Node n;
+  if (leaves == 1) {
+    n.value = static_cast<double>(nodes.size()) * 0.0625 - 2.0;
+    nodes.push_back(n);
+    return;
+  }
+  const std::size_t at = nodes.size();
+  n.feature = static_cast<std::int32_t>(leaves % 3);
+  n.threshold = cuts[rng.uniform_int(cuts.size())];
+  nodes.push_back(n);
+  nodes[at].left = static_cast<std::int32_t>(nodes.size());
+  grow_chain(nodes, leaves - 1, cuts, rng);
+  nodes[at].right = static_cast<std::int32_t>(nodes.size());
+  n = tree::Node{};
+  n.value = static_cast<double>(at) * 0.0625 + 0.5;
+  nodes.push_back(n);
+}
+
+// The scan keeps a member's leaves in one 32-bit slot per lane up to 32
+// leaves (read by a two- or four-register permute) and in two above
+// (gathered); these forests hold members on both sides of each size.
+TEST(PackedKernelProperty, ScanSlotsMatchTheWalkAcrossLeafCounts) {
+  Rng rng(52);
+  const std::vector<float> cuts{-0.5f, -0.0f, 0.0f, 0.25f, 0.5f, 1.0f};
+  const auto tree_of = [&](std::uint32_t leaves) {
+    std::vector<tree::Node> nodes;
+    grow_tree(nodes, leaves, 0, cuts, rng);
+    return tree::DecisionTree::from_nodes(std::move(nodes),
+                                          tree::Task::kRegression, 3);
+  };
+  const auto chain_of = [&](std::uint32_t leaves) {
+    std::vector<tree::Node> nodes;
+    grow_chain(nodes, leaves, cuts, rng);
+    return tree::DecisionTree::from_nodes(std::move(nodes),
+                                          tree::Task::kRegression, 3);
+  };
+  const auto forest_of = [&](const std::vector<tree::DecisionTree>& trees) {
+    std::string text = "hddpred-forest v1\nfeatures 3\ntrees " +
+                       std::to_string(trees.size()) + "\n";
+    for (std::size_t m = 0; m < trees.size(); ++m) {
+      text += m % 2 == 0 ? "subspace 0 1 2\n" : "subspace 1 2 0\n";
+      text += saved(trees[m]);
+    }
+    std::istringstream is(text);
+    return forest::RandomForest::load(is);
+  };
+  const auto forest = forest_of({tree_of(16), tree_of(17), tree_of(32),
+                                 tree_of(33), tree_of(64), chain_of(40),
+                                 tree_of(48)});
+  EXPECT_EQ(forest.flat().scan_splits().empty(), !host_scans());
+  if (host_scans()) {
+    // A left subtree that crosses leaf 32 is two entries, one per slot.
+    EXPECT_GT(forest.flat().scan_splits().size(),
+              forest.flat().splits().size());
+  }
+
+  // AdaBoost over the same sizes: Σalpha > 0, < 0 and == 0.
+  const auto positive = forest::AdaBoost::from_members(
+      {{tree_of(16), 0.3}, {chain_of(40), 0.45}, {tree_of(33), 0.25}});
+  const auto negative = forest::AdaBoost::from_members(
+      {{tree_of(17), 0.5}, {chain_of(36), -0.75}, {tree_of(64), 0.125}});
+  const auto zero_sum = forest::AdaBoost::from_members(
+      {{tree_of(32), 0.5}, {tree_of(33), -0.5}});
+  EXPECT_EQ(positive.flat().scan_splits().empty(), !host_scans());
+  EXPECT_EQ(zero_sum.flat().scan_splits().empty(), !host_scans());
+
+  // Every row value on a threshold, ±0 among them, plus NaN and ±inf.
+  const auto queries = edge_queries(rng, 3, cuts);
+  expect_kernel_matches_reference(forest, queries, "16-64 leaf members");
+  expect_kernel_matches_reference(positive, queries, "AdaBoost sum > 0");
+  expect_kernel_matches_reference(negative, queries, "AdaBoost sum < 0");
+  expect_kernel_matches_reference(zero_sum, queries, "AdaBoost sum == 0");
+  for (std::size_t r = 0; r < queries.rows(); ++r) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(zero_sum.predict(queries.row(r))),
               std::bit_cast<std::uint64_t>(0.0));
   }
 }
