@@ -399,7 +399,7 @@ smart::Sample bench_sample(std::int64_t hour) {
 }
 
 // Sustained append throughput (records/s) for a 64-drive fleet, including
-// the frame/CRC encoding and buffered stdio writes.
+// the frame/CRC encoding and the store's 64 KiB writes.
 void BM_StoreAppend(benchmark::State& state) {
   namespace fs = std::filesystem;
   const auto dir = fs::temp_directory_path() / "hdd_bench_store_append";

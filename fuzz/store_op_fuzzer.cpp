@@ -4,11 +4,14 @@
 // trivial model says what the store must answer).
 //
 // Ops: register drive / append / append_batch / flush / compact / clean
-// reopen / crash-point reopen (FaultEnv CrashPoint at a byte-chosen op,
-// then recovery). After every mutating op the store must agree exactly
-// with the reference; after a crash it must hold a per-drive prefix of
-// what was appended, every sample byte-identical to what we wrote, and
-// then becomes the new reference (lost-tail semantics of kill -9).
+// reopen / fault reopen (a FaultEnv CrashPoint at a byte-chosen op, or a
+// write failure — an ENOSPC budget or short writes — then recovery).
+// After every mutating op the store must agree exactly with the
+// reference. After a failed write the live store must agree with a clean
+// reopen of its directory. After either fault the recovered store must
+// hold a per-drive prefix of what was appended, every sample
+// byte-identical to what we wrote, and then becomes the new reference
+// (lost-tail semantics of kill -9).
 #include "fuzz/harness.h"
 
 #include <unistd.h>
@@ -94,6 +97,23 @@ void check_prefix(const store::TelemetryStore& store,
     for (std::size_t k = 0; k < got.size(); ++k) {
       if (!same_sample(got[k], ref[id].samples[k])) __builtin_trap();
     }
+  }
+}
+
+// After a failed write (no crash): every drive of the live store answers
+// exactly what a clean reopen of its directory recovers.
+void check_live_matches_reopen(const store::TelemetryStore& live,
+                               const store::StoreOptions& opt) {
+  const store::TelemetryStore reopened(live.directory(), opt);
+  if (reopened.drive_count() != live.drive_count()) __builtin_trap();
+  for (std::uint32_t id = 0; id < live.drive_count(); ++id) {
+    const store::DriveInfo& a = live.drive(id);
+    const store::DriveInfo& b = reopened.drive(id);
+    if (a.serial != b.serial || a.n_samples != b.n_samples ||
+        a.last_hour != b.last_hour) {
+      __builtin_trap();
+    }
+    check_same(live.read_drive(id), reopened.read_drive(id));
   }
 }
 
@@ -190,11 +210,19 @@ int fuzz_store_op(const std::uint8_t* data, std::size_t size) {
         store = std::make_unique<store::TelemetryStore>(dir, opt);
         break;
       }
-      case 6: {  // crash-point reopen: kill the store mid-op, recover
+      case 6: {  // fault reopen: kill the store mid-op or fail a write
         io::FaultPlan plan;
         plan.seed = arg;
-        plan.crash_at_op = 1 + (in.u8() % 24);
-        plan.torn_crash = (arg & 1) != 0;
+        const std::uint8_t at = in.u8();
+        const bool crash = (arg & 2) == 0;
+        if (crash) {
+          plan.crash_at_op = 1 + (at % 24);
+          plan.torn_crash = (arg & 1) != 0;
+        } else if ((arg & 4) != 0) {
+          plan.enospc_after_bytes = 8u * at;  // within the 32 appends' bytes
+        } else {
+          plan.short_write_prob = 0.5;
+        }
         store.reset();
         auto fault = std::make_unique<io::FaultEnv>(posix, plan);
         store::StoreOptions fopt = opt;
@@ -215,7 +243,10 @@ int fuzz_store_op(const std::uint8_t* data, std::size_t size) {
         } catch (const io::CrashPoint&) {
           // Simulated kill -9 mid-op.
         } catch (const DataError&) {
-          // A fault surfaced as an I/O failure before the crash point.
+          // A fault surfaced as an I/O failure (before any crash point).
+          if (!crash && store != nullptr) {
+            check_live_matches_reopen(*store, opt);
+          }
         }
         store.reset();  // teardown after a crash must be safe
         fault.reset();

@@ -273,38 +273,42 @@ void FleetScorer::admit(std::size_t i, std::span<const smart::Sample> samples,
     m_quarantined_->inc(nq);
     quarantined_ += nq;
   }
-  const std::span<const smart::Sample> run(in.kept.data() + first,
-                                           in.kept.size() - first);
-  if (journal_ != nullptr && !run.empty()) {
-    // Durability before scoring: a sample is in the journal before it can
-    // raise an alarm. Hours the store already holds (a torn interval that
-    // resume_from() dropped from memory but not from disk) are scored
-    // without a second copy. An append failure (sealed/full segment, I/O
-    // error) drops the drive's run and the rest of the fleet keeps
-    // scoring; a simulated crash (io::CrashPoint, deliberately not a
-    // std::exception) still propagates.
-    const std::int64_t held = journal_->drive(journal_ids_[i]).last_hour;
-    std::size_t k = 0;
-    while (k < run.size() && run[k].hour <= held) ++k;
-    try {
-      if (k < run.size()) {
-        journal_->append_batch(journal_ids_[i], run.data() + k,
-                               run.size() - k);
-      }
-    } catch (const std::exception& e) {
-      journal_failure("journal append failed for drive " + serials_[i] +
-                      " at hour " + std::to_string(run[k].hour) +
-                      ", dropping " + std::to_string(run.size()) +
-                      " sample(s): " + e.what());
-      in.kept.resize(first);
-      ++in.result.journal_failed;
-      return;
-    }
-  }
-  if (run.empty()) return;
-  in.result.accepted += run.size();
-  in.runs.push_back({i, first, run.size()});
+  const std::size_t count = in.kept.size() - first;
+  if (count == 0) return;
+  in.result.accepted += count;
+  in.runs.push_back({i, first, count});
   in.run_of[i] = in.runs.size();
+}
+
+bool FleetScorer::journal_runs(Intake& in) {
+  if (journal_ == nullptr || in.runs.empty()) return true;
+  // Durability before scoring: a sample is on the OS before it can raise
+  // an alarm. Hours the store already holds (a torn interval that
+  // resume_from() dropped from memory but not from disk) are scored
+  // without a second copy. A simulated crash (io::CrashPoint, deliberately
+  // not a std::exception) propagates.
+  try {
+    for (const Intake::Run& r : in.runs) {
+      const std::uint32_t id = journal_ids_[r.drive];
+      const smart::Sample* run = in.kept.data() + r.first;
+      const std::int64_t held = journal_->drive(id).last_hour;
+      std::size_t k = 0;
+      while (k < r.count && run[k].hour <= held) ++k;
+      if (k < r.count) journal_->append_batch(id, run + k, r.count - k);
+    }
+    journal_->flush_to_os();
+  } catch (const std::exception& e) {
+    // The store took the call's unwritten samples back out of its index,
+    // so the producer's re-send journals each of them once.
+    journal_failure("journal write failed, dropping " +
+                    std::to_string(in.runs.size()) + " run(s) of " +
+                    std::to_string(in.result.accepted) +
+                    " sample(s): " + e.what());
+    in.result.journal_failed += in.runs.size();
+    in.result.accepted = 0;
+    return false;
+  }
+  return true;
 }
 
 void FleetScorer::log_quarantine(const Intake& in) const {
@@ -335,19 +339,20 @@ FleetScorer::IngestResult FleetScorer::observe_samples(
   }
   Intake& in = begin_intake();
   for (std::size_t i = 0; i < n; ++i) admit(i, samples.subspan(i, 1), in);
-  rows_.clear();
-  for (const Intake::Run& r : in.runs) rows_.push_back(r.drive);
   log_quarantine(in);
+  if (!journal_runs(in)) return in.result;
   if (journal_ != nullptr) {
     try {
       journal_->flush();
     } catch (const std::exception& e) {
-      // Appended but not durable: scoring proceeds; a crash before the next
-      // successful flush loses at most this tail, which resume_from()'s
-      // partial-interval rule already handles.
-      journal_failure(std::string("journal flush failed: ") + e.what());
+      // On the OS but not durable: scoring proceeds; a power loss before
+      // the next successful flush loses at most this tail, which
+      // resume_from()'s partial-interval rule already handles.
+      journal_failure(std::string("journal fsync failed: ") + e.what());
     }
   }
+  rows_.clear();
+  for (const Intake::Run& r : in.runs) rows_.push_back(r.drive);
   const obs::ScopedSpan span("fleet.observe_samples", m_batch_latency_);
   score(make_ctx(/*live=*/true), rows_, in.kept, {}, hour);
   return in.result;
@@ -372,24 +377,9 @@ FleetScorer::IngestResult FleetScorer::ingest_runs(
   Intake& in = begin_intake();
   for (const DriveRun& r : runs) admit(r.drive, r.samples, in);
   log_quarantine(in);
-  if (in.runs.empty()) return in.result;
-  if (journal_ != nullptr) {
-    // One write for the whole call, durable to the OS, not the platter. A
-    // failure drops every admitted run in memory too; chunks that reached
-    // the store are not re-appended when the producer re-sends, and
-    // degraded() records that alarms since may rest on partial telemetry.
-    try {
-      journal_->flush_to_os();
-    } catch (const std::exception& e) {
-      journal_failure("journal flush failed, dropping " +
-                      std::to_string(in.runs.size()) + " run(s) of " +
-                      std::to_string(in.result.accepted) +
-                      " sample(s): " + e.what());
-      in.result.journal_failed += in.runs.size();
-      in.result.accepted = 0;
-      return in.result;
-    }
-  }
+  // One write for the whole call, durable to the OS, not the platter (the
+  // daemon fsyncs on seal/shutdown).
+  if (in.runs.empty() || !journal_runs(in)) return in.result;
   const obs::ScopedSpan score_span("fleet.score", "samples",
                                    static_cast<std::uint64_t>(in.kept.size()));
   const ScoreCtx ctx = make_ctx(/*live=*/true);

@@ -133,7 +133,7 @@ class FleetScorer {
     std::size_t accepted = 0;     // journaled (if attached) and scored
     std::size_t quarantined = 0;  // failed the quarantine policy
     std::size_t stale = 0;        // at or before the drive's newest scored hour
-    // Runs dropped by a journal append or flush failure; degraded() latched.
+    // Runs dropped by a failed journal write; degraded() latched.
     std::size_t journal_failed = 0;
   };
 
@@ -144,12 +144,15 @@ class FleetScorer {
   //     re-observing an interval (after a resume, or by mistake) is a no-op;
   //  2. quarantine: samples failing the policy are dropped and counted
   //     (hdd_fleet_quarantined_samples_total), with one warn line per call;
-  //  3. journal (if attached): the run is appended before it is scored,
-  //     skipping hours the store already holds. An append failure drops the
-  //     drive's run, counts it (hdd_fleet_journal_append_failures_total) and
-  //     latches degraded() — the rest of the fleet still scores. A drive
-  //     with several runs in one call is filtered against its own earlier
-  //     runs too.
+  //  3. journal (if attached): once every run of the call is admitted,
+  //     the runs are appended, skipping hours the store already holds, and
+  //     the call is pushed to the OS with one flush_to_os, all before any
+  //     of it is scored. Any failure drops every run of the call: none is
+  //     scored, each counts in journal_failed, the failure counts once
+  //     (hdd_fleet_journal_append_failures_total) with one warn line, and
+  //     degraded() latches. The store then holds none of the call, so the
+  //     producer's re-send journals each sample once. A drive with several
+  //     runs in one call is filtered against its own earlier runs too.
   // A dropped sample is dropped everywhere (journal, history, voting), so
   // in-memory state always matches what a resume would replay. Admitted
   // samples then go through the bounded-history extraction, scoring and
@@ -157,29 +160,27 @@ class FleetScorer {
   // per scorer (serve gives each shard its own scorer + store).
 
   // Scores one interval of raw SMART telemetry: samples[i] is drive i's
-  // reading, all stamped `hour`. One durable flush() per interval; a flush
-  // failure only latches degraded() (scoring proceeds).
+  // reading, all stamped `hour`. After the journal write, one durable
+  // flush() per interval; an fsync failure only latches degraded()
+  // (scoring proceeds).
   IngestResult observe_samples(std::span<const smart::Sample> samples,
                                std::int64_t hour);
 
   // Batched ingest of drive runs — the serve path, where drives report on
   // their own clocks instead of fleet-lockstep intervals; one call carries
-  // a shard's part of one request. Every run is admitted (and appended)
-  // first, then the whole call is pushed to the OS with one flush_to_os
-  // (not fsync — the daemon fsyncs on seal/shutdown), and only then are
-  // the admitted runs scored, in call order, by one pinned model
-  // generation. An append failure drops that drive's run; a flush failure
-  // drops every run admitted in the call and scores none of them (one warn
-  // line). journal_failed counts the dropped runs, and the producer
-  // re-sends them.
+  // a shard's part of one request. The call is journaled as above (not
+  // fsynced — the daemon fsyncs on seal/shutdown), and only then are the
+  // admitted runs scored, in call order, by one pinned model generation.
+  // journal_failed counts the runs a failed write dropped, and the
+  // producer re-sends them.
   IngestResult ingest_runs(std::span<const DriveRun> runs);
 
   // The one-run call of ingest_runs.
   IngestResult ingest_drive(std::size_t i,
                             std::span<const smart::Sample> samples);
 
-  // True once any journal append/flush has failed; alarms raised since are
-  // based on partial telemetry.
+  // True once any journal write or fsync has failed; alarms raised since
+  // are based on partial telemetry.
   bool degraded() const { return degraded_; }
   std::uint64_t quarantined_samples() const { return quarantined_; }
   std::uint64_t journal_failures() const { return journal_failures_; }
@@ -252,7 +253,7 @@ class FleetScorer {
 
   // Per-call intake scratch: what admit() let through, and the tallies.
   struct Intake {
-    // An admitted, journaled run: kept[first, first + count) of `drive`.
+    // An admitted run: kept[first, first + count) of `drive`.
     struct Run {
       std::size_t drive = 0;
       std::size_t first = 0;
@@ -285,16 +286,19 @@ class FleetScorer {
   std::span<float> ring(std::vector<float>& rings, std::size_t i) const;
   void push_history(std::size_t i, const smart::Sample& sample);
 
-  // The intake step (see observe_samples): filters, quarantines and
-  // journals drive i's hour-ascending samples, appends the admitted ones to
-  // in.kept, records them as one of in.runs and tallies into in.result.
+  // The intake step (see observe_samples): filters and quarantines drive
+  // i's hour-ascending samples, appends the admitted ones to in.kept,
+  // records them as one of in.runs and tallies into in.result.
   void admit(std::size_t i, std::span<const smart::Sample> samples,
              Intake& in);
+  // The journal step: appends every admitted run and pushes the call to
+  // the OS. False when a write failed and every run was dropped.
+  bool journal_runs(Intake& in);
   // Starts a public intake call on the reused intake_ scratch.
   Intake& begin_intake();
   // The call's single quarantine warn line (none when nothing was).
   void log_quarantine(const Intake& in) const;
-  // Counts a journal append/flush failure, latches degraded() and logs it.
+  // Counts a journal write/fsync failure, latches degraded() and logs it.
   void journal_failure(const std::string& what);
 
   // The scoring step: pushes rows through the pinned incumbent (and

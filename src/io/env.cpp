@@ -56,15 +56,9 @@ IoStatus Env::write_file(const std::string& path, std::string_view data,
                          bool sync) {
   std::unique_ptr<File> f;
   if (auto s = new_append_file(path, /*truncate=*/true, f); !s.ok()) return s;
-  if (auto s = f->append(data); !s.ok()) {
-    f->abandon();
-    return s;
-  }
+  if (auto s = f->append(data); !s.ok()) return s;
   if (sync) {
-    if (auto s = f->sync(); !s.ok()) {
-      f->abandon();
-      return s;
-    }
+    if (auto s = f->sync(); !s.ok()) return s;
   }
   return f->close();
 }
@@ -97,67 +91,15 @@ int close_retry(int fd) {
   return (rc != 0 && errno == EINTR) ? 0 : rc;
 }
 
-// Buffered append-only file over a raw descriptor. Buffering mirrors the
-// stdio discipline the telemetry store used before the Env port: appends
-// accumulate in user space and hit the OS at kBufBytes boundaries, on
-// flush()/sync()/close(). bench/micro_io pins the indirection overhead
-// against direct stdio.
+// Append-only file over a raw descriptor, unbuffered: every append is
+// one write_all, so a failure is reported by the call whose bytes failed.
 class PosixFile final : public File {
  public:
-  PosixFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {
-    buf_.reserve(kBufBytes);
-  }
-  ~PosixFile() override { abandon(); }
+  PosixFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+  ~PosixFile() override { (void)close(); }
 
   IoStatus append(std::string_view data) override {
-    if (fd_ < 0) return IoStatus::permanent_error("append " + path_ +
-                                                  ": file is closed");
-    if (buf_.size() + data.size() > kBufBytes) {
-      if (auto s = flush(); !s.ok()) return s;
-    }
-    if (data.size() >= kBufBytes) return write_all(data);
-    buf_.append(data.data(), data.size());
-    return IoStatus::success();
-  }
-
-  IoStatus flush() override {
-    if (fd_ < 0) return IoStatus::permanent_error("flush " + path_ +
-                                                  ": file is closed");
-    if (buf_.empty()) return IoStatus::success();
-    const auto s = write_all(buf_);
-    if (s.ok()) buf_.clear();
-    return s;
-  }
-
-  IoStatus sync() override {
-    if (auto s = flush(); !s.ok()) return s;
-    if (fsync_retry(fd_) != 0) {
-      return IoStatus::from_errno("fsync", path_, errno);
-    }
-    return IoStatus::success();
-  }
-
-  IoStatus close() override {
-    if (fd_ < 0) return IoStatus::success();
-    const auto flushed = flush();
-    const int fd = fd_;
-    fd_ = -1;
-    buf_.clear();
-    if (close_retry(fd) != 0) return IoStatus::from_errno("close", path_, errno);
-    return flushed;
-  }
-
-  void abandon() override {
-    if (fd_ < 0) return;
-    close_retry(fd_);
-    fd_ = -1;
-    buf_.clear();
-  }
-
- private:
-  static constexpr std::size_t kBufBytes = 64 * 1024;
-
-  IoStatus write_all(std::string_view data) {
+    if (fd_ < 0) return closed("append");
     std::size_t off = 0;
     while (off < data.size()) {
       const ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
@@ -170,9 +112,30 @@ class PosixFile final : public File {
     return IoStatus::success();
   }
 
+  IoStatus sync() override {
+    if (fd_ < 0) return closed("fsync");
+    if (fsync_retry(fd_) != 0) {
+      return IoStatus::from_errno("fsync", path_, errno);
+    }
+    return IoStatus::success();
+  }
+
+  IoStatus close() override {
+    if (fd_ < 0) return IoStatus::success();
+    const int fd = fd_;
+    fd_ = -1;
+    if (close_retry(fd) != 0) return IoStatus::from_errno("close", path_, errno);
+    return IoStatus::success();
+  }
+
+ private:
+  IoStatus closed(const char* op) const {
+    return IoStatus::permanent_error(std::string(op) + " " + path_ +
+                                     ": file is closed");
+  }
+
   int fd_;
   std::string path_;
-  std::string buf_;
 };
 
 class PosixEnv final : public Env {

@@ -71,25 +71,22 @@ class CrashPoint {
   std::uint64_t op_;
 };
 
-// A writable, append-oriented file handle. Implementations may buffer in
-// user space (PosixEnv does, mirroring stdio): append() makes bytes
-// durable only up to the OS's whim; sync() flushes the buffer and fsyncs;
-// close() flushes and releases the descriptor, reporting any failure —
-// the last chance to learn a buffered write never hit the disk.
+// A writable, append-oriented file handle with no user-space buffer:
+// append() hands its bytes to the OS (write(2) until all have landed or
+// one fails; a failure may leave a prefix on the file), sync() is fsync
+// and nothing else, close() releases the descriptor. Callers that want
+// fewer syscalls batch their own bytes (the telemetry store does; its
+// buffer decides when journal bytes reach the OS).
 class File {
  public:
+  // Closes the file if still open, reporting nothing.
   virtual ~File();
 
   virtual IoStatus append(std::string_view data) = 0;
-  // Pushes the user-space buffer to the OS (no fsync).
-  virtual IoStatus flush() = 0;
-  // flush() + fsync.
+  // fsync: makes the appended bytes durable.
   virtual IoStatus sync() = 0;
-  // Idempotent; flushes first. Errors surface here, not in the destructor.
+  // Idempotent. Errors surface here, not in the destructor.
   virtual IoStatus close() = 0;
-  // Drops any buffered bytes and releases the descriptor without writing —
-  // what a killed process does. Used by FaultEnv after a crash point.
-  virtual void abandon() = 0;
 };
 
 class Env {

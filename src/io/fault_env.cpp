@@ -79,16 +79,15 @@ void FaultEnv::State::check_alive() const {
 
 namespace {
 
-// Wraps a base file, applying the plan's append/sync faults. Torn data is
-// flushed through the base buffer so the bytes on disk after a fault are
-// a pure function of the plan, not of buffer boundaries.
+// Wraps a base file, applying the plan's append/sync faults. A torn
+// append hands its prefix to the base file, so the bytes on disk after a
+// fault are a pure function of the plan and of the caller's writes.
 class FaultFile final : public File {
  public:
   FaultFile(std::unique_ptr<File> base,
             std::shared_ptr<FaultEnv::State> state, std::string path)
       : base_(std::move(base)), state_(std::move(state)),
         path_(std::move(path)) {}
-  ~FaultFile() override { abandon(); }
 
   IoStatus append(std::string_view data) override {
     const auto& plan = state_->plan;
@@ -100,7 +99,6 @@ class FaultFile final : public File {
         // Best effort by design: the injected fault *is* the partial
         // landing; the base env's own status is irrelevant here.
         (void)base_->append(data.substr(0, keep));
-        (void)base_->flush();
         state_->record_fault(op, "crash tearing append to " + path_ +
                                      " at " + std::to_string(keep) + "/" +
                                      std::to_string(data.size()) + " bytes");
@@ -115,7 +113,6 @@ class FaultFile final : public File {
           ? static_cast<std::size_t>(plan.enospc_after_bytes - written)
           : 0;
       (void)base_->append(data.substr(0, keep));
-      (void)base_->flush();
       state_->bytes_appended.store(plan.enospc_after_bytes);
       state_->record_fault(op, "ENOSPC tearing append to " + path_ + " at " +
                                    std::to_string(keep) + "/" +
@@ -136,7 +133,6 @@ class FaultFile final : public File {
       const std::size_t keep = static_cast<std::size_t>(
           state_->rng.bits(kShortLen, op) % data.size());
       (void)base_->append(data.substr(0, keep));
-      (void)base_->flush();
       state_->bytes_appended.fetch_add(keep);
       state_->record_fault(op, "short write to " + path_ + ": " +
                                    std::to_string(keep) + "/" +
@@ -150,19 +146,13 @@ class FaultFile final : public File {
     return IoStatus::success();
   }
 
-  IoStatus flush() override {
-    state_->check_alive();
-    return base_->flush();
-  }
-
   IoStatus sync() override {
     const auto& plan = state_->plan;
     state_->tick("fsync");
     const std::uint64_t n = state_->fsyncs.fetch_add(1) + 1;
     if (plan.fail_fsync_n != FaultPlan::kNever && n == plan.fail_fsync_n) {
-      // The buffer still reaches the OS (this harness does not model page-
-      // cache loss); only the durability barrier itself fails.
-      (void)base_->flush();
+      // The appended bytes stay with the OS (this harness does not model
+      // page-cache loss); only the durability barrier itself fails.
       state_->record_fault(n, "injected fsync failure (" +
                                   std::string(error_class_name(
                                       plan.fsync_error)) +
@@ -178,14 +168,12 @@ class FaultFile final : public File {
 
   IoStatus close() override {
     if (state_->crashed.load()) {
-      // A dead process flushes nothing on the way out.
-      base_->abandon();
+      // A dead process reports nothing on the way out.
+      (void)base_->close();
       return IoStatus::success();
     }
     return base_->close();
   }
-
-  void abandon() override { base_->abandon(); }
 
  private:
   std::unique_ptr<File> base_;

@@ -19,7 +19,8 @@
 //   * a crash point: mutating op N throws CrashPoint ("stop the world
 //     here"), optionally tearing the in-flight append first. After the
 //     crash every subsequent operation throws too, and open files are
-//     abandoned (buffered bytes lost), like a kill -9.
+//     abandoned, like a kill -9: bytes the caller still held in its own
+//     buffers never reach the file.
 #pragma once
 
 #include <atomic>

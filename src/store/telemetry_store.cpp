@@ -20,6 +20,10 @@ namespace {
 constexpr const char* kSegmentPrefix = "seg-";
 constexpr const char* kSegmentSuffix = ".log";
 
+// The store's write unit: buffered frames go to the file once they reach
+// this many bytes, in the journal and in compaction alike.
+constexpr std::size_t kWriteBytes = std::size_t{1} << 16;
+
 // seg-<digits>.log -> sequence number; nullopt for foreign files.
 std::optional<std::uint64_t> parse_segment_name(const std::string& name) {
   const std::string prefix = kSegmentPrefix;
@@ -77,22 +81,23 @@ TelemetryStore::TelemetryStore(std::string dir, StoreOptions options)
 
 TelemetryStore::~TelemetryStore() {
   try {
-    close_writer(/*strict=*/false);
+    close_writer();
+  } catch (const DataError& e) {
+    log_message(LogLevel::kWarn,
+                std::string("telemetry store: close failed (ignored): ") +
+                    e.what());
   } catch (...) {
     // A simulated crash (CrashPoint) during teardown: nothing to do, the
     // harness owns the aftermath.
   }
 }
 
-void TelemetryStore::close_writer(bool strict) {
+void TelemetryStore::close_writer() {
   if (out_ == nullptr) return;
+  write_pending();
   const auto s = out_->close();
   out_.reset();
-  if (!s.ok()) {
-    if (strict) throw DataError("telemetry store: close failed: " + s.message);
-    log_message(LogLevel::kWarn,
-                "telemetry store: close failed (ignored): " + s.message);
-  }
+  if (!s.ok()) throw DataError("telemetry store: close failed: " + s.message);
 }
 
 std::string TelemetryStore::segment_path(std::uint64_t seq) const {
@@ -104,7 +109,6 @@ std::string TelemetryStore::segment_path(std::uint64_t seq) const {
 
 void TelemetryStore::recover() {
   const obs::ScopedSpan span("store.recover");
-  close_writer(/*strict=*/false);
   segments_.clear();
   drives_.clear();
   drive_segments_.clear();
@@ -340,9 +344,11 @@ void TelemetryStore::ensure_writer() {
     throw DataError("telemetry store: cannot create " + seg.path + ": " +
                     opened.message);
   }
-  const std::string header = encode_segment_header(seg.seq, 0);
+  // The header is buffered like any frame, and cut like one if its write
+  // fails (recovery deletes the then-empty file).
+  pending_.append(encode_segment_header(seg.seq, 0));
+  seg.data_end = pending_.size();
   segments_.push_back(std::move(seg));
-  write_frames(header, 0);  // the header tears and is cut like any frame
 }
 
 std::size_t TelemetryStore::room(std::size_t frame_bytes) {
@@ -356,44 +362,59 @@ std::size_t TelemetryStore::room(std::size_t frame_bytes) {
     if (fit > 0 || end <= kSegmentHeaderBytes) {
       return static_cast<std::size_t>(std::max<std::uint64_t>(fit, 1));
     }
-    close_writer(/*strict=*/true);
+    close_writer();
     segments_.back().clean = false;  // sealed: rotation point
     m_rotations_->inc();
     m_sealed_->inc();
   }
 }
 
-void TelemetryStore::write_frames(std::string_view frames,
-                                  std::size_t records) {
-  Segment& seg = segments_.back();
-  if (auto s = out_->append(frames); !s.ok()) {
-    // A prefix may have landed (short write / ENOSPC tear): never re-send
-    // it — a retried prefix would duplicate bytes. Seal the segment so the
-    // next write rotates to a fresh file.
-    seg.clean = false;
-    m_sealed_->inc();
-    (void)out_->flush();  // best effort: earlier complete frames reach the OS
-    close_writer(/*strict=*/false);
-    // The prefix can hold *complete* frames that the live store never
-    // indexed, and recovery would apply them: a re-sent batch would replay
-    // twice, a registration would come back as a drive nobody holds. Cut
-    // the file back to the last indexed frame; when even that fails
-    // (permanent env failure), the segment is sealed and degraded already,
-    // and the duplicate-on-resend hazard is the smaller of the node's
-    // problems.
-    std::uint64_t on_disk = 0;
-    if (env_->file_size(seg.path, on_disk).ok() && on_disk > seg.data_end) {
-      (void)retryer_.run("truncate torn append", [&] {
-        return env_->resize_file(seg.path, seg.data_end);
-      });
-    }
-    throw DataError("telemetry store: append to " + seg.path +
-                    " failed: " + s.message);
+void TelemetryStore::write_pending() {
+  if (pending_.empty()) return;
+  const auto s = out_->append(pending_);
+  if (s.ok()) {
+    pending_.clear();
+    undo_.clear();
+    return;
   }
-  seg.data_end += frames.size();
-  if (records == 0) return;  // a segment header: neither record nor frame
-  m_appends_->inc(static_cast<std::uint64_t>(records));
-  m_bytes_->inc(static_cast<std::uint64_t>(frames.size()));
+  // A prefix may have landed (short write / ENOSPC tear), complete frames
+  // included, and recovery would apply those. Never re-send it: take the
+  // buffered chunks back out of the index, cut the file back to the bytes
+  // the OS had acknowledged before this write, and seal the segment so the
+  // next write rotates to a fresh file. When even the cut fails (permanent
+  // env failure), the segment is sealed and degraded already, and the
+  // duplicate-on-resend hazard is the smaller of the node's problems.
+  Segment& seg = segments_.back();
+  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+    DriveInfo& info = drives_[it->drive];
+    info.n_samples = it->n_samples;
+    info.first_hour = it->first_hour;
+    info.last_hour = it->last_hour;
+    if (it->added_segment) drive_segments_[it->drive].pop_back();
+  }
+  seg.data_end -= pending_.size();
+  pending_.clear();
+  undo_.clear();
+  seg.clean = false;
+  m_sealed_->inc();
+  out_.reset();
+  std::uint64_t on_disk = 0;
+  if (env_->file_size(seg.path, on_disk).ok() && on_disk > seg.data_end) {
+    (void)retryer_.run("truncate torn append", [&] {
+      return env_->resize_file(seg.path, seg.data_end);
+    });
+  }
+  throw DataError("telemetry store: write to " + seg.path + " failed: " +
+                  s.message);
+}
+
+void TelemetryStore::write_through(std::string_view frame) {
+  (void)room(frame.size());
+  pending_.append(frame);
+  segments_.back().data_end += frame.size();
+  write_pending();
+  m_appends_->inc();
+  m_bytes_->inc(static_cast<std::uint64_t>(frame.size()));
 }
 
 std::uint32_t TelemetryStore::register_drive(const std::string& serial) {
@@ -402,10 +423,9 @@ std::uint32_t TelemetryStore::register_drive(const std::string& serial) {
   const auto it = by_serial_.find(serial);
   if (it != by_serial_.end()) return it->second;
   const auto id = static_cast<std::uint32_t>(drives_.size());
-  batch_buf_.clear();
-  append_drive_frame(batch_buf_, id, serial);
-  (void)room(batch_buf_.size());
-  write_frames(batch_buf_, 1);
+  std::string frame;
+  append_drive_frame(frame, id, serial);
+  write_through(frame);
   by_serial_.emplace(serial, id);
   drives_.push_back(DriveInfo{serial, 0, -1, -1});
   drive_segments_.emplace_back();
@@ -425,14 +445,24 @@ void TelemetryStore::append_batch(std::uint32_t drive,
                              static_cast<std::uint64_t>(n));
   for (std::size_t done = 0, k = 0; done < n; done += k) {
     k = std::min(room(kSampleFrameBytes), n - done);
-    batch_buf_.clear();
-    batch_buf_.reserve(k * kSampleFrameBytes);
-    for (std::size_t i = 0; i < k; ++i) {
-      append_sample_frame(batch_buf_, drive, samples[done + i]);
+    Segment& seg = segments_.back();
+    // What indexing this chunk changes, so a failed write can undo it; a
+    // run of chunks for one drive needs only the state before the first.
+    if (undo_.empty() || undo_.back().drive != drive) {
+      const DriveInfo& info = drives_[drive];
+      const auto& segs = drive_segments_[drive];
+      undo_.push_back({drive, info.n_samples, info.first_hour, info.last_hour,
+                       segs.empty() || segs.back() != seg.seq});
     }
-    write_frames(batch_buf_, k);
-    index_samples(drive, segments_.back().seq, samples[done].hour,
+    for (std::size_t i = 0; i < k; ++i) {
+      append_sample_frame(pending_, drive, samples[done + i]);
+    }
+    seg.data_end += k * kSampleFrameBytes;
+    m_appends_->inc(static_cast<std::uint64_t>(k));
+    m_bytes_->inc(static_cast<std::uint64_t>(k * kSampleFrameBytes));
+    index_samples(drive, seg.seq, samples[done].hour,
                   samples[done + k - 1].hour, k);
+    if (pending_.size() >= kWriteBytes) write_pending();
   }
   if (options_.fsync_appends) flush();
 }
@@ -445,16 +475,16 @@ void TelemetryStore::append_generation(std::uint64_t generation,
                     "generation record (" +
                     std::to_string(model_text.size()) + " bytes)");
   }
-  batch_buf_.clear();
-  append_generation_frame(batch_buf_, generation, model_text);
-  (void)room(batch_buf_.size());
-  write_frames(batch_buf_, 1);
+  std::string frame;
+  append_generation_frame(frame, generation, model_text);
+  write_through(frame);
   generation_ = GenerationRecord{generation, std::string(model_text)};
   flush();  // a promotion must be durable before the caller swaps models
 }
 
 void TelemetryStore::flush() {
   if (out_ == nullptr) return;
+  write_pending();
   const obs::ScopedSpan span("store.fsync");
   const auto s = retryer_.run("fsync segment", [&] { return out_->sync(); });
   m_fsyncs_->inc();
@@ -467,15 +497,7 @@ void TelemetryStore::flush() {
 void TelemetryStore::flush_to_os() {
   if (out_ == nullptr) return;
   const obs::ScopedSpan span("store.flush_os");
-  if (auto s = out_->flush(); !s.ok()) {
-    // Buffered bytes may have partially landed: same poisoned state as a
-    // failed append, so seal the segment rather than risk duplicates.
-    segments_.back().clean = false;
-    m_sealed_->inc();
-    close_writer(/*strict=*/false);
-    throw DataError("telemetry store: flush of " + segments_.back().path +
-                    " failed: " + s.message);
-  }
+  write_pending();
 }
 
 void TelemetryStore::scan(const SampleFn& fn) const {
@@ -487,19 +509,24 @@ void TelemetryStore::walk_indexed(std::optional<std::uint32_t> only,
                                   std::int64_t from_hour,
                                   std::int64_t to_hour,
                                   const SampleFn& fn) const {
-  // Best effort: a failed flush means readers see a shorter (still
-  // well-formed) log; append paths surface the error.
-  if (out_ != nullptr) (void)out_->flush();
   const auto indexed = [this](std::uint32_t drive, std::uint64_t seq) {
     const auto& segs = drive_segments_[drive];
     return std::binary_search(segs.begin(), segs.end(), seq);
   };
   std::string buf;
   for (const Segment& seg : segments_) {
+    // A segment whose first write failed holds no frame (its empty file
+    // may already be gone: recovery deletes those).
+    if (seg.data_end <= kSegmentHeaderBytes) continue;
     if (only && !indexed(*only, seg.seq)) continue;
     if (auto s = env_->read_file(seg.path, buf); !s.ok()) {
       throw DataError("telemetry store: cannot open " + seg.path + ": " +
                       s.message);
+    }
+    if (&seg == &segments_.back() && !pending_.empty()) {
+      // The file holds the acknowledged bytes; the rest is still buffered.
+      buf.resize(static_cast<std::size_t>(seg.data_end) - pending_.size());
+      buf.append(pending_);
     }
     // Frames up to the validated end only: recovery vouched for those, so
     // their CRCs are not checked again.
@@ -563,12 +590,10 @@ TelemetryStore::CompactionResult TelemetryStore::write_compacted(
                     opened.message);
   }
   // Frames are encoded in place into one buffer, handed to the file
-  // whenever it passes kChunk bytes.
-  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  // whenever it reaches kWriteBytes.
   std::string buf = encode_segment_header(seq, kSegCompacted);
   auto put = [&f, &path_tmp, &buf] {
     if (auto s = f->append(buf); !s.ok()) {
-      f->abandon();
       throw DataError("telemetry store: write to " + path_tmp +
                       " failed: " + s.message);
     }
@@ -576,7 +601,7 @@ TelemetryStore::CompactionResult TelemetryStore::write_compacted(
   };
   for (std::uint32_t id = 0; id < drives_.size(); ++id) {
     append_drive_frame(buf, id, drives_[id].serial);
-    if (buf.size() >= kChunk) put();
+    if (buf.size() >= kWriteBytes) put();
   }
   if (generation_) {
     append_generation_frame(buf, generation_->generation,
@@ -588,7 +613,7 @@ TelemetryStore::CompactionResult TelemetryStore::write_compacted(
                [&](std::uint32_t drive, const smart::Sample& s) {
                  if (s.hour >= min_hour) {
                    append_sample_frame(buf, drive, s);
-                   if (buf.size() >= kChunk) put();
+                   if (buf.size() >= kWriteBytes) put();
                    ++res.kept;
                  } else {
                    ++res.dropped;
@@ -599,7 +624,6 @@ TelemetryStore::CompactionResult TelemetryStore::write_compacted(
                                    [&] { return f->sync(); });
   m_fsyncs_->inc();
   if (!synced.ok()) {
-    f->abandon();
     throw DataError("telemetry store: fsync of " + path_tmp +
                     " failed: " + synced.message);
   }
@@ -621,7 +645,7 @@ TelemetryStore::CompactionResult TelemetryStore::compact(
     std::int64_t min_hour) {
   const obs::ScopedSpan span("store.compact");
   flush();
-  close_writer(/*strict=*/true);
+  close_writer();
   const std::uint64_t seq = next_seq_++;
   const std::string path = segment_path(seq);
   const auto res = write_compacted(path + ".tmp", path, seq, min_hour);

@@ -9,11 +9,15 @@
 // Guarantees:
 //  * Appends are sequential writes to the highest segment; segments rotate
 //    at StoreOptions::segment_bytes, also for the first write after a
-//    reopen. flush() pushes buffered appends to the OS (fsync_appends
+//    reopen. The store owns the only buffer between a frame and write(2):
+//    sample frames reach the OS once 64 KiB are buffered, at flush_to_os()
+//    and flush(), at rotation and at close; registration and generation
+//    records are written through. flush() also fsyncs (fsync_appends
 //    trades throughput for power-loss durability).
-//  * A write that throws leaves the segment file holding exactly the
-//    frames the index, drive table and generation reflect: a torn prefix
-//    is cut back before the error surfaces.
+//  * The index counts buffered samples at once, and reads see them. A
+//    write that throws leaves the live index, the segment file and a
+//    reopen in agreement: the file is cut back to the bytes the OS had
+//    acknowledged, and the samples buffered since leave the index.
 //  * Opening recovers deterministically from a crash: a torn tail record is
 //    truncated away (the log ends at the last complete record); a record
 //    whose CRC fails is skipped and scanning of that segment stops — later
@@ -61,10 +65,10 @@ struct StoreOptions {
   // A FaultEnv here puts the whole store under deterministic fault
   // injection. The env must outlive the store.
   io::Env* env = nullptr;
-  // Backoff policy for transiently failing opens and fsyncs. Appends are
-  // never blindly retried: a short write may have landed a prefix, and
-  // re-sending the frame would duplicate it — the segment is sealed and the
-  // next append rotates to a fresh one instead.
+  // Backoff policy for transiently failing opens and fsyncs. Writes are
+  // never retried: a short write may have landed a prefix, and re-sending
+  // it would duplicate frames — the file is cut back, the segment sealed,
+  // and the next write rotates to a fresh one instead.
   io::RetryPolicy retry{};
 };
 
@@ -129,16 +133,16 @@ class TelemetryStore {
   // preserves append order).
   void append(std::uint32_t drive, const smart::Sample& sample);
 
-  // Appends a block of samples for one drive, encoding the frames that fit
-  // in the open segment into one reused buffer per write syscall (the
-  // serve ingest hot path). Rotation happens on frame boundaries. An I/O
-  // failure throws DataError with the segment sealed and cut back to the
-  // samples the index holds: those of earlier segments, none of the
-  // failed write.
+  // Appends a block of samples for one drive, encoding its frames into the
+  // store's buffer (the serve ingest hot path). Rotation happens on frame
+  // boundaries. A failed write throws DataError with the segment sealed,
+  // the file cut back to its acknowledged end, and every sample buffered
+  // since that end (this call's and earlier ones') out of the index.
   void append_batch(std::uint32_t drive, const smart::Sample* samples,
                     std::size_t n);
 
-  // Journals a promoted model generation durably (frame + one fsync): the
+  // Journals a promoted model generation durably (frame written through,
+  // then one fsync): the
   // update pipeline writes this record *before* hot-swapping the scorer, so
   // a crash at any promotion step resumes to a well-defined generation.
   // Throws DataError when the serialized model exceeds kMaxPayloadBytes.
@@ -153,13 +157,15 @@ class TelemetryStore {
     return generation_;
   }
 
-  // Durable flush: fsyncs buffered appends to stable storage. Also the
-  // sync step of every write (fsync_appends, append_generation).
+  // Durable flush: writes the buffer out, then fsyncs the segment. Also
+  // the sync step of every write (fsync_appends, append_generation). A
+  // failed fsync throws with the written samples still indexed: they are
+  // on the OS, and a reopen sees them.
   void flush();
 
-  // Cheap flush: pushes buffered appends to the OS page cache without the
-  // fsync, so readers (and recovery after a process crash) see them.
-  // Power-loss durability still requires flush().
+  // Cheap flush: writes the buffer to the OS without the fsync, so
+  // recovery after a process crash sees it. Power-loss durability still
+  // requires flush().
   void flush_to_os();
 
   std::size_t sample_count() const;
@@ -211,14 +217,14 @@ class TelemetryStore {
   struct Segment {
     std::uint64_t seq = 0;
     std::string path;
-    std::uint64_t data_end = 0;  // bytes of validated data (scan stops here)
+    std::uint64_t data_end = 0;  // bytes of indexed frames, buffered included
     bool clean = true;           // false after a CRC-stop: never append here
   };
 
   void recover();
-  // Closes the current writer, surfacing buffered-write/close failures as
-  // DataError when `strict`; quiet (log-only) otherwise.
-  void close_writer(bool strict);
+  // Writes the buffer out and closes the current writer; a failure of
+  // either throws DataError.
+  void close_writer();
   // Scans one segment file, applying records to the index. Returns false
   // when the header was unreadable.
   [[nodiscard]] bool scan_segment(Segment& seg);
@@ -228,17 +234,21 @@ class TelemetryStore {
   void index_samples(std::uint32_t drive, std::uint64_t seq,
                      std::int64_t first_hour, std::int64_t last_hour,
                      std::size_t n);
+  // Opens the writer on the last segment, or creates a segment whose
+  // header is the first buffered frame.
   void ensure_writer();
-  // The one write path, in three steps: room, write_frames, then the
-  // in-memory update, then flush() (the sync step) when the caller's
-  // contract asks for it.
   // How many frames of frame_bytes fit in the open segment; when none do,
-  // seals it and rotates first. Always at least 1.
+  // writes the buffer out, seals the segment and rotates first. Always at
+  // least 1.
   std::size_t room(std::size_t frame_bytes);
-  // Appends whole frames (`records` of them; 0 for a segment header) to
-  // the open segment. On failure the segment is sealed, closed and cut
-  // back to the last frame the index holds before DataError is thrown.
-  void write_frames(std::string_view frames, std::size_t records);
+  // The one write: hands pending_ to the open segment in one append. On
+  // failure the buffered chunks leave the index (undo_), the file is cut
+  // back to its acknowledged end, the segment is sealed and closed, and
+  // DataError is thrown.
+  void write_pending();
+  // Buffers one whole frame in the open segment and writes it through
+  // with everything buffered before it.
+  void write_through(std::string_view frame);
   std::string segment_path(std::uint64_t seq) const;
   CompactionResult write_compacted(const std::string& path_tmp,
                                    const std::string& path_final,
@@ -279,8 +289,20 @@ class TelemetryStore {
   std::unordered_map<std::string, std::uint32_t> by_serial_;
   std::optional<GenerationRecord> generation_;
   std::uint64_t next_seq_ = 1;
-  mutable std::unique_ptr<io::File> out_;  // current segment writer (lazy)
-  std::string batch_buf_;  // reused frame buffer for every write
+  std::unique_ptr<io::File> out_;  // current segment writer (lazy)
+  // Frames of the last segment not yet handed to the OS: its acknowledged
+  // end is data_end - pending_.size(). Empty whenever out_ is null.
+  std::string pending_;
+  // One buffered chunk's index change: the drive's counts before it, and
+  // whether it added the segment to drive_segments_. Cleared with pending_.
+  struct Undo {
+    std::uint32_t drive;
+    std::size_t n_samples;
+    std::int64_t first_hour;
+    std::int64_t last_hour;
+    bool added_segment;
+  };
+  std::vector<Undo> undo_;
 };
 
 }  // namespace hdd::store

@@ -4,9 +4,11 @@
 // the uninterrupted run — including when the interrupt tore the final
 // append mid-record.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -505,13 +507,12 @@ std::vector<StoredSample> store_contents(const store::TelemetryStore& st) {
   return out;
 }
 
-// Fails file operations a test arms: the nth append from arming, or every
-// flush while fail_flush is set. Everything else reaches the real files.
+// Fails the nth append a test arms (counted from arming) without landing
+// any of it. Everything else reaches the real files.
 class FlakyEnv final : public io::EnvWrapper {
  public:
   FlakyEnv() : io::EnvWrapper(io::Env::posix()) {}
 
-  bool fail_flush = false;
   void fail_append_in(std::size_t n) { append_countdown_ = n; }
 
   io::IoStatus new_append_file(const std::string& path, bool truncate,
@@ -535,15 +536,8 @@ class FlakyEnv final : public io::EnvWrapper {
       }
       return f_->append(data);
     }
-    io::IoStatus flush() override {
-      if (env_->fail_flush) {
-        return io::IoStatus::permanent_error("injected flush failure");
-      }
-      return f_->flush();
-    }
     io::IoStatus sync() override { return f_->sync(); }
     io::IoStatus close() override { return f_->close(); }
-    void abandon() override { f_->abandon(); }
 
    private:
     std::unique_ptr<io::File> f_;
@@ -552,6 +546,42 @@ class FlakyEnv final : public io::EnvWrapper {
 
   std::size_t append_countdown_ = 0;  // 0 = disarmed
 };
+
+// The live store answers for every drive exactly what a clean reopen of
+// its directory recovers: count, last hour and samples.
+void expect_live_matches_reopen(const store::TelemetryStore& live) {
+  const store::TelemetryStore reopened(live.directory());
+  ASSERT_EQ(reopened.drive_count(), live.drive_count());
+  const auto want = reopened.read_window();
+  const auto got = live.read_window();
+  for (std::uint32_t d = 0; d < live.drive_count(); ++d) {
+    SCOPED_TRACE("drive " + std::to_string(d));
+    EXPECT_EQ(live.drive(d).serial, reopened.drive(d).serial);
+    EXPECT_EQ(live.drive(d).n_samples, reopened.drive(d).n_samples);
+    EXPECT_EQ(live.drive(d).last_hour, reopened.drive(d).last_hour);
+    ASSERT_EQ(got[d].samples.size(), want[d].samples.size());
+    for (std::size_t k = 0; k < got[d].samples.size(); ++k) {
+      EXPECT_EQ(got[d].samples[k].hour, want[d].samples[k].hour);
+      EXPECT_EQ(got[d].samples[k].attrs, want[d].samples[k].attrs);
+    }
+  }
+}
+
+// Every drive's journal holds hours [0, to) once each, in order, in the
+// live store and after a reopen.
+void expect_each_hour_once(const store::TelemetryStore& live,
+                           std::int64_t to) {
+  const store::TelemetryStore reopened(live.directory());
+  for (const store::TelemetryStore* st : {&live, &reopened}) {
+    for (std::uint32_t d = 0; d < kDrives; ++d) {
+      std::vector<std::int64_t> hours;
+      for (const smart::Sample& x : st->read_drive(d)) hours.push_back(x.hour);
+      std::vector<std::int64_t> want(static_cast<std::size_t>(to));
+      for (std::int64_t h = 0; h < to; ++h) want[h] = h;
+      EXPECT_EQ(hours, want) << "drive " << d;
+    }
+  }
+}
 
 // Grouping runs into one call changes only the number of journal writes:
 // the runs of each 6-hour window through one ingest_runs call — every
@@ -599,9 +629,10 @@ TEST_F(DurableFleetTest, IngestRunsMatchesPerRunIngestDrive) {
   EXPECT_EQ(store_contents(store_a), store_contents(store_b));
 }
 
-// A failed flush drops every run of the call: none is scored, each is
-// counted in journal_failed, degraded() latches and one warn line names
-// the call. The re-send is then scored without a second journal copy.
+// A failed write at the call's flush_to_os drops every run of the call:
+// none is scored, each is counted in journal_failed, degraded() latches
+// and one warn line names the call. The store holds none of the call, so
+// the re-send is journaled once and scored.
 TEST_F(DurableFleetTest, FlushFailureDropsEveryRunOfTheCall) {
   const MixScorer scorer;
   FlakyEnv env;
@@ -618,44 +649,48 @@ TEST_F(DurableFleetTest, FlushFailureDropsEveryRunOfTheCall) {
 
   const RunSet set = window_runs(0, 6);
   const auto runs = set.runs();
-  env.fail_flush = true;
+  env.fail_append_in(1);  // the call's one write, at flush_to_os
   ::testing::internal::CaptureStderr();
   const auto r = f.ingest_runs(runs);
   const std::string log = ::testing::internal::GetCapturedStderr();
-  env.fail_flush = false;
 
   EXPECT_EQ(r.journal_failed, kDrives);
   EXPECT_EQ(r.accepted, 0u);
   EXPECT_TRUE(f.degraded());
   EXPECT_EQ(f.journal_failures(), 1u);
   std::size_t warn_lines = 0;
-  for (std::size_t at = log.find("fleet: journal flush failed");
+  for (std::size_t at = log.find("fleet: journal write failed");
        at != std::string::npos;
-       at = log.find("fleet: journal flush failed", at + 1)) {
+       at = log.find("fleet: journal write failed", at + 1)) {
     ++warn_lines;
   }
   EXPECT_EQ(warn_lines, 1u) << log;
   for (std::size_t d = 0; d < kDrives; ++d) {
     EXPECT_EQ(f.state(d).samples_seen(), 0) << "drive " << d;
   }
+  EXPECT_EQ(store.sample_count(), 0u);
+  expect_live_matches_reopen(store);
 
-  const std::size_t held = store.sample_count();
   const auto again = f.ingest_runs(runs);
   EXPECT_EQ(again.accepted, kDrives * 6);
   EXPECT_EQ(again.journal_failed, 0u);
   EXPECT_EQ(again.stale, 0u);
-  EXPECT_EQ(store.sample_count(), held);  // no second journal copy
+  expect_live_matches_reopen(store);
+  expect_each_hour_once(store, 6);
   (void)ref.ingest_runs(runs);
   EXPECT_EQ(vote_states(f), vote_states(ref));
 }
 
-// An append failure drops only its own run: the call's other runs are
-// journaled, flushed and scored as if the failed drive had sent nothing.
-TEST_F(DurableFleetTest, AppendFailureDropsOnlyThatRun) {
+// One rule for every failed write of a call: one that fails in the append
+// phase (here the write a mid-call rotation makes) drops every run of the
+// call, the runs appended before it included, as a failed flush does.
+TEST_F(DurableFleetTest, WriteFailureMidCallDropsEveryRun) {
   const MixScorer scorer;
   FlakyEnv env;
   store::StoreOptions opt;
   opt.env = &env;
+  // The warm call leaves room for about 28 of the next call's 36 frames.
+  opt.segment_bytes = 4096;
   store::TelemetryStore store(store_dir("append"), opt);
   FleetScorer f(scorer, test_config());
   FleetScorer ref(scorer, test_config());
@@ -665,29 +700,183 @@ TEST_F(DurableFleetTest, AppendFailureDropsOnlyThatRun) {
   }
   f.attach_journal(&store);
 
-  // A first clean call opens the segment writer, so the armed count below
-  // lands on run appends only.
   const RunSet warm = window_runs(0, 6);
   const auto warm_runs = warm.runs();
   ASSERT_EQ(f.ingest_runs(warm_runs).journal_failed, 0u);
   (void)ref.ingest_runs(warm_runs);
+  ASSERT_EQ(store.segment_count(), 1u);
 
   const RunSet set = window_runs(6, 12);
   const auto runs = set.runs();
-  env.fail_append_in(2);  // drive 1's run
+  env.fail_append_in(1);  // the rotation's write of the call's first runs
   ::testing::internal::CaptureStderr();
   const auto r = f.ingest_runs(runs);
   (void)::testing::internal::GetCapturedStderr();
 
-  EXPECT_EQ(r.journal_failed, 1u);
-  EXPECT_EQ(r.accepted, (kDrives - 1) * 6);
+  EXPECT_EQ(r.journal_failed, kDrives);
+  EXPECT_EQ(r.accepted, 0u);
   EXPECT_TRUE(f.degraded());
-  std::vector<DriveRun> others;
-  for (const DriveRun& run : runs) {
-    if (run.drive != 1) others.push_back(run);
+  EXPECT_EQ(f.journal_failures(), 1u);
+  EXPECT_EQ(store.segment_count(), 1u);  // failed before the next opened
+  EXPECT_EQ(store.sample_count(), kDrives * 6);
+  EXPECT_EQ(vote_states(f), vote_states(ref));
+  expect_live_matches_reopen(store);
+
+  const auto again = f.ingest_runs(runs);
+  EXPECT_EQ(again.accepted, kDrives * 6);
+  EXPECT_EQ(store.segment_count(), 2u);
+  expect_live_matches_reopen(store);
+  expect_each_hour_once(store, 12);
+  (void)ref.ingest_runs(runs);
+  EXPECT_EQ(vote_states(f), vote_states(ref));
+}
+
+// Caps the size of every file this process writes (the soft RLIMIT_FSIZE)
+// with SIGXFSZ ignored, so a write that would pass the cap lands what fits
+// and the kernel then fails it with EFBIG: a real short write, through
+// io::Env::posix() and no fault decorator. Both are restored on scope exit.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(std::uint64_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = saved_;
+    cap.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
   }
-  (void)ref.ingest_runs(others);
-  EXPECT_EQ(vote_states(f), vote_states(ref));  // drive 1 kept its warm run
+  ~FileSizeCap() {
+    (void)::setrlimit(RLIMIT_FSIZE, &saved_);
+    (void)std::signal(SIGXFSZ, handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*handler_)(int) = SIG_DFL;
+};
+
+// Bytes in the store's segment files.
+std::uint64_t journal_bytes(const store::TelemetryStore& st) {
+  std::uint64_t n = 0;
+  for (const auto& e : fs::directory_iterator(st.directory())) {
+    n += fs::file_size(e.path());
+  }
+  return n;
+}
+
+// A real write failure in ingest_runs's flush_to_os, after the call's runs
+// were indexed: one whole frame and part of the next land, then EFBIG.
+// The live store must agree with a reopen, and the re-send must journal
+// each hour once.
+TEST_F(DurableFleetTest, RealShortWriteAtFlushKeepsLiveStoreEqualToReopen) {
+  const MixScorer scorer;
+  store::TelemetryStore store(store_dir("efbig"));
+  FleetScorer f(scorer, test_config());
+  FleetScorer ref(scorer, test_config());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    f.add_drive("drive-" + std::to_string(d));
+    ref.add_drive("drive-" + std::to_string(d));
+  }
+  f.attach_journal(&store);
+  const RunSet warm = window_runs(0, 6);
+  ASSERT_EQ(f.ingest_runs(warm.runs()).accepted, kDrives * 6);
+  (void)ref.ingest_runs(warm.runs());
+
+  const RunSet set = window_runs(6, 12);
+  FleetScorer::IngestResult r;
+  {
+    const FileSizeCap cap(journal_bytes(store) + store::kSampleFrameBytes +
+                          10);
+    r = f.ingest_runs(set.runs());
+  }
+  EXPECT_EQ(r.journal_failed, kDrives);
+  EXPECT_EQ(r.accepted, 0u);
+  EXPECT_TRUE(f.degraded());
+  expect_live_matches_reopen(store);
+  EXPECT_EQ(store.sample_count(), kDrives * 6);
+
+  EXPECT_EQ(f.ingest_runs(set.runs()).accepted, kDrives * 6);
+  expect_live_matches_reopen(store);
+  expect_each_hour_once(store, 12);
+  (void)ref.ingest_runs(set.runs());
+  EXPECT_EQ(vote_states(f), vote_states(ref));
+}
+
+// The same real short write in observe_samples's journal write.
+TEST_F(DurableFleetTest, RealShortWriteInObserveSamplesKeepsLiveEqualToReopen) {
+  const MixScorer scorer;
+  store::TelemetryStore store(store_dir("efbig_obs"));
+  FleetScorer f(scorer, test_config());
+  FleetScorer ref(scorer, test_config());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    f.add_drive("drive-" + std::to_string(d));
+    ref.add_drive("drive-" + std::to_string(d));
+  }
+  f.attach_journal(&store);
+  constexpr std::int64_t kFail = 10;
+  for (std::int64_t h = 0; h < kFail; ++h) {
+    f.observe_samples(interval_at(h), h);
+    ref.observe_samples(interval_at(h), h);
+  }
+  FleetScorer::IngestResult r;
+  {
+    const FileSizeCap cap(journal_bytes(store) + store::kSampleFrameBytes +
+                          10);
+    r = f.observe_samples(interval_at(kFail), kFail);
+  }
+  EXPECT_EQ(r.journal_failed, kDrives);
+  EXPECT_EQ(r.accepted, 0u);
+  EXPECT_TRUE(f.degraded());
+  expect_live_matches_reopen(store);
+  EXPECT_EQ(store.sample_count(), kDrives * kFail);
+
+  for (std::int64_t h = kFail; h < 2 * kFail; ++h) {
+    EXPECT_EQ(f.observe_samples(interval_at(h), h).accepted, kDrives);
+    ref.observe_samples(interval_at(h), h);
+  }
+  expect_live_matches_reopen(store);
+  expect_each_hour_once(store, 2 * kFail);
+  EXPECT_EQ(vote_states(f), vote_states(ref));
+}
+
+// The same real short write at a rotation: the call's runs cross the
+// segment's end, and the write that seals the full segment fails.
+TEST_F(DurableFleetTest, RealShortWriteAtRotationKeepsLiveEqualToReopen) {
+  const MixScorer scorer;
+  store::StoreOptions opt;
+  opt.segment_bytes = 4096;
+  store::TelemetryStore store(store_dir("efbig_rot"), opt);
+  FleetScorer f(scorer, test_config());
+  FleetScorer ref(scorer, test_config());
+  for (std::uint32_t d = 0; d < kDrives; ++d) {
+    f.add_drive("drive-" + std::to_string(d));
+    ref.add_drive("drive-" + std::to_string(d));
+  }
+  f.attach_journal(&store);
+  const RunSet warm = window_runs(0, 6);
+  ASSERT_EQ(f.ingest_runs(warm.runs()).accepted, kDrives * 6);
+  (void)ref.ingest_runs(warm.runs());
+  ASSERT_EQ(store.segment_count(), 1u);
+
+  const RunSet set = window_runs(6, 12);
+  FleetScorer::IngestResult r;
+  {
+    const FileSizeCap cap(journal_bytes(store) + store::kSampleFrameBytes +
+                          10);
+    r = f.ingest_runs(set.runs());
+  }
+  EXPECT_EQ(r.journal_failed, kDrives);
+  EXPECT_EQ(store.segment_count(), 1u);  // failed at the rotation
+  expect_live_matches_reopen(store);
+  EXPECT_EQ(store.sample_count(), kDrives * 6);
+
+  EXPECT_EQ(f.ingest_runs(set.runs()).accepted, kDrives * 6);
+  EXPECT_EQ(store.segment_count(), 2u);
+  expect_live_matches_reopen(store);
+  expect_each_hour_once(store, 12);
+  (void)ref.ingest_runs(set.runs());
+  EXPECT_EQ(vote_states(f), vote_states(ref));
 }
 
 }  // namespace

@@ -49,9 +49,12 @@ namespace fs = std::filesystem;
 
 constexpr std::size_t kDrives = 6;
 constexpr std::int64_t kHours = 48;
-// Upper bound on the crash-op draw: an unfaulted scenario performs ~350
-// mutating ops, so most plans crash mid-run and some run to completion.
-constexpr std::uint64_t kMaxOps = 420;
+// Upper bound on the crash-op draw, from the mutating ops an unfaulted
+// dry run of the same scenario performs: 6/5 of them, so most plans crash
+// mid-run and some run to completion.
+std::uint64_t crash_span(std::uint64_t dry_run_ops) {
+  return dry_run_ops * 6 / 5;
+}
 
 // Deterministic pseudo-random telemetry (same construction as
 // durable_fleet_test): every value is a pure function of (drive, hour).
@@ -163,28 +166,50 @@ struct ScenarioResult {
   bool operator==(const ScenarioResult&) const = default;
 };
 
+// The journaled ingest of every interval, all I/O through `env`.
+void journaled_run(const fs::path& dir, io::Env& env, obs::Registry& reg) {
+  const MixScorer scorer;
+  store::StoreOptions so;
+  so.env = &env;
+  so.metrics = &reg;
+  so.retry.sleep = false;  // attempt accounting without wall-clock waits
+  store::TelemetryStore store(dir.string(), so);
+  FleetScorer f(scorer, test_config(&reg));
+  for (std::uint32_t d = 0; d < kDrives; ++d) f.add_drive(serial_of(d));
+  f.attach_journal(&store);
+  for (std::int64_t h = 0; h < kHours; ++h) {
+    f.observe_samples(interval_at(h), h);
+  }
+}
+
+// crash_span of a fault-free journaled_run, counted once per process.
+std::uint64_t scenario_max_ops() {
+  static const std::uint64_t max_ops = [] {
+    const fs::path dir = fs::temp_directory_path() /
+                         ("hdd_fault_dry_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    obs::Registry reg;
+    io::FaultEnv dry(io::Env::posix(), io::FaultPlan{}, &reg);
+    journaled_run(dir, dry, reg);
+    fs::remove_all(dir);
+    return crash_span(dry.ops());
+  }();
+  return max_ops;
+}
+
 // ingest-under-faults -> kill -> clean recover -> resume -> finish the run.
 ScenarioResult run_scenario(const fs::path& dir, std::uint64_t seed) {
+  const std::uint64_t max_ops = scenario_max_ops();
   fs::remove_all(dir);
   const MixScorer scorer;
   ScenarioResult rr;
 
   // Phase 1: journaled ingest with every I/O routed through the fault env.
   obs::Registry ingest_reg;
-  io::FaultEnv fenv(io::Env::posix(), io::FaultPlan::random(seed, kMaxOps),
+  io::FaultEnv fenv(io::Env::posix(), io::FaultPlan::random(seed, max_ops),
                     &ingest_reg);
   try {
-    store::StoreOptions so;
-    so.env = &fenv;
-    so.metrics = &ingest_reg;
-    so.retry.sleep = false;  // attempt accounting without wall-clock waits
-    store::TelemetryStore store(dir.string(), so);
-    FleetScorer f(scorer, test_config(&ingest_reg));
-    for (std::uint32_t d = 0; d < kDrives; ++d) f.add_drive(serial_of(d));
-    f.attach_journal(&store);
-    for (std::int64_t h = 0; h < kHours; ++h) {
-      f.observe_samples(interval_at(h), h);
-    }
+    journaled_run(dir, fenv, ingest_reg);
   } catch (const io::CrashPoint&) {
     rr.crashed = true;  // the simulated kill -9: all in-memory state is gone
   } catch (const std::exception&) {
@@ -429,17 +454,27 @@ TEST_F(FaultInjectionTest, CrashPointDumpsFlightRecorder) {
     // recorded when their scope closes, which is after the dump).
     const obs::ScopedSpan marker("fault_test_flight_marker");
   }
-  io::FaultPlan plan;
-  plan.crash_at_op = 5;
-  io::FaultEnv fenv(io::Env::posix(), plan);
-  store::StoreOptions so;
-  so.env = &fenv;
-  bool crashed = false;
-  try {
-    store::TelemetryStore store((base_dir_ / "flight").string(), so);
+  // Registers a drive, buffers 40 samples and flushes them; returns the
+  // ops before the samples.
+  const auto journal = [](io::FaultEnv& env, const fs::path& dir) {
+    store::StoreOptions so;
+    so.env = &env;
+    store::TelemetryStore store(dir.string(), so);
     store.register_drive("d0");
+    const std::uint64_t before = env.ops();
     for (std::int64_t h = 0; h < 40; ++h) store.append(0, sample_for(0, h));
     store.flush();
+    return before;
+  };
+  // A dry run counts the ops before the samples; the kill lands on the
+  // next one, the write that hands the 40 buffered samples to the OS.
+  io::FaultEnv dry(io::Env::posix(), io::FaultPlan{});
+  io::FaultPlan plan;
+  plan.crash_at_op = journal(dry, base_dir_ / "dry") + 1;
+  io::FaultEnv fenv(io::Env::posix(), plan);
+  bool crashed = false;
+  try {
+    (void)journal(fenv, base_dir_ / "flight");
   } catch (const io::CrashPoint&) {
     crashed = true;
   }
@@ -624,8 +659,6 @@ TEST_F(FaultInjectionTest, DomainPolicyQuarantinesVendorRangeViolations) {
 // their own clocks in per-drive chunks, exactly as network clients send
 // them.
 
-constexpr std::uint64_t kServeMaxOps = 150;
-
 serve::ShardEngineConfig serve_config(const fs::path& dir,
                                       const SampleScorer* scorer,
                                       io::Env* env, obs::Registry* reg) {
@@ -662,6 +695,19 @@ void serve_ingest_all(serve::ShardEngine& engine, std::int64_t chunk_hours) {
   }
 }
 
+// crash_span of a fault-free engine fed by `ingest`.
+template <typename Ingest>
+std::uint64_t serve_max_ops(const fs::path& dir, Ingest ingest) {
+  const MixScorer scorer;
+  obs::Registry reg;
+  io::FaultEnv dry(io::Env::posix(), io::FaultPlan{}, &reg);
+  {
+    serve::ShardEngine engine(serve_config(dir, &scorer, &dry, &reg));
+    ingest(engine);
+  }
+  return crash_span(dry.ops());
+}
+
 std::vector<Outcome> serve_outcomes(const serve::ShardEngine& engine) {
   std::vector<Outcome> out(kDrives);
   for (std::uint32_t d = 0; d < kDrives; ++d) {
@@ -689,14 +735,16 @@ TEST_F(FaultInjectionTest, ServeLoopKillRestartResume) {
   ASSERT_TRUE(std::any_of(expected.begin(), expected.end(),
                           [](const Outcome& o) { return o.alarmed; }));
 
+  const std::uint64_t max_ops = serve_max_ops(
+      base_dir_ / "dry", [](serve::ShardEngine& e) { serve_ingest_all(e, 6); });
   std::size_t n_crashed = 0;
   std::size_t n_lossless = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const fs::path dir = base_dir_ / ("s" + std::to_string(seed));
     fs::remove_all(dir);
     obs::Registry reg;
-    io::FaultEnv fenv(io::Env::posix(),
-                      io::FaultPlan::random(seed, kServeMaxOps), &reg);
+    io::FaultEnv fenv(io::Env::posix(), io::FaultPlan::random(seed, max_ops),
+                      &reg);
     bool crashed = false;
     bool errored = false;
     try {
@@ -781,14 +829,18 @@ TEST_F(FaultInjectionTest, ServeLoopMultiRunRequestsKillRestartResume) {
     ASSERT_EQ(serve_outcomes(grouped), expected);
   }
 
+  const std::uint64_t max_ops =
+      serve_max_ops(base_dir_ / "dry", [](serve::ShardEngine& e) {
+        serve_ingest_windows(e, 6);
+      });
   std::size_t n_crashed = 0;
   std::size_t n_lossless = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const fs::path dir = base_dir_ / ("s" + std::to_string(seed));
     fs::remove_all(dir);
     obs::Registry reg;
-    io::FaultEnv fenv(io::Env::posix(),
-                      io::FaultPlan::random(seed, kServeMaxOps), &reg);
+    io::FaultEnv fenv(io::Env::posix(), io::FaultPlan::random(seed, max_ops),
+                      &reg);
     bool crashed = false;
     bool errored = false;
     try {

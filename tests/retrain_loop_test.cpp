@@ -383,7 +383,6 @@ class ShardOneSyncFails final : public io::EnvWrapper {
     io::IoStatus append(std::string_view data) override {
       return inner_->append(data);
     }
-    io::IoStatus flush() override { return inner_->flush(); }
     io::IoStatus sync() override {
       if (armed_->load()) {
         return io::IoStatus::permanent_error("injected fsync failure");
@@ -391,7 +390,6 @@ class ShardOneSyncFails final : public io::EnvWrapper {
       return inner_->sync();
     }
     io::IoStatus close() override { return inner_->close(); }
-    void abandon() override { inner_->abandon(); }
 
    private:
     std::unique_ptr<io::File> inner_;

@@ -698,15 +698,11 @@ TEST_F(ServeTest, ConcurrentIngestKillRestartResume) {
     expected = outcomes(ref);
   }
 
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const fs::path dir = base_dir_ / ("s" + std::to_string(seed));
-    io::FaultPlan plan;
-    plan.seed = seed;
-    plan.crash_at_op = 40 * seed;  // progressively later kills
-    io::FaultEnv fenv(io::Env::posix(), plan);
+  // One daemon life with every store I/O through `env`.
+  const auto serve_life = [&](const fs::path& dir, io::FaultEnv& env) {
     try {
       auto ec = engine_config(dir, 2, &scorer_, nullptr);
-      ec.runtime.store.env = &fenv;
+      ec.runtime.store.env = &env;
       ShardEngine engine(ec);
       Server server(engine, {});
       server.start();
@@ -735,6 +731,25 @@ TEST_F(ServeTest, ConcurrentIngestKillRestartResume) {
       // Early crash points fire while the engine is still opening its
       // stores, before the server exists: the whole "process" is gone.
     }
+  };
+  // A fault-free dry run counts the life's mutating ops; the kills below
+  // land progressively later, at seed/6 of them.
+  std::uint64_t life_ops = 0;
+  {
+    io::FaultEnv dry(io::Env::posix(), io::FaultPlan{});
+    serve_life(base_dir_ / "dry", dry);
+    life_ops = dry.ops();
+    io::reset_shutdown_for_tests();
+  }
+
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const fs::path dir = base_dir_ / ("s" + std::to_string(seed));
+    io::FaultPlan plan;
+    plan.seed = seed;
+    plan.crash_at_op = 1 + life_ops * seed / 6;
+    io::FaultEnv fenv(io::Env::posix(), plan);
+    serve_life(dir, fenv);
+    EXPECT_TRUE(fenv.crashed()) << "seed " << seed;
     io::reset_shutdown_for_tests();
 
     // Restart on healthy hardware: recover, resume, re-send everything.

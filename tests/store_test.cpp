@@ -20,6 +20,7 @@
 #include "common/error.h"
 #include "hex_bytes.h"
 #include "io/env.h"
+#include "io/fault_env.h"
 #include "store/format.h"
 #include "store/telemetry_store.h"
 
@@ -447,9 +448,9 @@ TEST_F(StoreTest, TornTailIsTruncatedAndStoreStaysAppendable) {
   EXPECT_EQ(store.segment_count(), 1u);  // appends went to the same segment
 }
 
-// An Env whose Nth File::append tears: a byte-count prefix reaches the
-// real file, then a transient error is reported — the shape of a batched
-// write dying partway with whole frames already on disk.
+// An Env whose Nth File::append tears (0 = never): a byte-count prefix
+// reaches the real file, then a transient error is reported — the shape
+// of a batched write dying partway with whole frames already on disk.
 class TearingEnv final : public io::EnvWrapper {
  public:
   TearingEnv(io::Env& target, int fail_on_append, std::size_t landed_bytes)
@@ -476,15 +477,12 @@ class TearingEnv final : public io::EnvWrapper {
       if (++env_->appends_ == env_->fail_on_append_) {
         const auto landed = std::min(env_->landed_bytes_, data.size());
         (void)real_->append(data.substr(0, landed));
-        (void)real_->flush();
         return io::IoStatus::transient_error("injected torn append");
       }
       return real_->append(data);
     }
-    io::IoStatus flush() override { return real_->flush(); }
     io::IoStatus sync() override { return real_->sync(); }
     io::IoStatus close() override { return real_->close(); }
-    void abandon() override { real_->abandon(); }
 
    private:
     std::unique_ptr<io::File> real_;
@@ -493,23 +491,46 @@ class TearingEnv final : public io::EnvWrapper {
 
   int appends_ = 0;
   const int fail_on_append_;
+
+ public:
+  int appends() const { return appends_; }
+
+ private:
   const std::size_t landed_bytes_;
 };
 
 TEST_F(StoreTest, TornBatchPrefixIsNotReplayedWhenTheBatchIsResent) {
-  // Append #1 is the segment header; #2 is the registration; #3 is the
-  // batch, torn after exactly two complete frames have landed.
-  TearingEnv env(io::Env::posix(), /*fail_on_append=*/3,
+  std::vector<smart::Sample> batch;
+  for (std::int64_t h = 0; h < 6; ++h) batch.push_back(make_sample(h));
+  // Dry run: the buffered batch reaches the file in one append at
+  // flush_to_os, the first after the registration's write-through.
+  int batch_append = 0;
+  {
+    const std::string dry = dir() + "-dry";
+    TearingEnv env(io::Env::posix(), /*fail_on_append=*/0, 0);
+    StoreOptions opt;
+    opt.env = &env;
+    {
+      TelemetryStore store(dry, opt);
+      const auto id = store.register_drive("D");
+      batch_append = env.appends() + 1;
+      store.append_batch(id, batch.data(), batch.size());
+      store.flush_to_os();
+      ASSERT_EQ(env.appends(), batch_append);
+    }
+    fs::remove_all(dry);
+  }
+  // The batch's write tears after exactly two complete frames have landed.
+  TearingEnv env(io::Env::posix(), batch_append,
                  /*landed_bytes=*/2 * kSampleFrameBytes);
   StoreOptions opt;
   opt.env = &env;
-  std::vector<smart::Sample> batch;
-  for (std::int64_t h = 0; h < 6; ++h) batch.push_back(make_sample(h));
   {
     TelemetryStore store(dir(), opt);
     const auto id = store.register_drive("D");
-    EXPECT_THROW(store.append_batch(id, batch.data(), batch.size()),
-                 DataError);
+    store.append_batch(id, batch.data(), batch.size());
+    EXPECT_EQ(store.drive(id).n_samples, 6u);  // indexed while buffered
+    EXPECT_THROW(store.flush_to_os(), DataError);
     EXPECT_EQ(store.drive(id).n_samples, 0u);  // none of the batch indexed
     // The producer's contract after a journal failure: re-send the whole
     // batch. The two frames that landed before the tear must not turn
@@ -528,13 +549,29 @@ TEST_F(StoreTest, TornBatchPrefixIsNotReplayedWhenTheBatchIsResent) {
 }
 
 TEST_F(StoreTest, FailedRegistrationIsNeverRecoveredAsAnotherDrive) {
-  // Append #1 is the segment header; #2 is A's registration. Whole: the
-  // frame lands and the write still fails; partial: it tears mid-frame.
+  // Dry run: a registration is written through, in one append with the
+  // buffered header of the segment it opens.
+  int reg_append = 0;
+  {
+    const std::string dry = dir() + "-dry";
+    TearingEnv env(io::Env::posix(), /*fail_on_append=*/0, 0);
+    StoreOptions opt;
+    opt.env = &env;
+    {
+      TelemetryStore store(dry, opt);
+      reg_append = env.appends() + 1;
+      (void)store.register_drive("A");
+      ASSERT_EQ(env.appends(), reg_append);
+    }
+    fs::remove_all(dry);
+  }
+  // Whole: header and frame land and the write still fails; partial: it
+  // tears mid-frame.
   for (const bool whole : {true, false}) {
     SCOPED_TRACE(whole ? "whole frame landed" : "partial frame landed");
     fs::remove_all(dir_);
-    TearingEnv env(io::Env::posix(), /*fail_on_append=*/2,
-                   /*landed_bytes=*/whole ? 64 : 5);
+    TearingEnv env(io::Env::posix(), reg_append,
+                   /*landed_bytes=*/whole ? 1024 : kSegmentHeaderBytes + 5);
     StoreOptions opt;
     opt.env = &env;
     {
@@ -983,6 +1020,80 @@ TEST_F(StoreTest, ASampleAheadOfItsRegistrationIsReadNowhere) {
     hours.push_back(s.hour);
   });
   EXPECT_EQ(hours, std::vector<std::int64_t>{1});
+}
+
+// After any DataError the store throws under an injected fault (short
+// writes, ENOSPC, transient write errors, a failed fsync), the live store
+// and a clean reopen of its directory agree drive for drive. Small
+// segments put rotations among the failing writes; registrations, batch
+// appends, flush_to_os and flush all meet the faults.
+TEST_F(StoreTest, LiveStoreMatchesReopenAfterEveryInjectedFault) {
+  const auto expect_live_matches_reopen = [this](const TelemetryStore& live) {
+    const TelemetryStore reopened(dir());
+    ASSERT_EQ(reopened.drive_count(), live.drive_count());
+    for (std::uint32_t d = 0; d < live.drive_count(); ++d) {
+      EXPECT_EQ(live.drive(d).serial, reopened.drive(d).serial);
+      EXPECT_EQ(live.drive(d).n_samples, reopened.drive(d).n_samples);
+      EXPECT_EQ(live.drive(d).last_hour, reopened.drive(d).last_hour);
+      const auto got = live.read_drive(d);
+      const auto want = reopened.read_drive(d);
+      ASSERT_EQ(got.size(), want.size()) << "drive " << d;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_EQ(got[k].hour, want[k].hour);
+        EXPECT_EQ(got[k].attrs, want[k].attrs);
+      }
+    }
+  };
+  for (const char* kind : {"short", "enospc", "eio", "fsync"}) {
+    std::size_t failures = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(std::string(kind) + " seed " + std::to_string(seed));
+      fs::remove_all(dir_);
+      io::FaultPlan plan;
+      plan.seed = seed;
+      if (std::string_view(kind) == "short") plan.short_write_prob = 0.3;
+      if (std::string_view(kind) == "enospc") {
+        plan.enospc_after_bytes = 400 * seed;
+      }
+      if (std::string_view(kind) == "eio") plan.write_error_prob = 0.3;
+      if (std::string_view(kind) == "fsync") {
+        plan.fail_fsync_n = seed;
+        plan.fsync_error = io::ErrorClass::kPermanent;
+      }
+      io::FaultEnv env(io::Env::posix(), plan);
+      StoreOptions opt;
+      opt.env = &env;
+      opt.segment_bytes = 1024;
+      opt.retry.sleep = false;
+      TelemetryStore store(dir(), opt);
+      for (std::int64_t step = 0; step < 24; ++step) {
+        try {
+          for (const char* serial : {"A", "B", "C"}) {
+            (void)store.register_drive(serial);
+          }
+          for (std::uint32_t d = 0; d < store.drive_count(); ++d) {
+            const std::array<smart::Sample, 3> run = {
+                make_sample(3 * step, 1.0f * d),
+                make_sample(3 * step + 1, 1.0f * d),
+                make_sample(3 * step + 2, 1.0f * d)};
+            store.append_batch(d, run.data(), run.size());
+          }
+          if (step % 3 == 2) store.flush_to_os();
+          if (step % 5 == 4) store.flush();
+        } catch (const DataError&) {
+          ++failures;
+          expect_live_matches_reopen(store);
+        }
+      }
+      try {
+        store.flush_to_os();  // a reopen sees only what reached the OS
+      } catch (const DataError&) {
+        ++failures;
+      }
+      expect_live_matches_reopen(store);
+    }
+    EXPECT_GT(failures, 0u) << kind;
+  }
 }
 
 }  // namespace

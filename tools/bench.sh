@@ -13,8 +13,10 @@
 # run misleads; the CV says how far apart two medians must be to differ.
 # CI diffs this file against the committed copy to catch hot-path
 # regressions; the obs entries are the acceptance record for the overhead
-# bounds in DESIGN.md §7, the io entries for the <=3% Env-indirection budget in DESIGN.md §8
-# (BM_EnvAppend vs BM_DirectAppend), and the serve entries for the >= 1M
+# bounds in DESIGN.md §7, the io entries for the <=3% Env-seam budget in
+# DESIGN.md §8 (BM_EnvAppend vs BM_DirectAppend: the same records in the
+# store's 64 KiB writes, through PosixEnv and through raw write(2)), and
+# the serve entries for the >= 1M
 # sustained samples/s ingest bar in DESIGN.md §9
 # (BM_ServeLoopbackIngest), and the pipeline entries for the <= 10%
 # shadow-scoring overhead bound in DESIGN.md §10 (BM_FleetObserveShadow
