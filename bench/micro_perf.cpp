@@ -62,11 +62,11 @@ void BM_GeneratorSampleAt(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneratorSampleAt);
 
-void BM_FeatureExtraction(benchmark::State& state) {
+// One row per iteration over an 8-week hourly record.
+void feature_extraction(benchmark::State& state, const smart::FeatureSet& fs) {
   const sim::TraceGenerator gen(sim::family_w_profile(), 42, 0);
   const auto latent = gen.make_latent(3, false, 8 * 168);
   const auto record = gen.materialize(latent, 0, 1343, 1);
-  const auto fs = smart::stat13_features();
   std::size_t i = 100;
   for (auto _ : state) {
     benchmark::DoNotOptimize(smart::extract_features(record, i, fs));
@@ -74,7 +74,17 @@ void BM_FeatureExtraction(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_FeatureExtraction(benchmark::State& state) {
+  feature_extraction(state, smart::stat13_features());
+}
 BENCHMARK(BM_FeatureExtraction);
+
+// expert19's 24 h rates reach furthest back of the paper's sets.
+void BM_FeatureExtractionExpert19(benchmark::State& state) {
+  feature_extraction(state, smart::expert19_features());
+}
+BENCHMARK(BM_FeatureExtractionExpert19);
 
 void BM_TreeFit(benchmark::State& state) {
   const auto m = make_training_matrix(

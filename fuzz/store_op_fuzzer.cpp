@@ -105,7 +105,10 @@ void check_prefix(const store::TelemetryStore& store,
 void check_live_matches_reopen(const store::TelemetryStore& live,
                                const store::StoreOptions& opt) {
   const store::TelemetryStore reopened(live.directory(), opt);
-  if (reopened.drive_count() != live.drive_count()) __builtin_trap();
+  if (reopened.drive_count() != live.drive_count() ||
+      reopened.segment_count() != live.segment_count()) {
+    __builtin_trap();
+  }
   for (std::uint32_t id = 0; id < live.drive_count(); ++id) {
     const store::DriveInfo& a = live.drive(id);
     const store::DriveInfo& b = reopened.drive(id);

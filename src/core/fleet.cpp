@@ -14,21 +14,13 @@
 namespace hdd::core {
 
 FleetScorer::FleetScorer(const SampleScorer& scorer, FleetScorerConfig config)
-    : scorer_(&scorer), config_(std::move(config)) {
+    : scorer_(&scorer),
+      config_(std::move(config)),
+      window_samples_(config_.features.window_samples()) {
   HDD_REQUIRE(config_.features.size() == scorer_->num_features(),
               "fleet feature set width must match the model");
   HDD_REQUIRE(config_.block_rows >= 1, "block_rows must be >= 1");
   eval::VoteWindow::check(config_.vote);
-  HDD_REQUIRE(config_.history_hours >= 0, "history_hours must be >= 0");
-  if (config_.history_hours > 0) {
-    history_hours_ = config_.history_hours;
-  } else {
-    int max_interval = 0;
-    for (const auto& spec : config_.features.specs) {
-      max_interval = std::max(max_interval, spec.change_interval_hours);
-    }
-    history_hours_ = std::max(24, 4 * max_interval);
-  }
   obs::Registry& reg =
       config_.metrics != nullptr ? *config_.metrics : obs::Registry::global();
   m_samples_scored_ = &reg.counter("hdd_fleet_samples_scored_total",
@@ -178,9 +170,7 @@ std::size_t FleetScorer::add_drive(std::string serial) {
   if (journal_ != nullptr) {
     journal_ids_.push_back(journal_->register_drive(serial));
   }
-  smart::DriveRecord rec;
-  rec.serial = serial;
-  history_.push_back(std::move(rec));
+  history_.emplace_back();
   serials_.push_back(std::move(serial));
   windows_.emplace_back();
   rings_.resize(rings_.size() + static_cast<std::size_t>(config_.vote.voters));
@@ -217,15 +207,13 @@ void FleetScorer::attach_journal(store::TelemetryStore* store) {
 }
 
 void FleetScorer::push_history(std::size_t i, const smart::Sample& sample) {
-  auto& hist = history_[i].samples;
+  auto& hist = history_[i];
+  // The stale rule (intake) and every journal writer (resume) keep a
+  // drive's hours strictly increasing, which is what lets a window of
+  // window_samples_ samples give the row of the whole record.
+  HDD_ASSERT(hist.empty() || hist.back().hour < sample.hour);
+  if (hist.size() == window_samples_) hist.erase(hist.begin());
   hist.push_back(sample);
-  // One deterministic trim rule shared by live scoring and resume_from():
-  // keep samples within history_hours_ of the newest. Identical windows ->
-  // identical feature rows -> identical alarms.
-  const std::int64_t min_hour = sample.hour - history_hours_;
-  std::size_t drop = 0;
-  while (drop + 1 < hist.size() && hist[drop].hour < min_hour) ++drop;
-  if (drop > 0) hist.erase(hist.begin(), hist.begin() + drop);
 }
 
 FleetScorer::Intake& FleetScorer::begin_intake() {
@@ -240,7 +228,7 @@ FleetScorer::Intake& FleetScorer::begin_intake() {
 void FleetScorer::admit(std::size_t i, std::span<const smart::Sample> samples,
                         Intake& in) {
   const std::size_t first = in.kept.size();
-  const auto& hist = history_[i].samples;
+  const auto& hist = history_[i];
   std::int64_t last = hist.empty() ? -1 : hist.back().hour;
   if (in.run_of[i] != 0) {
     // Not scored yet, but already admitted earlier in this call.
@@ -417,13 +405,12 @@ void FleetScorer::score(const ScoreCtx& ctx,
     if (precomputed) {
       x = xs.subspan(lo * nf, (hi - lo) * nf);
     } else {
-      buf.x.clear();
+      buf.x.resize((hi - lo) * nf);
       for (std::size_t k = lo; k < hi; ++k) {
         const std::size_t i = drive_of(k);
         push_history(i, samples[k]);
-        const std::size_t last = history_[i].samples.size() - 1;
-        smart::extract_features_block(history_[i], last, last + 1,
-                                      config_.features, buf.x);
+        smart::extract_row(history_[i], config_.features,
+                           buf.x.data() + (k - lo) * nf);
       }
       x = buf.x;
     }
@@ -546,7 +533,7 @@ std::vector<std::size_t> FleetScorer::alarmed_drives() const {
 
 void FleetScorer::reset() {
   for (eval::VoteWindow& w : windows_) w.reset();
-  for (smart::DriveRecord& h : history_) h.samples.clear();
+  for (std::vector<smart::Sample>& h : history_) h.clear();
 }
 
 }  // namespace hdd::core

@@ -13,10 +13,13 @@
 //    samples, a fleet interval at a time (observe_samples) or as drive runs
 //    on their own clocks (ingest_runs; ingest_drive is its one-run call).
 //    Both take each drive's samples through one intake step (stale filter,
-//    quarantine, journal append) before the same bounded-history scoring
-//    step; after a crash, resume_from() replays the log through that
-//    scoring step, restoring every voting window so the continued run
-//    raises byte-identical alarms.
+//    quarantine, journal append) before the same scoring step, which keeps
+//    each drive's last FeatureSet::window_samples() samples and builds its
+//    row with smart::extract_row, the rule training and evaluation use, so
+//    a live row equals the offline row of the same record. After a crash,
+//    resume_from() replays the log through that scoring step, restoring
+//    every voting window so the continued run raises byte-identical
+//    alarms.
 //
 // Offline evaluation (eval::vote_drive) pushes whole DriveRecords' outputs
 // through the same eval::VoteWindow::push, so paper FDR/FAR/TIA and live
@@ -64,11 +67,6 @@ struct FleetScorerConfig {
   // Rows per predict_batch call (and per parallel work item in streaming
   // mode).
   std::size_t block_rows = 256;
-  // Hours of raw-sample history kept per drive for change-rate features in
-  // journaled streaming mode; 0 = auto (4x the largest change interval of
-  // the feature set, at least 24 h). Live scoring and resume_from() trim
-  // with the same rule, which is what makes resumed decisions identical.
-  int history_hours = 0;
   // Ingest hygiene for observe_samples. The default only rejects values no
   // finite arithmetic can use; kFullDomain is for raw vendor telemetry
   // (CLI ingest uses it). Synthetic/pre-normalized pipelines that score
@@ -155,7 +153,7 @@ class FleetScorer {
   //     runs in one call is filtered against its own earlier runs too.
   // A dropped sample is dropped everywhere (journal, history, voting), so
   // in-memory state always matches what a resume would replay. Admitted
-  // samples then go through the bounded-history extraction, scoring and
+  // samples then go through the sample-window extraction, scoring and
   // voting step resume_from() shares. Not thread-safe: callers serialize
   // per scorer (serve gives each shard its own scorer + store).
 
@@ -315,7 +313,7 @@ class FleetScorer {
 
   const SampleScorer* scorer_;
   FleetScorerConfig config_;
-  int history_hours_ = 0;  // resolved from config (auto when 0)
+  std::size_t window_samples_;  // config_.features.window_samples()
 
   // hdd_fleet_* instruments (resolved from config_.metrics, see DESIGN.md
   // §7). Owned by the registry; shared across scorers on that registry.
@@ -357,8 +355,10 @@ class FleetScorer {
   // Journaled streaming state.
   store::TelemetryStore* journal_ = nullptr;
   std::vector<std::uint32_t> journal_ids_;   // fleet index -> store drive id
-  std::vector<smart::DriveRecord> history_;  // bounded raw-sample windows
-  Intake intake_;                             // reused per intake call
+  // Drive i's last window_samples_ samples, oldest first. Nothing is
+  // reserved: an observe_interval-only fleet never pushes a sample.
+  std::vector<std::vector<smart::Sample>> history_;
+  Intake intake_;  // reused per intake call
 };
 
 }  // namespace hdd::core

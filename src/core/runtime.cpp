@@ -60,7 +60,6 @@ FleetRuntime::FleetRuntime(FleetRuntimeConfig config) {
   fc.features = std::move(config.features);
   fc.vote = config.vote;
   fc.block_rows = config.block_rows;
-  fc.history_hours = config.history_hours;
   fc.quarantine = config.quarantine;
   fc.pool = config.pool;
   fc.metrics = config.metrics;

@@ -39,7 +39,6 @@ struct FleetRuntimeConfig {
   smart::FeatureSet features;
   eval::VoteConfig vote;
   QuarantinePolicy quarantine = QuarantinePolicy::kNonFinite;
-  int history_hours = 0;     // 0 = auto (FleetScorerConfig rule)
   std::size_t block_rows = 256;
   ThreadPool* pool = nullptr;         // nullptr = ThreadPool::global()
   obs::Registry* metrics = nullptr;   // nullptr = obs::Registry::global()

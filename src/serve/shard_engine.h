@@ -17,9 +17,9 @@
 // ConfigError, not silent re-routing.
 //
 // Per-drive memory is bounded: each drive holds one 32-byte
-// eval::VoteWindow and its N outputs in the fleet's ring array, plus a
-// history window trimmed to history_hours, regardless of how many samples
-// it ever ingested.
+// eval::VoteWindow and its N outputs in the fleet's ring array, plus its
+// last FeatureSet::window_samples() samples (7 for stat13), regardless of
+// how many samples it ever ingested.
 #pragma once
 
 #include <cstdint>

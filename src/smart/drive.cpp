@@ -38,4 +38,13 @@ std::int64_t DriveRecord::last_sample_at_or_before(std::int64_t h) const {
   return static_cast<std::int64_t>(std::distance(samples.begin(), it)) - 1;
 }
 
+std::pair<std::size_t, std::size_t> DriveRecord::samples_between(
+    std::int64_t from, std::int64_t to) const {
+  const auto first =
+      static_cast<std::size_t>(last_sample_at_or_before(from - 1) + 1);
+  const auto last =
+      static_cast<std::size_t>(last_sample_at_or_before(to) + 1);
+  return {first, std::max(first, last)};
+}
+
 }  // namespace hdd::smart

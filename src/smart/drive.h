@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "smart/attributes.h"
@@ -39,6 +40,10 @@ struct DriveRecord {
   // Index of the last sample with hour <= h, or -1 if none.
   // O(log n) binary search over the chronological samples.
   std::int64_t last_sample_at_or_before(std::int64_t h) const;
+
+  // Index range [first, second) of the samples with hour in [from, to].
+  std::pair<std::size_t, std::size_t> samples_between(std::int64_t from,
+                                                      std::int64_t to) const;
 };
 
 // Ingest-time validity of one sample. kNonFinite means some attribute is

@@ -60,43 +60,51 @@ FeatureSet stat13_features() {
   return fs;
 }
 
-namespace {
-
-// Change rate of `attr` at sample `index`: difference to the nearest sample
-// at or before (t - interval), normalized per hour. 0 when history is short.
-float change_rate_at(const DriveRecord& drive, std::size_t index, Attr attr,
-                     int interval_hours) {
-  const Sample& now = drive.samples[index];
-  const std::int64_t want = now.hour - interval_hours;
-  const std::int64_t past_idx = drive.last_sample_at_or_before(want);
-  if (past_idx < 0) return 0.0f;
-  const Sample& past = drive.samples[static_cast<std::size_t>(past_idx)];
-  const std::int64_t dt = now.hour - past.hour;
-  if (dt <= 0) return 0.0f;
-  return (now.value(attr) - past.value(attr)) / static_cast<float>(dt);
+std::size_t FeatureSet::window_samples() const {
+  int longest = 0;
+  for (const FeatureSpec& spec : specs) {
+    longest = std::max(longest, spec.change_interval_hours);
+  }
+  return static_cast<std::size_t>(longest) + 1;
 }
 
-void fill_row(const DriveRecord& drive, std::size_t index,
-              const FeatureSet& fs, float* row) {
+void extract_row(std::span<const Sample> window, const FeatureSet& fs,
+                 float* row) {
+  const Sample& now = window.back();
+  // Rates over one interval share their past sample; every preset lists
+  // them together, so each distinct interval is scanned once per row.
+  int interval = 0;
+  const Sample* past = nullptr;
   for (std::size_t f = 0; f < fs.specs.size(); ++f) {
     const FeatureSpec& spec = fs.specs[f];
-    if (spec.is_change_rate()) {
-      row[f] = change_rate_at(drive, index, spec.attr,
-                              spec.change_interval_hours);
-    } else {
-      row[f] = drive.samples[index].value(spec.attr);
+    if (!spec.is_change_rate()) {
+      row[f] = now.value(spec.attr);
+      continue;
     }
+    if (spec.change_interval_hours != interval) {
+      interval = spec.change_interval_hours;
+      const std::int64_t want = now.hour - interval;
+      past = nullptr;
+      for (std::size_t j = window.size() - 1; j-- > 0;) {
+        if (window[j].hour <= want) {
+          past = &window[j];
+          break;
+        }
+      }
+    }
+    row[f] = past == nullptr
+                 ? 0.0f
+                 : (now.value(spec.attr) - past->value(spec.attr)) /
+                       static_cast<float>(now.hour - past->hour);
   }
 }
-
-}  // namespace
 
 std::optional<std::vector<float>> extract_features(const DriveRecord& drive,
                                                    std::size_t index,
                                                    const FeatureSet& fs) {
   if (index >= drive.samples.size()) return std::nullopt;
   std::vector<float> row(fs.specs.size());
-  fill_row(drive, index, fs, row.data());
+  extract_row(std::span(drive.samples).first(index + 1), fs, row.data());
   return row;
 }
 
@@ -110,29 +118,10 @@ void extract_features_block(const DriveRecord& drive, std::size_t begin,
   const std::size_t base = out.size();
   out.resize(base + (end - begin) * fs.specs.size());
   float* row = out.data() + base;
+  const std::span<const Sample> samples(drive.samples);
   for (std::size_t i = begin; i < end; ++i, row += fs.specs.size()) {
-    fill_row(drive, i, fs, row);
+    extract_row(samples.first(i + 1), fs, row);
   }
-}
-
-std::size_t extract_features_range(const DriveRecord& drive,
-                                   std::int64_t from_hour,
-                                   std::int64_t to_hour, const FeatureSet& fs,
-                                   std::vector<float>& out,
-                                   std::vector<std::int64_t>& hours) {
-  HDD_REQUIRE(!fs.specs.empty(), "empty feature set");
-  std::size_t rows = 0;
-  for (std::size_t i = 0; i < drive.samples.size(); ++i) {
-    const std::int64_t h = drive.samples[i].hour;
-    if (h < from_hour) continue;
-    if (h > to_hour) break;
-    const std::size_t base = out.size();
-    out.resize(base + fs.specs.size());
-    fill_row(drive, i, fs, out.data() + base);
-    hours.push_back(h);
-    ++rows;
-  }
-  return rows;
 }
 
 }  // namespace hdd::smart

@@ -23,8 +23,8 @@ namespace hdd::smart {
 struct FeatureSpec {
   Attr attr = Attr::kRawReadErrorRate;
   // 0 => current level; >0 => change rate over this many hours:
-  // (x[t] - x[t - interval]) / interval, using the nearest sample at or
-  // before t - interval.
+  // (x[t] - x[p]) / (t - p), where p is the newest sample at or before
+  // t - interval.
   int change_interval_hours = 0;
 
   bool is_change_rate() const { return change_interval_hours > 0; }
@@ -38,6 +38,11 @@ struct FeatureSet {
   std::vector<FeatureSpec> specs;
 
   int size() const { return static_cast<int>(specs.size()); }
+  // How many trailing samples a row reads: the largest change interval + 1
+  // (1 for a levels-only set). A drive's hours are strictly increasing
+  // integers, so the sample `interval` places back is at least `interval`
+  // hours old, and each rate's past sample lies in that many samples.
+  std::size_t window_samples() const;
 };
 
 // The three feature sets of Table III.
@@ -45,31 +50,29 @@ FeatureSet basic12_features();
 FeatureSet expert19_features();
 FeatureSet stat13_features();
 
-// Extracts the feature vector for sample `index` of `drive`.
-//
-// Change rates need a past sample at least `interval` hours older; when the
-// history is too short the rate is taken as 0 (the drive looked stable for
-// as long as we could see), matching how a production collector would have
-// to behave at the start of monitoring. Returns nullopt only if `index` is
-// out of range.
+// The one feature-row rule, shared by training, evaluation and live intake.
+// Fills row[0, fs.size()) with the features of window.back(), given the
+// samples before it in chronological order. A change rate takes the newest
+// sample at or before t - interval, found by scanning back from the end;
+// when there is none (the first `interval` hours of a drive's history) the
+// rate is 0: the drive looked stable for as long as it was seen, as a
+// production collector would have to assume. Any span holding the last
+// fs.window_samples() samples of a drive gives the same row as its whole
+// record, across sampling gaps too. `window` must not be empty.
+void extract_row(std::span<const Sample> window, const FeatureSet& fs,
+                 float* row);
+
+// The row of sample `index` of `drive` (extract_row over the samples up to
+// it); nullopt only if `index` is out of range.
 std::optional<std::vector<float>> extract_features(const DriveRecord& drive,
                                                    std::size_t index,
                                                    const FeatureSet& fs);
 
-// Extracts features for samples [begin, end) row-major into `out` (appended;
-// no per-row allocation) — the block-extraction path of the fleet-scoring
-// engine. `end` must not exceed the record length.
+// Rows of samples [begin, end) appended row-major to `out` (no per-row
+// allocation). `end` must not exceed the record length; an empty feature
+// set is a ConfigError.
 void extract_features_block(const DriveRecord& drive, std::size_t begin,
                             std::size_t end, const FeatureSet& fs,
                             std::vector<float>& out);
-
-// Extracts features for every sample whose hour lies in [from_hour, to_hour]
-// (inclusive); appends row-major into `out` and the matching sample hours
-// into `hours`. Returns the number of rows appended.
-std::size_t extract_features_range(const DriveRecord& drive,
-                                   std::int64_t from_hour,
-                                   std::int64_t to_hour, const FeatureSet& fs,
-                                   std::vector<float>& out,
-                                   std::vector<std::int64_t>& hours);
 
 }  // namespace hdd::smart

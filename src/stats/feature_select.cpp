@@ -17,9 +17,9 @@ void candidate_values(const smart::DriveRecord& drive,
                       const smart::FeatureSpec& spec, std::int64_t from,
                       std::int64_t to, std::vector<double>& out) {
   const smart::FeatureSet fs{"one", {spec}};
+  const auto [first, last] = drive.samples_between(from, to);
   std::vector<float> rows;
-  std::vector<std::int64_t> hours;
-  smart::extract_features_range(drive, from, to, fs, rows, hours);
+  smart::extract_features_block(drive, first, last, fs, rows);
   for (float v : rows) out.push_back(static_cast<double>(v));
 }
 

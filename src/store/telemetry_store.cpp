@@ -372,7 +372,10 @@ std::size_t TelemetryStore::room(std::size_t frame_bytes) {
 void TelemetryStore::write_pending() {
   if (pending_.empty()) return;
   const auto s = out_->append(pending_);
+  const std::size_t samples = std::exchange(pending_samples_, 0);
   if (s.ok()) {
+    m_appends_->inc(samples);
+    m_bytes_->inc(samples * kSampleFrameBytes);
     pending_.clear();
     undo_.clear();
     return;
@@ -384,7 +387,11 @@ void TelemetryStore::write_pending() {
   // next write rotates to a fresh file. When even the cut fails (permanent
   // env failure), the segment is sealed and degraded already, and the
   // duplicate-on-resend hazard is the smaller of the node's problems.
+  // A segment whose header never landed holds nothing a reopen keeps
+  // (recovery deletes the empty file), so it is forgotten instead: a full
+  // disk does not leave one empty segment per failed call.
   Segment& seg = segments_.back();
+  const std::string path = seg.path;
   for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
     DriveInfo& info = drives_[it->drive];
     info.n_samples = it->n_samples;
@@ -395,16 +402,21 @@ void TelemetryStore::write_pending() {
   seg.data_end -= pending_.size();
   pending_.clear();
   undo_.clear();
-  seg.clean = false;
-  m_sealed_->inc();
   out_.reset();
   std::uint64_t on_disk = 0;
-  if (env_->file_size(seg.path, on_disk).ok() && on_disk > seg.data_end) {
+  if (env_->file_size(path, on_disk).ok() && on_disk > seg.data_end) {
     (void)retryer_.run("truncate torn append", [&] {
-      return env_->resize_file(seg.path, seg.data_end);
+      return env_->resize_file(path, seg.data_end);
     });
   }
-  throw DataError("telemetry store: write to " + seg.path + " failed: " +
+  if (seg.data_end == 0) {
+    (void)env_->remove_file(path);
+    segments_.pop_back();
+  } else {
+    seg.clean = false;
+    m_sealed_->inc();
+  }
+  throw DataError("telemetry store: write to " + path + " failed: " +
                   s.message);
 }
 
@@ -458,8 +470,7 @@ void TelemetryStore::append_batch(std::uint32_t drive,
       append_sample_frame(pending_, drive, samples[done + i]);
     }
     seg.data_end += k * kSampleFrameBytes;
-    m_appends_->inc(static_cast<std::uint64_t>(k));
-    m_bytes_->inc(static_cast<std::uint64_t>(k * kSampleFrameBytes));
+    pending_samples_ += k;
     index_samples(drive, seg.seq, samples[done].hour,
                   samples[done + k - 1].hour, k);
     if (pending_.size() >= kWriteBytes) write_pending();

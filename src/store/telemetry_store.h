@@ -241,10 +241,12 @@ class TelemetryStore {
   // writes the buffer out, seals the segment and rotates first. Always at
   // least 1.
   std::size_t room(std::size_t frame_bytes);
-  // The one write: hands pending_ to the open segment in one append. On
-  // failure the buffered chunks leave the index (undo_), the file is cut
-  // back to its acknowledged end, the segment is sealed and closed, and
-  // DataError is thrown.
+  // The one write: hands pending_ to the open segment in one append, and
+  // counts its sample frames as appended and written. On failure the
+  // buffered chunks leave the index (undo_), the file is cut back to its
+  // acknowledged end, the segment is sealed and closed (or forgotten and
+  // its file removed, when not even its header had landed), and DataError
+  // is thrown.
   void write_pending();
   // Buffers one whole frame in the open segment and writes it through
   // with everything buffered before it.
@@ -293,6 +295,7 @@ class TelemetryStore {
   // Frames of the last segment not yet handed to the OS: its acknowledged
   // end is data_end - pending_.size(). Empty whenever out_ is null.
   std::string pending_;
+  std::size_t pending_samples_ = 0;  // sample frames in pending_
   // One buffered chunk's index change: the drive's counts before it, and
   // whether it added the segment to drive_segments_. Cleared with pending_.
   struct Undo {

@@ -154,27 +154,26 @@ TEST(FeatureExtraction, ChangeRateHandlesIrregularGaps) {
   EXPECT_FLOAT_EQ((*row)[0], -2.0f);  // -20 over 10 hours
 }
 
-TEST(FeatureExtraction, RangeSelectsByHourInclusive) {
+TEST(DriveRecord, SamplesBetweenIsHourInclusive) {
   const auto d = make_drive({0, 5, 10, 15, 20});
-  const FeatureSet fs{"poh", {{Attr::kPowerOnHours, 0}}};
-  std::vector<float> rows;
-  std::vector<std::int64_t> hours;
-  const auto n = extract_features_range(d, 5, 15, fs, rows, hours);
-  EXPECT_EQ(n, 3u);
-  ASSERT_EQ(hours.size(), 3u);
-  EXPECT_EQ(hours.front(), 5);
-  EXPECT_EQ(hours.back(), 15);
-  EXPECT_EQ(rows.size(), 3u);
+  using Range = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(d.samples_between(5, 15), (Range{1, 4}));
+  EXPECT_EQ(d.samples_between(4, 16), (Range{1, 4}));
+  EXPECT_EQ(d.samples_between(0, 0), (Range{0, 1}));
+  EXPECT_EQ(d.samples_between(-10, 100), (Range{0, 5}));
+  EXPECT_EQ(d.samples_between(21, 30), (Range{5, 5}));
+  EXPECT_EQ(d.samples_between(6, 9), (Range{2, 2}));
+  EXPECT_EQ(d.samples_between(15, 5), (Range{3, 3}));  // empty, not negative
 }
 
-TEST(FeatureExtraction, RangeAppendsAcrossCalls) {
+TEST(FeatureExtraction, BlockAppendsAcrossCalls) {
   const auto d = make_drive({0, 5, 10});
   const FeatureSet fs{"poh", {{Attr::kPowerOnHours, 0}}};
   std::vector<float> rows;
-  std::vector<std::int64_t> hours;
-  extract_features_range(d, 0, 0, fs, rows, hours);
-  extract_features_range(d, 5, 10, fs, rows, hours);
-  EXPECT_EQ(hours.size(), 3u);
+  const auto [a, b] = d.samples_between(0, 0);
+  extract_features_block(d, a, b, fs, rows);
+  const auto [c, e] = d.samples_between(5, 10);
+  extract_features_block(d, c, e, fs, rows);
   EXPECT_EQ(rows.size(), 3u);
 }
 
@@ -182,9 +181,7 @@ TEST(FeatureExtraction, EmptyFeatureSetRejected) {
   const auto d = make_drive({0});
   const FeatureSet fs{"empty", {}};
   std::vector<float> rows;
-  std::vector<std::int64_t> hours;
-  EXPECT_THROW(extract_features_range(d, 0, 10, fs, rows, hours),
-               ConfigError);
+  EXPECT_THROW(extract_features_block(d, 0, 1, fs, rows), ConfigError);
 }
 
 TEST(FeatureExtraction, MultiFeatureRowOrderMatchesSpecs) {

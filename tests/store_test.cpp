@@ -21,6 +21,7 @@
 #include "hex_bytes.h"
 #include "io/env.h"
 #include "io/fault_env.h"
+#include "obs/metrics.h"
 #include "store/format.h"
 #include "store/telemetry_store.h"
 
@@ -1031,6 +1032,7 @@ TEST_F(StoreTest, LiveStoreMatchesReopenAfterEveryInjectedFault) {
   const auto expect_live_matches_reopen = [this](const TelemetryStore& live) {
     const TelemetryStore reopened(dir());
     ASSERT_EQ(reopened.drive_count(), live.drive_count());
+    EXPECT_EQ(reopened.segment_count(), live.segment_count());
     for (std::uint32_t d = 0; d < live.drive_count(); ++d) {
       EXPECT_EQ(live.drive(d).serial, reopened.drive(d).serial);
       EXPECT_EQ(live.drive(d).n_samples, reopened.drive(d).n_samples);
@@ -1094,6 +1096,66 @@ TEST_F(StoreTest, LiveStoreMatchesReopenAfterEveryInjectedFault) {
     }
     EXPECT_GT(failures, 0u) << kind;
   }
+}
+
+// A full disk: every call after the wall creates a segment whose header
+// never lands. The store forgets each one, as recovery would, so it keeps
+// no empty file per failed call and counts only segments a reopen sees.
+TEST_F(StoreTest, FullDiskLeavesNoEmptySegmentPerFailedCall) {
+  io::FaultPlan plan;
+  plan.enospc_after_bytes = 200;
+  io::FaultEnv env(io::Env::posix(), plan);
+  StoreOptions opt;
+  opt.env = &env;
+  opt.retry.sleep = false;
+  TelemetryStore store(dir(), opt);
+  const std::uint32_t d = store.register_drive("A");
+  std::size_t failures = 0;
+  for (std::int64_t h = 0; h < 50; ++h) {
+    try {
+      store.append(d, make_sample(h));
+      store.flush_to_os();
+    } catch (const DataError&) {
+      ++failures;
+    }
+  }
+  EXPECT_GT(failures, 40u);
+  std::size_t frameless = 0;
+  for (const fs::path& p : segment_files()) {
+    frameless += fs::file_size(p) <= kSegmentHeaderBytes ? 1 : 0;
+  }
+  EXPECT_LE(frameless, 1u);
+  EXPECT_EQ(store.segment_count(), TelemetryStore(dir()).segment_count());
+}
+
+// hdd_store_appends_total and hdd_store_bytes_written_total count a sample
+// when its frame reaches the file: the samples a failed write takes back
+// out of the index are never counted.
+TEST_F(StoreTest, AppendCountersCountOnlySamplesThatReachTheFile) {
+  obs::Registry reg;
+  io::FaultPlan plan;
+  plan.enospc_after_bytes = 1000;
+  io::FaultEnv env(io::Env::posix(), plan, &reg);
+  StoreOptions opt;
+  opt.env = &env;
+  opt.metrics = &reg;
+  opt.retry.sleep = false;
+  std::string drive_frame;
+  {
+    TelemetryStore store(dir(), opt);
+    const std::uint32_t d = store.register_drive("A");
+    append_drive_frame(drive_frame, d, "A");
+    for (std::int64_t h = 0; h < 5; ++h) store.append(d, make_sample(h));
+    store.flush_to_os();
+    for (std::int64_t h = 5; h < 35; ++h) store.append(d, make_sample(h));
+    EXPECT_THROW(store.flush_to_os(), DataError);  // 30 frames pass the wall
+  }
+  const TelemetryStore reopened(dir());
+  EXPECT_EQ(reopened.sample_count(), 5u);
+  EXPECT_EQ(reg.counter("hdd_store_appends_total", "").value(),
+            1 + reopened.sample_count());
+  EXPECT_EQ(reg.counter("hdd_store_bytes_written_total", "").value(),
+            drive_frame.size() + reopened.sample_count() * kSampleFrameBytes);
 }
 
 }  // namespace

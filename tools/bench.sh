@@ -91,7 +91,7 @@ run_bench() {
 }
 
 run_bench micro_perf "${TMP}/perf.json" \
-    'BM_Fleet|BM_Store(Append|Read)|BM_TreePredictBatch|BM_ForestPredictBatch'
+    'BM_Fleet|BM_Store(Append|Read)|BM_TreePredictBatch|BM_ForestPredictBatch|BM_FeatureExtraction'
 run_bench micro_lint "${TMP}/lint.json" 'BM_VerifyTree/20000|BM_VerifyForest/64'
 run_bench micro_obs  "${TMP}/obs.json"  ''
 run_bench micro_io   "${TMP}/io.json"   ''
