@@ -13,7 +13,7 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <iterator>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -268,6 +268,7 @@ void Server::connection_loop(int fd) {
   while (first.size() < 4) {
     const ssize_t n = recv_idle(fd, buf, sizeof(buf));
     if (n <= 0) break;
+    if (first.empty()) trace.read_start_ticks = obs::trace_now_ticks();
     first.append(buf, static_cast<std::size_t>(n));
   }
   if (first.size() >= 4) {
@@ -293,6 +294,9 @@ void Server::connection_loop(int fd) {
 void Server::handle_wire(int fd, const std::string& first, ConnTrace& trace) {
   FrameParser parser;
   parser.feed(first);
+  // When the buffered bytes last grew: a frame found by next() was
+  // complete then.
+  std::uint64_t fed_ticks = obs::trace_now_ticks();
   std::string payload;
   char buf[64 << 10];
   for (;;) {
@@ -304,11 +308,17 @@ void Server::handle_wire(int fd, const std::string& first, ConnTrace& trace) {
                                Status::kBadRequest, "corrupt frame")));
         return;
       }
+      trace.read_end_ticks = fed_ticks;
       if (!process_request(fd, payload, trace)) return;
+      // Bytes still buffered arrived with the last read and begin the
+      // next frame; with none buffered, the next read resets this.
+      trace.read_start_ticks = fed_ticks;
     }
     if (stopping_.load(std::memory_order_acquire)) return;
     const ssize_t n = recv_idle(fd, buf, sizeof(buf));
     if (n <= 0) return;
+    fed_ticks = obs::trace_now_ticks();
+    if (parser.buffered() == 0) trace.read_start_ticks = fed_ticks;
     parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
   }
 }
@@ -324,45 +334,39 @@ bool Server::process_request(int fd, std::string& payload, ConnTrace& trace) {
   m_requests_->inc();
 
   // Adopt the client's trace id (0 = untraced client: the root span then
-  // starts a fresh server-side trace). The first request on a connection
-  // also absorbs the accept-to-first-byte interval.
+  // starts a fresh server-side trace). The root starts at the frame's
+  // first byte; the first request on a connection also absorbs the
+  // accept-to-first-byte interval.
   const obs::WithTraceContext adopt(
       obs::TraceContext{req->trace_id, /*span_id=*/0});
-  const std::uint64_t root_start = trace.first ? trace.accept_ticks : t_parse0;
+  const std::uint64_t root_start =
+      trace.first ? trace.accept_ticks : trace.read_start_ticks;
   const obs::ScopedSpan root("serve.request", root_start, "op",
                              static_cast<std::uint64_t>(req->op));
   if (trace.first) {
     trace.first = false;
-    obs::record_child_span("serve.accept", trace.accept_ticks, t_parse0);
+    obs::record_child_span("serve.accept", trace.accept_ticks,
+                           trace.read_start_ticks);
   }
+  obs::record_child_span("wire.read", trace.read_start_ticks,
+                         trace.read_end_ticks, "bytes",
+                         static_cast<std::uint64_t>(payload.size()));
   obs::record_child_span("wire.parse", t_parse0, obs::trace_now_ticks(),
                          "bytes", static_cast<std::uint64_t>(payload.size()));
 
   switch (req->op) {
     case Op::kIngest: {
+      // Route by drive run: one shard_of per run, the run's serial moves
+      // into its shard's list, and every shard reads the request's one
+      // sample vector in place. Order within a shard holds.
+      IngestRuns& in = req->ingest;
       const std::size_t shards = workers_.size();
-      std::vector<IngestBatch> parts;
-      if (shards == 1) {
-        parts.push_back(std::move(req->ingest));
-      } else {
-        // Split by drive run, not by sample: one shard_of per run, and the
-        // run's serials move rather than copy. Order within a shard holds.
-        parts.resize(shards);
-        IngestBatch& batch = req->ingest;
-        const std::size_t n = batch.samples.size();
-        for (std::size_t i = 0, j = 0; i < n; i = j) {
-          j = i + 1;
-          while (j < n && batch.serials[j] == batch.serials[i]) ++j;
-          IngestBatch& p = parts[engine_.shard_of(batch.serials[i])];
-          const auto from = static_cast<std::ptrdiff_t>(i);
-          const auto to = static_cast<std::ptrdiff_t>(j);
-          p.serials.insert(
-              p.serials.end(),
-              std::make_move_iterator(batch.serials.begin() + from),
-              std::make_move_iterator(batch.serials.begin() + to));
-          p.samples.insert(p.samples.end(), batch.samples.begin() + from,
-                           batch.samples.begin() + to);
-        }
+      std::vector<std::vector<IngestRun>> parts(shards);
+      std::vector<std::uint64_t> part_samples(shards, 0);
+      for (IngestRun& run : in.runs) {
+        const std::size_t k = shards == 1 ? 0 : engine_.shard_of(run.serial);
+        part_samples[k] += run.count;
+        parts[k].push_back(std::move(run));
       }
 
       struct Slot {
@@ -370,22 +374,23 @@ bool Server::process_request(int fd, std::string& payload, ConnTrace& trace) {
         bool failed = false;
         std::string error;
       };
-      std::vector<Slot> slots(parts.size());
+      std::vector<Slot> slots(shards);
       Completion comp;
-      for (const IngestBatch& p : parts) {
-        if (!p.samples.empty()) ++comp.pending;
+      for (const std::vector<IngestRun>& p : parts) {
+        if (!p.empty()) ++comp.pending;
       }
-      for (std::size_t k = 0; k < parts.size(); ++k) {
-        if (parts[k].samples.empty()) continue;
-        const std::size_t shard = shards == 1 ? 0 : k;
+      // The tasks read `in.samples` and `parts` by reference: this thread
+      // waits on `comp` below, so both outlive every task.
+      const std::span<const smart::Sample> samples(in.samples);
+      for (std::size_t k = 0; k < shards; ++k) {
+        if (parts[k].empty()) continue;
         const bool posted =
-            post(shard, [this, shard, k, &parts, &slots, &comp] {
+            post(k, [this, k, samples, &parts, &part_samples, &slots, &comp] {
               DoneGuard g{comp};
-              const obs::ScopedSpan span(
-                  "shard.ingest", "samples",
-                  static_cast<std::uint64_t>(parts[k].samples.size()));
+              const obs::ScopedSpan span("shard.ingest", "samples",
+                                         part_samples[k]);
               try {
-                slots[k].r = engine_.ingest(shard, parts[k]);
+                slots[k].r = engine_.ingest(k, parts[k], samples);
               } catch (const std::exception& e) {
                 slots[k].failed = true;
                 slots[k].error = e.what();
@@ -393,7 +398,7 @@ bool Server::process_request(int fd, std::string& payload, ConnTrace& trace) {
             });
         if (!posted) {
           slots[k].failed = true;
-          slots[k].error = "shard " + std::to_string(shard) + " unavailable";
+          slots[k].error = "shard " + std::to_string(k) + " unavailable";
           comp.done();
         }
       }

@@ -132,11 +132,14 @@ class Server {
     bool crashed HDD_GUARDED_BY(mu) = false;
   };
 
-  // Per-connection trace state: when the connection was accepted, and
-  // whether the next request is its first (only that one charges the
-  // accept interval to its trace).
+  // Per-connection trace state: when the connection was accepted, when
+  // the current frame's first and last bytes arrived, and whether the next
+  // request is its first (only that one charges the accept interval to its
+  // trace).
   struct ConnTrace {
     std::uint64_t accept_ticks = 0;
+    std::uint64_t read_start_ticks = 0;
+    std::uint64_t read_end_ticks = 0;
     bool first = true;
   };
 

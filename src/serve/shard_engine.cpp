@@ -118,27 +118,26 @@ std::size_t ShardEngine::resume() {
   return replayed;
 }
 
-std::size_t ShardEngine::drive_index(Shard& shard, const std::string& serial) {
+std::size_t ShardEngine::drive_index(Shard& shard, std::string_view serial) {
   const auto it = shard.index.find(serial);
   if (it != shard.index.end()) return it->second;
-  const std::size_t i = shard.runtime->fleet().add_drive(serial);
+  const std::size_t i = shard.runtime->fleet().add_drive(std::string(serial));
   shard.index.emplace(serial, i);
   return i;
 }
 
-IngestResponse ShardEngine::ingest(std::size_t k, const IngestBatch& batch) {
+IngestResponse ShardEngine::ingest(std::size_t k,
+                                   std::span<const IngestRun> runs,
+                                   std::span<const smart::Sample> samples) {
   HDD_REQUIRE(k < shards_.size(), "shard index out of range");
   Shard& sh = shards_[k];
   sh.runs.clear();
-  const std::size_t n = batch.samples.size();
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i + 1;
-    while (j < n && batch.serials[j] == batch.serials[i]) ++j;
+  for (const IngestRun& r : runs) {
+    HDD_REQUIRE(r.first <= samples.size() &&
+                    r.count <= samples.size() - r.first,
+                "ingest run outside its samples");
     sh.runs.push_back(
-        {drive_index(sh, batch.serials[i]),
-         std::span<const smart::Sample>(batch.samples.data() + i, j - i)});
-    i = j;
+        {drive_index(sh, r.serial), samples.subspan(r.first, r.count)});
   }
   core::FleetScorer& fleet = sh.runtime->fleet();
   const auto r = fleet.ingest_runs(sh.runs);
@@ -149,6 +148,18 @@ IngestResponse ShardEngine::ingest(std::size_t k, const IngestBatch& batch) {
   res.journal_failed = r.journal_failed;
   res.degraded = fleet.degraded();
   return res;
+}
+
+IngestResponse ShardEngine::ingest(std::size_t k, const IngestBatch& batch) {
+  std::vector<IngestRun> runs;
+  const std::size_t n = batch.samples.size();
+  for (std::size_t i = 0, j = 0; i < n; i = j) {
+    j = i + 1;
+    while (j < n && batch.serials[j] == batch.serials[i]) ++j;
+    runs.push_back({batch.serials[i], static_cast<std::uint32_t>(i),
+                    static_cast<std::uint32_t>(j - i)});
+  }
+  return ingest(k, runs, batch.samples);
 }
 
 QueryResponse ShardEngine::query(const std::string& serial) const {

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -64,10 +65,15 @@ class ShardEngine {
   // well-defined model again.
   std::size_t resume();
 
-  // Ingest one batch routed to shard k (every entry's serial must hash
-  // there) as one FleetScorer::ingest_runs call: consecutive same-serial
-  // entries form one drive run, so the shard's part of a request costs one
-  // journal write. Unknown serials are registered on first sight.
+  // Ingests the drive runs routed to shard k (every run's serial must hash
+  // there) as one FleetScorer::ingest_runs call, so the shard's part of a
+  // request costs one journal write. Each run names
+  // samples[first, first + count), read in place. Unknown serials are
+  // registered on first sight.
+  IngestResponse ingest(std::size_t k, std::span<const IngestRun> runs,
+                        std::span<const smart::Sample> samples);
+  // Adapter for callers holding a batch: consecutive same-serial entries
+  // form one run, as decode_request forms them.
   IngestResponse ingest(std::size_t k, const IngestBatch& batch);
 
   QueryResponse query(const std::string& serial) const;
@@ -98,13 +104,23 @@ class ShardEngine {
   core::FleetRuntime& shard(std::size_t k) { return *shards_[k].runtime; }
 
  private:
+  // Transparent, so a string_view finds a known serial without a copy.
+  struct SerialHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   struct Shard {
     std::unique_ptr<core::FleetRuntime> runtime;
-    std::unordered_map<std::string, std::size_t> index;  // serial -> fleet id
+    // serial -> fleet id
+    std::unordered_map<std::string, std::size_t, SerialHash, std::equal_to<>>
+        index;
     std::vector<core::DriveRun> runs;  // one ingest call's runs, reused
   };
 
-  std::size_t drive_index(Shard& shard, const std::string& serial);
+  std::size_t drive_index(Shard& shard, std::string_view serial);
 
   std::unique_ptr<core::SampleScorer> owned_scorer_;  // shared loaded model
   std::vector<Shard> shards_;

@@ -100,15 +100,20 @@ std::optional<Request> decode_request(std::string_view payload) {
       if (count > (payload.size() - r.pos) / kMinIngestEntryBytes + 1) {
         return std::nullopt;  // count can't fit the bytes we were given
       }
-      req.ingest.serials.reserve(count);
+      std::vector<IngestRun>& runs = req.ingest.runs;
       req.ingest.samples.reserve(count);
+      std::string_view prev;
       for (std::uint32_t i = 0; i < count; ++i) {
         std::string_view serial;
         smart::Sample s;
         if (!read_str16(r, serial) || serial.empty() || !r.sample(s)) {
           return std::nullopt;
         }
-        req.ingest.serials.emplace_back(serial);
+        if (serial != prev) {
+          runs.push_back({std::string(serial), i, 0});
+          prev = serial;
+        }
+        ++runs.back().count;
         req.ingest.samples.push_back(s);
       }
       if (!read_trace_id(r, payload, req.trace_id)) return std::nullopt;

@@ -66,17 +66,34 @@ enum class Status : std::uint8_t { kOk = 0, kBadRequest = 1, kError = 2 };
 
 // --- Requests ---------------------------------------------------------------
 
-// One ingest batch: samples[i] belongs to the drive named serials[i].
-// Encoders keep (serial, sample) pairs adjacent so the shard engine can
-// ingest consecutive same-drive runs as single batches.
+// One ingest batch, the encoder's input: samples[i] belongs to the drive
+// named serials[i]. Encoders keep a drive's samples adjacent so they
+// decode as one run.
 struct IngestBatch {
   std::vector<std::string> serials;
   std::vector<smart::Sample> samples;
 };
 
+// One drive run of a decoded ingest request: samples[first, first + count)
+// belong to the drive named serial.
+struct IngestRun {
+  std::string serial;
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
+};
+
+// The decoder starts a new run wherever an entry's serial differs from the
+// one before it, so the runs cover samples in order, every count is at
+// least 1, and adjacent runs name different drives. A drive that reappears
+// after another (A, B, A) forms a run per appearance.
+struct IngestRuns {
+  std::vector<IngestRun> runs;
+  std::vector<smart::Sample> samples;
+};
+
 struct Request {
   Op op = Op::kStats;
-  IngestBatch ingest;  // kIngest
+  IngestRuns ingest;   // kIngest
   std::string serial;  // kQuery
   std::uint64_t trace_id = 0;  // 0 = request arrived untraced
 };

@@ -8,9 +8,14 @@
 // kill -> restart -> resume property test under injected crash points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -112,6 +117,13 @@ IngestBatch batch_for_drive(std::uint32_t d, std::int64_t from_hour,
   return b;
 }
 
+// The serial of every sample, in order, as the decoded runs name them.
+std::vector<std::string> expand_serials(const IngestRuns& in) {
+  std::vector<std::string> out;
+  for (const IngestRun& r : in.runs) out.insert(out.end(), r.count, r.serial);
+  return out;
+}
+
 struct Outcome {
   bool known = false;
   bool alarmed = false;
@@ -147,7 +159,8 @@ TEST(Wire, IngestRequestRoundTrip) {
   const auto req = decode_request(encode_ingest_request(b));
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->op, Op::kIngest);
-  ASSERT_EQ(req->ingest.serials, b.serials);
+  EXPECT_EQ(req->ingest.runs.size(), 2u);
+  ASSERT_EQ(expand_serials(req->ingest), b.serials);
   ASSERT_EQ(req->ingest.samples.size(), b.samples.size());
   for (std::size_t i = 0; i < b.samples.size(); ++i) {
     EXPECT_EQ(req->ingest.samples[i].hour, b.samples[i].hour);
@@ -264,7 +277,7 @@ TEST(Wire, IngestRequestMatchesGoldenBytes) {
   ASSERT_TRUE(req.has_value());
   EXPECT_EQ(req->op, Op::kIngest);
   EXPECT_EQ(req->trace_id, 0x1122334455667788ull);
-  EXPECT_EQ(req->ingest.serials, b.serials);
+  EXPECT_EQ(expand_serials(req->ingest), b.serials);
   ASSERT_EQ(req->ingest.samples.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(req->ingest.samples[i].hour, b.samples[i].hour);
@@ -426,6 +439,68 @@ TEST(Wire, FrameParserRefusesToBufferPastHostileLength) {
   EXPECT_EQ(parser3.next(got), FrameParser::Result::kCorrupt);
 }
 
+// Decoded runs against the batch they came from, over random batches:
+// 1-6 serials of 1-64 arbitrary bytes, runs of 1-30 samples, drives that
+// reappear after others, traced and untraced, arbitrary sample bits.
+TEST(WireProperty, DecodedRunsCoverTheBatchInOrder) {
+  int reappeared = 0;  // seeds whose batch holds an A, B, A pattern
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::uint64_t lo, std::uint64_t hi) {
+      return lo + rng() % (hi - lo + 1);
+    };
+    std::vector<std::string> pool(pick(1, 6));
+    for (std::string& serial : pool) {
+      serial.resize(pick(1, 64));
+      for (char& c : serial) c = static_cast<char>(pick(0, 255));
+    }
+    IngestBatch b;
+    std::vector<std::size_t> order;  // pool index of each generated run
+    for (std::uint64_t r = pick(1, 12); r > 0; --r) {
+      order.push_back(pick(0, pool.size() - 1));
+      for (std::uint64_t len = pick(1, 30); len > 0; --len) {
+        b.serials.push_back(pool[order.back()]);
+        smart::Sample x;
+        x.hour = static_cast<std::int64_t>(rng());
+        for (float& a : x.attrs) {
+          a = std::bit_cast<float>(static_cast<std::uint32_t>(rng()));
+        }
+        b.samples.push_back(x);
+      }
+    }
+    for (std::size_t r = 2; r < order.size(); ++r) {
+      if (order[r] == order[r - 2] && order[r] != order[r - 1]) {
+        ++reappeared;
+        break;
+      }
+    }
+    const std::uint64_t trace_id = seed % 2 == 0 ? 0 : (rng() | 1);
+
+    const auto req = decode_request(encode_ingest_request(b, trace_id));
+    ASSERT_TRUE(req.has_value()) << "seed " << seed;
+    EXPECT_EQ(req->trace_id, trace_id) << "seed " << seed;
+    const IngestRuns& in = req->ingest;
+    std::size_t next = 0;
+    for (std::size_t r = 0; r < in.runs.size(); ++r) {
+      EXPECT_EQ(in.runs[r].first, next) << "seed " << seed << " run " << r;
+      EXPECT_GE(in.runs[r].count, 1u) << "seed " << seed << " run " << r;
+      if (r > 0) {
+        EXPECT_NE(in.runs[r].serial, in.runs[r - 1].serial)
+            << "seed " << seed << " run " << r;
+      }
+      next += in.runs[r].count;
+    }
+    EXPECT_EQ(next, b.samples.size()) << "seed " << seed;
+    EXPECT_EQ(expand_serials(in), b.serials) << "seed " << seed;
+    ASSERT_EQ(in.samples.size(), b.samples.size()) << "seed " << seed;
+    EXPECT_EQ(std::memcmp(in.samples.data(), b.samples.data(),
+                          b.samples.size() * sizeof(smart::Sample)),
+              0)
+        << "seed " << seed;
+  }
+  EXPECT_GT(reappeared, 50);
+}
+
 // ---------------------------------------------------------------------------
 // ShardEngine
 
@@ -568,6 +643,101 @@ TEST_F(ServeTest, ServerEndToEnd) {
   EXPECT_EQ(resumed.stats().samples,
             static_cast<std::uint64_t>(kDrives) * kHours);
   EXPECT_EQ(resumed.stats().alarms, st.alarms);
+}
+
+// The daemon routes a request by drive run and every shard reads the one
+// decoded sample vector; an engine fed each shard's part as an IngestBatch
+// must answer and end the same. Drives A and B are known before the
+// request, C is registered by it, A reappears after B, and the re-send
+// repeats hours already taken.
+TEST_F(ServeTest, ServerRunRoutingMatchesEngineIngestOfEachShardPart) {
+  const std::uint32_t a = 0, b = 1, c = 2;
+  const auto runs = [](std::initializer_list<std::array<std::int64_t, 3>> rs) {
+    IngestBatch out;
+    for (const auto& [d, from, to] : rs) {
+      const IngestBatch part =
+          batch_for_drive(static_cast<std::uint32_t>(d), from, to);
+      out.serials.insert(out.serials.end(), part.serials.begin(),
+                         part.serials.end());
+      out.samples.insert(out.samples.end(), part.samples.begin(),
+                         part.samples.end());
+    }
+    return out;
+  };
+  const IngestBatch warm = runs({{a, 0, 10}, {b, 0, 10}});
+  const IngestBatch mixed =
+      runs({{a, 10, 15}, {b, 10, 16}, {a, 15, 20}, {c, 0, 6}});
+  const IngestBatch resend = runs({{a, 12, 24}, {c, 3, 9}, {b, 14, 18}});
+
+  for (const std::size_t shards : {1u, 2u, 3u}) {
+    const std::string tag = std::to_string(shards);
+    ShardEngine served(
+        engine_config(base_dir_ / ("served" + tag), shards, &scorer_, nullptr));
+    ShardEngine twin(
+        engine_config(base_dir_ / ("twin" + tag), shards, &scorer_, nullptr));
+    Server server(served, ServeOptions{});
+    server.start();
+    Client client;
+    client.connect("127.0.0.1", server.port());
+    std::size_t most_parts = 0;
+    IngestResponse want;
+    for (const IngestBatch* batch : {&warm, &mixed, &resend}) {
+      if (batch == &mixed) {
+        ASSERT_FALSE(twin.query(serial_of(c)).known);
+      }
+      std::vector<IngestBatch> parts(shards);
+      for (std::size_t i = 0; i < batch->samples.size(); ++i) {
+        IngestBatch& p = parts[twin.shard_of(batch->serials[i])];
+        p.serials.push_back(batch->serials[i]);
+        p.samples.push_back(batch->samples[i]);
+      }
+      want = {};
+      std::size_t n_parts = 0;
+      for (std::size_t k = 0; k < shards; ++k) {
+        if (parts[k].samples.empty()) continue;
+        ++n_parts;
+        const IngestResponse r = twin.ingest(k, parts[k]);
+        want.accepted += r.accepted;
+        want.stale += r.stale;
+        want.quarantined += r.quarantined;
+        want.journal_failed += r.journal_failed;
+        want.degraded = want.degraded || r.degraded;
+      }
+      most_parts = std::max(most_parts, n_parts);
+      const IngestResponse got = client.ingest(*batch);
+      EXPECT_EQ(got.accepted, want.accepted) << shards << " shard(s)";
+      EXPECT_EQ(got.stale, want.stale) << shards << " shard(s)";
+      EXPECT_EQ(got.quarantined, want.quarantined) << shards << " shard(s)";
+      EXPECT_EQ(got.journal_failed, want.journal_failed)
+          << shards << " shard(s)";
+      EXPECT_EQ(got.degraded, want.degraded) << shards << " shard(s)";
+    }
+    // The re-send is partly stale, and with more than one shard the
+    // requests were really split.
+    EXPECT_GT(want.stale, 0u);
+    EXPECT_GT(want.accepted, 0u);
+    if (shards > 1) {
+      EXPECT_GT(most_parts, 1u) << shards << " shard(s)";
+    }
+    client.close();
+    server.stop();
+
+    for (const std::uint32_t d : {a, b, c}) {
+      const QueryResponse got = served.query(serial_of(d));
+      const QueryResponse want = twin.query(serial_of(d));
+      EXPECT_TRUE(got.known) << serial_of(d);
+      EXPECT_EQ(got.known, want.known) << serial_of(d);
+      EXPECT_EQ(got.alarmed, want.alarmed) << serial_of(d);
+      EXPECT_EQ(got.alarm_hour, want.alarm_hour) << serial_of(d);
+      EXPECT_EQ(got.samples_seen, want.samples_seen) << serial_of(d);
+      EXPECT_EQ(got.last_hour, want.last_hour) << serial_of(d);
+    }
+    for (std::size_t k = 0; k < shards; ++k) {
+      EXPECT_EQ(served.shard(k).store().sample_count(),
+                twin.shard(k).store().sample_count())
+          << "shard " << k << " of " << shards;
+    }
+  }
 }
 
 TEST_F(ServeTest, ShardTaskExceptionReachesTheCallerAndTheShardServesOn) {
@@ -793,7 +963,8 @@ TEST_F(ServeTest, DebugTraceServesConnectedSpanTreeForWireIngest) {
   EXPECT_TRUE(testjson::json_valid(json)) << json.substr(0, 400);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   for (const char* name :
-       {"serve.request", "serve.accept", "wire.parse", "shard.queue_wait",
+       {"serve.request", "serve.accept", "wire.read", "wire.parse",
+        "shard.queue_wait",
         "shard.ingest", "fleet.ingest", "store.append", "store.fsync",
         "wire.respond", "shard.query", "client.ingest"}) {
     EXPECT_NE(json.find(std::string("\"") + name + "\""),
