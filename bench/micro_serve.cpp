@@ -7,9 +7,13 @@
 //  * BM_WireDecode         — reassemble + decode the same batch (the
 //                            server side).
 //  * BM_Crc32/<bytes>      — the frame checksum alone: a 61-byte journal
-//                            sample frame (table loop), 64 KiB, and a
+//                            sample payload (table loop), 64 KiB, and a
 //                            384 KiB ingest request (carry-less fold where
 //                            the CPU has it); bytes_per_second.
+//  * BM_SealSampleFrames/<k> — store::seal_sample_frames over one drive's
+//                            run of k encoded journal sample frames (the
+//                            windowed carry-less kernel where the CPU has
+//                            it, crc32 per frame elsewhere); ns_per_frame.
 //  * BM_EngineIngest       — ShardEngine::ingest (journal + score), no
 //                            sockets.
 //  * BM_ServeLoopbackIngest — the whole daemon: Client over TCP loopback
@@ -149,6 +153,31 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(61)->Arg(65536)->Arg(393216);
+
+void BM_SealSampleFrames(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  std::vector<smart::Sample> run(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    run[i].hour = static_cast<std::int64_t>(i);
+    for (std::size_t a = 0; a < run[i].attrs.size(); ++a) {
+      run[i].attrs[a] = static_cast<float>(i * 31 + a);
+    }
+  }
+  std::string frames;
+  store::append_sample_frames(frames, 7, run.data(), k);
+  for (auto _ : state) {
+    store::seal_sample_frames(frames.data(), k);
+    benchmark::ClobberMemory();
+  }
+  const auto n = static_cast<std::int64_t>(k);
+  state.SetItemsProcessed(state.iterations() * n);
+  // Frames per ns, inverted: ns per frame.
+  state.counters["ns_per_frame"] = benchmark::Counter(
+      static_cast<double>(k) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SealSampleFrames)->Arg(1)->Arg(24)->Arg(1024);
 
 void BM_EngineIngest(benchmark::State& state) {
   const auto dir = fs::temp_directory_path() / "hdd_bench_serve_engine";

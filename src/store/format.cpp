@@ -62,11 +62,30 @@ __attribute__((target("pclmul,sse4.1"))) __m128i fold(__m128i x, __m128i k) {
                        _mm_clmulepi64_si128(x, k, 0x11));
 }
 
+// 128 bits of folded message down to its 32-bit CRC state.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t reduce128(__m128i x) {
+  const Crc32FoldConstants& kc = kCrc32Fold;
+  // 128 -> 64 bits: the low half times x^(128-32) onto the high half ...
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  x = _mm_xor_si128(_mm_srli_si128(x, 8),
+                    _mm_clmulepi64_si128(x, pair(kc.k3, kc.k4), 0x10));
+  // ... then its low 32 bits times x^64 onto the rest.
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, low32),
+                                         pair(kc.k5, 0), 0x00));
+  // Barrett: q = floor(x / P) from mu, and x - q * P leaves the remainder
+  // in bits 32..63.
+  const __m128i barrett = pair(kc.poly, kc.mu);
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, q), 1));
+}
+
 // Over n >= 64 bytes, n a multiple of 16; takes and returns the running
 // (pre-inversion) CRC state c, like one pass of the table loop. Four
 // 128-bit lanes fold 64 bytes per step; the lanes then fold into one,
-// further 16-byte blocks fold into it, and a Barrett reduction brings the
-// 128 bits down to the 32-bit remainder.
+// further 16-byte blocks fold into it, and reduce128 brings the 128 bits
+// down to the 32-bit remainder.
 __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(
     const char* p, std::size_t n, std::uint32_t c) {
   const Crc32FoldConstants& kc = kCrc32Fold;
@@ -95,21 +114,40 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(
     p += 16;
     n -= 16;
   }
+  return reduce128(x0);
+}
 
-  // 128 -> 64 bits: the low half times x^(128-32) onto the high half ...
-  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
-  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
-                     _mm_clmulepi64_si128(x0, k34, 0x10));
-  // ... then its low 32 bits times x^64 onto the rest.
-  x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
-                     _mm_clmulepi64_si128(_mm_and_si128(x0, low32),
-                                          pair(kc.k5, 0), 0x00));
-  // Barrett: q = floor(x / P) from mu, and x - q * P leaves the remainder
-  // in bits 32..63.
-  const __m128i barrett = pair(kc.poly, kc.mu);
-  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
-  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
-  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+// CRC-32 of n zero bytes, one bit step at a time.
+constexpr std::uint32_t crc32_of_zeros(std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < 8 * n; ++i) {
+    c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// The sample-frame kernel (format.h, seal_sample_frames_clmul): per frame,
+// the 64-byte window that ends at the payload's end, its header bytes
+// masked off, three 16-byte folds, reduce128, and the zero-prefix term.
+__attribute__((target("pclmul,sse4.1"))) void seal_frames_clmul(
+    char* f, std::size_t k) {
+  constexpr std::size_t kLead = 64 - kSamplePayloadBytes;
+  static_assert(kSamplePayloadBytes >= 48 && kSamplePayloadBytes < 64,
+                "the masked header bytes must sit in the window's first "
+                "16-byte block");
+  static_assert(kFrameHeaderBytes >= kLead,
+                "the window must start inside the frame's own header");
+  constexpr std::uint32_t kZeros = crc32_of_zeros(kSamplePayloadBytes);
+  const __m128i k34 = pair(kCrc32Fold.k3, kCrc32Fold.k4);
+  const __m128i payload_only = _mm_slli_si128(_mm_set1_epi8(-1), kLead);
+  for (std::size_t i = 0; i < k; ++i, f += kSampleFrameBytes) {
+    const char* w = f + kSampleFrameBytes - 64;
+    __m128i x = _mm_and_si128(load16(w), payload_only);
+    x = _mm_xor_si128(fold(x, k34), load16(w + 16));
+    x = _mm_xor_si128(fold(x, k34), load16(w + 32));
+    x = _mm_xor_si128(fold(x, k34), load16(w + 48));
+    store_le(f + 4, reduce128(x) ^ kZeros);
+  }
 }
 
 bool have_clmul() {
@@ -120,7 +158,7 @@ bool have_clmul() {
 #endif
 
 // Writes a sample record's payload (type u8 | drive u32 | sample body,
-// kSampleFrameBytes - kFrameHeaderBytes bytes) at p.
+// kSamplePayloadBytes bytes) at p.
 void store_sample_payload(char* p, std::uint32_t drive,
                           const smart::Sample& sample) {
   p[0] = static_cast<char>(RecordType::kSample);
@@ -226,7 +264,7 @@ std::string encode_drive_record(std::uint32_t id, std::string_view serial) {
 
 std::string encode_sample_record(std::uint32_t drive,
                                  const smart::Sample& sample) {
-  std::string out(kSampleFrameBytes - kFrameHeaderBytes, '\0');
+  std::string out(kSamplePayloadBytes, '\0');
   store_sample_payload(out.data(), drive, sample);
   return out;
 }
@@ -253,12 +291,34 @@ void append_drive_frame(std::string& out, std::uint32_t id,
   seal_frame(out, at);
 }
 
-void append_sample_frame(std::string& out, std::uint32_t drive,
-                         const smart::Sample& sample) {
+void append_sample_frames(std::string& out, std::uint32_t drive,
+                          const smart::Sample* samples, std::size_t k) {
   const std::size_t at = out.size();
-  out.resize(at + kSampleFrameBytes);
-  store_sample_payload(out.data() + at + kFrameHeaderBytes, drive, sample);
-  seal_frame(out, at);
+  out.resize(at + k * kSampleFrameBytes);
+  char* f = out.data() + at;
+  for (std::size_t i = 0; i < k; ++i, f += kSampleFrameBytes) {
+    store_le(f, static_cast<std::uint32_t>(kSamplePayloadBytes));
+    store_sample_payload(f + kFrameHeaderBytes, drive, samples[i]);
+  }
+  seal_sample_frames(out.data() + at, k);
+}
+
+bool seal_sample_frames_clmul([[maybe_unused]] char* frames,
+                              [[maybe_unused]] std::size_t k) {
+#ifdef HDD_CRC32_CLMUL
+  if (have_clmul()) {
+    seal_frames_clmul(frames, k);
+    return true;
+  }
+#endif
+  return false;
+}
+
+void seal_sample_frames_table(char* frames, std::size_t k) {
+  for (std::size_t i = 0; i < k; ++i, frames += kSampleFrameBytes) {
+    store_le(frames + 4,
+             crc32(frames + kFrameHeaderBytes, kSamplePayloadBytes));
+  }
 }
 
 void append_generation_frame(std::string& out, std::uint64_t generation,

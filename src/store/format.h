@@ -54,8 +54,9 @@ enum class RecordType : std::uint8_t {
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320), the checksum of zlib/gzip.
 // On x86-64 CPUs with PCLMULQDQ (detected once at runtime), buffers of 64
 // bytes or more are folded 64 bytes per step with carry-less multiplies;
-// the last <16 bytes, shorter buffers (a 61-byte journal sample frame) and
-// other CPUs take the slice-by-8 table loop. Both give the values of the
+// the last <16 bytes, shorter buffers and other CPUs take the slice-by-8
+// table loop (journal sample frames, 61-byte payloads, are sealed by their
+// own windowed kernel: seal_sample_frames below). Both give the values of the
 // classic byte-at-a-time loop, so every on-disk CRC and every test-crafted
 // corrupt segment keeps meaning the same thing.
 std::uint32_t crc32(const void* data, std::size_t n);
@@ -77,8 +78,9 @@ inline constexpr Crc32FoldConstants kCrc32Fold = {
 
 // --- Little-endian codec ----------------------------------------------------
 // Shared by the segment codec and the serve wire codec (serve/wire.h), which
-// reuses this framing idiom over TCP. store_le/load_le are the only place
-// either format deals with the host byte order; every other encoder and
+// reuses this framing idiom over TCP. store_le/load_le (and
+// store_sample_body's block copy of the attrs) are the only place either
+// format deals with the host byte order; every other encoder and
 // decoder writes and reads fixed-width fields through them, a whole block
 // at a time where the layout allows (one bounds check, no per-byte
 // appends).
@@ -126,8 +128,14 @@ inline constexpr std::size_t kSampleBodyBytes = 8 + 4 * smart::kNumAttributes;
 
 inline void store_sample_body(char* p, const smart::Sample& s) {
   store_le(p, static_cast<std::uint64_t>(s.hour));
-  for (std::size_t i = 0; i < s.attrs.size(); ++i) {
-    store_le(p + 8 + 4 * i, std::bit_cast<std::uint32_t>(s.attrs[i]));
+  if constexpr (std::endian::native == std::endian::little) {
+    // The attrs' bit patterns are already in field order: one block copy.
+    static_assert(sizeof s.attrs == kSampleBodyBytes - 8);
+    std::memcpy(p + 8, s.attrs.data(), sizeof s.attrs);
+  } else {
+    for (std::size_t i = 0; i < s.attrs.size(); ++i) {
+      store_le(p + 8 + 4 * i, std::bit_cast<std::uint32_t>(s.attrs[i]));
+    }
   }
 }
 
@@ -199,20 +207,49 @@ std::string encode_generation_record(std::uint64_t generation,
 // Wraps a payload in a length + CRC frame.
 std::string frame_record(std::string_view payload);
 
-// These append a complete frame (header + payload) to `out` in place — no
+// These append complete frames (header + payload) to `out` in place — no
 // intermediate strings. The store's writer encodes every record it
 // journals into one reused buffer this way, thousands of sample frames
 // per write syscall on the batched path.
 void append_drive_frame(std::string& out, std::uint32_t id,
                         std::string_view serial);
-void append_sample_frame(std::string& out, std::uint32_t drive,
-                         const smart::Sample& sample);
 void append_generation_frame(std::string& out, std::uint64_t generation,
                              std::string_view model_text);
 
-// Bytes one sample occupies on disk: frame header + type/drive/hour/attrs.
+// A sample record's payload: type u8 | drive u32 | sample body.
+inline constexpr std::size_t kSamplePayloadBytes = 1 + 4 + kSampleBodyBytes;
+// Bytes one sample occupies on disk: frame header + payload.
 inline constexpr std::size_t kSampleFrameBytes =
-    kFrameHeaderBytes + 1 + 4 + kSampleBodyBytes;
+    kFrameHeaderBytes + kSamplePayloadBytes;
+
+// Appends the frames of k samples of one drive, samples[0, k), in one
+// pass: one resize for all k, each frame's length and payload written,
+// then every CRC filled in by seal_sample_frames. The bytes are those of k
+// frames built one by one.
+void append_sample_frames(std::string& out, std::uint32_t drive,
+                          const smart::Sample* samples, std::size_t k);
+
+// Fill in the CRC fields of k sample frames laid end to end at `frames`,
+// whose lengths and payloads are already written (the CRC fields' old
+// bytes do not matter). Two kernels, exposed so tests can compare them:
+//
+// - seal_sample_frames_clmul: for each frame, the 64 bytes that end at the
+//   payload's end. That window starts in the frame's own CRC field, and
+//   those 64 - kSamplePayloadBytes bytes are masked to zero in-register;
+//   three 16-byte carry-less folds and the Barrett reduction of crc32's
+//   kernel follow, then the CRC-32 of kSamplePayloadBytes zero bytes is
+//   XORed in. Exact because leading zeros leave a zero-state CRC
+//   unchanged, and crc32(P) = crc32(0^|P|) XOR crc_state0(P) by
+//   linearity. Nothing is copied, and frames are independent, so the CPU
+//   overlaps their folds. Returns false, touching nothing, on a host
+//   without PCLMULQDQ.
+// - seal_sample_frames_table: crc32 of each payload (the table loop, as
+//   payloads are shorter than crc32's folding threshold).
+bool seal_sample_frames_clmul(char* frames, std::size_t k);
+void seal_sample_frames_table(char* frames, std::size_t k);
+inline void seal_sample_frames(char* frames, std::size_t k) {
+  if (!seal_sample_frames_clmul(frames, k)) seal_sample_frames_table(frames, k);
+}
 
 struct DecodedRecord {
   RecordType type = RecordType::kSample;

@@ -466,9 +466,7 @@ void TelemetryStore::append_batch(std::uint32_t drive,
       undo_.push_back({drive, info.n_samples, info.first_hour, info.last_hour,
                        segs.empty() || segs.back() != seg.seq});
     }
-    for (std::size_t i = 0; i < k; ++i) {
-      append_sample_frame(pending_, drive, samples[done + i]);
-    }
+    append_sample_frames(pending_, drive, samples + done, k);
     seg.data_end += k * kSampleFrameBytes;
     pending_samples_ += k;
     index_samples(drive, seg.seq, samples[done].hour,
@@ -623,7 +621,7 @@ TelemetryStore::CompactionResult TelemetryStore::write_compacted(
                std::numeric_limits<std::int64_t>::max(),
                [&](std::uint32_t drive, const smart::Sample& s) {
                  if (s.hour >= min_hour) {
-                   append_sample_frame(buf, drive, s);
+                   append_sample_frames(buf, drive, &s, 1);
                    if (buf.size() >= kWriteBytes) put();
                    ++res.kept;
                  } else {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -300,7 +301,7 @@ TEST(Format, SampleFrameMatchesGoldenBytes) {
   EXPECT_EQ(encode_sample_record(0x0a0b0c0du, s), payload);
   EXPECT_EQ(frame_record(payload), frame);
   std::string out = "prefix";  // frames append after existing bytes
-  append_sample_frame(out, 0x0a0b0c0du, s);
+  append_sample_frames(out, 0x0a0b0c0du, &s, 1);
   EXPECT_EQ(out, "prefix" + frame);
 
   const auto rec = decode_record(payload);
@@ -311,6 +312,71 @@ TEST(Format, SampleFrameMatchesGoldenBytes) {
   for (std::size_t a = 0; a < s.attrs.size(); ++a) {
     EXPECT_EQ(bits_of(rec->sample.attrs[a]), bits_of(s.attrs[a])) << a;
   }
+}
+
+// A run's frames, built by hand one by one: length, crc32 of the payload,
+// payload.
+std::string frames_one_by_one(std::uint32_t drive,
+                              const std::vector<smart::Sample>& run) {
+  std::string out;
+  for (const smart::Sample& s : run) {
+    const std::string payload = encode_sample_record(drive, s);
+    put_u32(out, static_cast<std::uint32_t>(payload.size()));
+    put_u32(out, crc32(payload.data(), payload.size()));
+    out += payload;
+  }
+  return out;
+}
+
+// append_sample_frames, and each sealing kernel called directly, against
+// frames built one by one: runs of 0..300 samples with arbitrary float bits
+// (NaNs included) behind a 0..63-byte prefix, so frames start at every
+// alignment. The kernels see CRC fields full of garbage first, so a window
+// mask that lets a header byte through cannot pass.
+TEST(Format, SealedRunsMatchPerFrameCrc) {
+  std::mt19937_64 rng(29);
+  bool clmul_ran = false;
+  for (int round = 0; round < 200; ++round) {
+    const auto drive = static_cast<std::uint32_t>(rng());
+    std::vector<smart::Sample> run(rng() % 301);
+    for (smart::Sample& s : run) {
+      s.hour = static_cast<std::int64_t>(rng());
+      for (float& a : s.attrs) {
+        const auto bits = static_cast<std::uint32_t>(rng());
+        // One attr in four a NaN, with an arbitrary payload and sign.
+        a = std::bit_cast<float>(rng() % 4 == 0 ? bits | 0x7F800001u : bits);
+      }
+    }
+    const std::string prefix =
+        pseudo_random_bytes(rng() % 64, static_cast<std::uint32_t>(round));
+    const std::string want = frames_one_by_one(drive, run);
+
+    std::string out = prefix;
+    append_sample_frames(out, drive, run.data(), run.size());
+    ASSERT_EQ(out, prefix + want) << "round " << round;
+
+    for (const bool clmul : {false, true}) {
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        store_le(out.data() + prefix.size() + i * kSampleFrameBytes + 4,
+                 static_cast<std::uint32_t>(rng()) | 0x01010101u);
+      }
+      char* frames = out.data() + prefix.size();
+      if (!clmul) {
+        seal_sample_frames_table(frames, run.size());
+      } else if (seal_sample_frames_clmul(frames, run.size())) {
+        clmul_ran = true;
+      } else {
+        continue;
+      }
+      ASSERT_EQ(out, prefix + want)
+          << "round " << round << (clmul ? ", clmul" : ", table");
+    }
+  }
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+    EXPECT_TRUE(clmul_ran) << "the host has PCLMULQDQ; its kernel must run";
+  }
+#endif
 }
 
 TEST(Format, DriveRecordMatchesGoldenBytes) {
@@ -408,6 +474,49 @@ TEST_F(StoreTest, RotationSpreadsSegmentsAndScanPreservesOrder) {
   // read_drive prunes by the per-drive segment index but returns the same.
   EXPECT_EQ(store.read_drive(0).size(), 100u);
   EXPECT_EQ(store.read_drive(0, 90).size(), 10u);
+}
+
+// Runs longer than a segment's room: room() splits each append_batch into
+// chunks sealed on either side of a rotation, and recovery's own CRC check
+// (crc32 per frame) accepts every frame after a reopen.
+TEST_F(StoreTest, RunsStraddlingRotationReopenWhole) {
+  StoreOptions opt;
+  opt.segment_bytes = 1024;  // at most 14 sample frames per segment
+  std::mt19937_64 rng(7);
+  std::vector<std::vector<smart::Sample>> want(5);
+  {
+    TelemetryStore store(dir(), opt);
+    std::int64_t hour = 0;
+    for (int round = 0; round < 40; ++round, hour += 40) {
+      for (std::uint32_t d = 0; d < want.size(); ++d) {
+        const auto id = store.register_drive("D" + std::to_string(d));
+        ASSERT_EQ(id, d);
+        std::vector<smart::Sample> run(1 + rng() % 39);
+        for (std::size_t i = 0; i < run.size(); ++i) {
+          run[i] = make_sample(hour + static_cast<std::int64_t>(i),
+                               static_cast<float>(d));
+        }
+        store.append_batch(id, run.data(), run.size());
+        want[d].insert(want[d].end(), run.begin(), run.end());
+      }
+    }
+    store.flush();
+    EXPECT_GT(store.segment_count(), 20u);
+  }
+  TelemetryStore store(dir(), opt);
+  EXPECT_EQ(store.recovery().records_dropped, 0u);
+  EXPECT_FALSE(store.recovery().tail_truncated);
+  ASSERT_EQ(store.drive_count(), want.size());
+  for (std::uint32_t d = 0; d < want.size(); ++d) {
+    const auto got = store.read_drive(d);
+    ASSERT_EQ(got.size(), want[d].size()) << "drive " << d;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].hour, want[d][i].hour) << "drive " << d;
+      for (std::size_t a = 0; a < got[i].attrs.size(); ++a) {
+        ASSERT_EQ(bits_of(got[i].attrs[a]), bits_of(want[d][i].attrs[a]));
+      }
+    }
+  }
 }
 
 // --- Corruption recovery ---------------------------------------------------

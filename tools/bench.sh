@@ -9,8 +9,10 @@
 # Every benchmark runs REPS (5) times: `value` is the median real (wall)
 # time per iteration, a <name>/cv row carries the coefficient of variation
 # (stddev / mean) of those repetitions, and benchmarks that report a
-# throughput get a <name>/items_per_second row (median as well). A single
-# run misleads; the CV says how far apart two medians must be to differ.
+# throughput get a <name>/items_per_second row (median as well), those
+# that count journal frames (BM_SealSampleFrames) a <name>/ns_per_frame
+# row. A single run misleads; the CV says how far apart two medians must
+# be to differ.
 # CI diffs this file against the committed copy to catch hot-path
 # regressions; the obs entries are the acceptance record for the overhead
 # bounds in DESIGN.md §7, the io entries for the <=3% Env-seam budget in
@@ -154,6 +156,13 @@ for path in inputs:
         })
         rows.append({"name": name + "/cv", "value": round(cv, 4),
                      "unit": "ratio"})
+        if "ns_per_frame" in reps[0]:
+            rows.append({
+                "name": name + "/ns_per_frame",
+                "value": round(statistics.median(
+                    b["ns_per_frame"] for b in reps), 2),
+                "unit": "ns",
+            })
         if "items_per_second" in reps[0]:
             rows.append({
                 "name": name + "/items_per_second",
