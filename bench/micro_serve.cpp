@@ -21,7 +21,13 @@
 //                            and scorer. The acceptance bar (DESIGN.md §9)
 //                            is >= 1M sustained samples/s on one core;
 //                            tools/bench.sh records the numbers in
-//                            BENCH_obs.json.
+//                            BENCH_obs.json. It cannot resolve a change
+//                            smaller than about +-20%: its coefficient
+//                            of variation is about 0.15 (BENCH_obs.json),
+//                            and interleaved runs of one binary spread
+//                            that wide. For the daemon, trust perfbench's
+//                            serve_ingest workload (closed loop, pooled
+//                            processes) instead.
 //
 // Hours advance monotonically across iterations so every sample is fresh:
 // re-sent hours would be dropped by the stale rule before the journal and

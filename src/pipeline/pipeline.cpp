@@ -64,7 +64,56 @@ std::string first_finding(const analysis::Report& report) {
   return "verifier finding";
 }
 
+// How many of `n` drives train.
+std::size_t train_count(std::size_t n, double train_fraction) {
+  HDD_REQUIRE(train_fraction > 0.0 && train_fraction < 1.0,
+              "train_fraction must be in (0,1)");
+  return static_cast<std::size_t>(
+      std::round(static_cast<double>(n) * train_fraction));
+}
+
 }  // namespace
+
+WindowSource store_window(const store::TelemetryStore& store) {
+  return [&store](std::int64_t from, std::int64_t to) {
+    return store.read_window(from, to);
+  };
+}
+
+FailedSplit::FailedSplit(const std::vector<smart::DriveRecord>& pool,
+                         double train_fraction, Rng& rng)
+    : pool(&pool),
+      perm(rng.permutation(pool.size())),
+      n_train(train_count(pool.size(), train_fraction)) {}
+
+WindowSet window_set(WindowSide side, std::vector<smart::DriveRecord> goods,
+                     const FailedSplit& failed, std::string family) {
+  const bool train = side == WindowSide::kTrain;
+  WindowSet w;
+  w.dataset.family_names = {std::move(family)};
+  for (smart::DriveRecord& g : goods) {
+    if (g.empty()) continue;
+    w.split.good_drives.push_back(w.dataset.drives.size());
+    w.split.good_test_begin.push_back(train ? g.samples.size() : 0);
+    w.dataset.drives.push_back(std::move(g));
+  }
+  auto& ids = train ? w.split.train_failed : w.split.test_failed;
+  const std::size_t begin = train ? 0 : failed.n_train;
+  const std::size_t end = train ? failed.n_train : failed.perm.size();
+  for (std::size_t k = begin; k < end; ++k) {
+    const smart::DriveRecord& f = (*failed.pool)[failed.perm[k]];
+    if (!train && f.empty()) continue;
+    ids.push_back(w.dataset.drives.size());
+    w.dataset.drives.push_back(f);
+  }
+  return w;
+}
+
+data::TrainingConfig window_training(data::TrainingConfig training,
+                                     int weeks) {
+  training.good_samples_per_drive *= std::max(1, weeks);
+  return training;
+}
 
 GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
                           const std::vector<smart::DriveRecord>& failed_pool,
@@ -75,47 +124,36 @@ GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
   // carves the same validation slice, so a rejected candidate re-trained
   // on the same window is judged against the same data.
   Rng rng(config.seed);
-  const auto fperm = rng.permutation(failed_pool.size());
+  const FailedSplit failed(failed_pool, config.train_fraction, rng);
   const auto gperm = rng.permutation(goods.size());
-  const auto n_train_failed = static_cast<std::size_t>(std::round(
-      static_cast<double>(failed_pool.size()) * config.train_fraction));
-  const auto n_train_good = static_cast<std::size_t>(std::round(
-      static_cast<double>(goods.size()) * config.train_fraction));
+  const std::size_t n_train_good =
+      train_count(goods.size(), config.train_fraction);
+  std::vector<smart::DriveRecord> train_goods;
+  std::vector<smart::DriveRecord> val_goods;
+  for (std::size_t i = 0; i < goods.size(); ++i) {
+    (i < n_train_good ? train_goods : val_goods)
+        .push_back(std::move(goods[gperm[i]]));
+  }
 
   const std::string family = "pipeline";
-  data::DriveDataset train_ds;
-  train_ds.family_names = {family};
-  data::DatasetSplit train_split;
-  for (std::size_t i = 0; i < n_train_good; ++i) {
-    auto& g = goods[gperm[i]];
-    if (g.empty()) continue;
-    train_split.good_drives.push_back(train_ds.drives.size());
-    train_split.good_test_begin.push_back(g.samples.size());  // all train
-    train_ds.drives.push_back(std::move(g));
-  }
-  for (std::size_t k = 0; k < n_train_failed; ++k) {
-    train_split.train_failed.push_back(train_ds.drives.size());
-    train_ds.drives.push_back(failed_pool[fperm[k]]);
-  }
-  if (train_split.good_drives.empty() || train_split.train_failed.empty()) {
+  const WindowSet train =
+      window_set(WindowSide::kTrain, std::move(train_goods), failed, family);
+  if (train.split.good_drives.empty() || train.split.train_failed.empty()) {
     res.outcome = Outcome::kRejectedNoData;
-    res.reason = train_split.good_drives.empty()
+    res.reason = train.split.good_drives.empty()
                      ? "training window holds no good samples"
                      : "no failed drives in the training split";
     return res;
   }
 
-  data::TrainingConfig tc = config.trainer.training;
-  // Keep the per-week good sampling density constant as windows grow
-  // (matches update::simulate_long_term).
-  tc.good_samples_per_drive =
-      config.trainer.training.good_samples_per_drive *
-      std::max(1, window_weeks);
+  const data::TrainingConfig tc =
+      window_training(config.trainer.training, window_weeks);
   std::unique_ptr<core::SampleScorer> scorer;
   std::size_t rows = 0;
   try {
     const obs::ScopedSpan train_span("pipeline.train");
-    const auto matrix = data::build_training_matrix(train_ds, train_split, tc);
+    const auto matrix =
+        data::build_training_matrix(train.dataset, train.split, tc);
     rows = matrix.rows();
     scorer = core::fit_scorer(config.trainer, matrix);
   } catch (const std::exception& e) {
@@ -143,24 +181,11 @@ GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
   }
 
   // Gate 2: FAR/FDR rails on the held-back validation slice.
-  data::DriveDataset val_ds;
-  val_ds.family_names = {family};
-  data::DatasetSplit val_split;
-  for (std::size_t i = n_train_good; i < goods.size(); ++i) {
-    auto& g = goods[gperm[i]];
-    if (g.empty()) continue;
-    val_split.good_drives.push_back(val_ds.drives.size());
-    val_split.good_test_begin.push_back(0);  // the whole window is test data
-    val_ds.drives.push_back(std::move(g));
-  }
-  for (std::size_t k = n_train_failed; k < failed_pool.size(); ++k) {
-    if (failed_pool[fperm[k]].empty()) continue;
-    val_split.test_failed.push_back(val_ds.drives.size());
-    val_ds.drives.push_back(failed_pool[fperm[k]]);
-  }
+  const WindowSet val =
+      window_set(WindowSide::kTest, std::move(val_goods), failed, family);
   const core::SampleScorer* raw = scorer.get();
   const auto result = eval::evaluate_batch(
-      val_ds, val_split, tc.features,
+      val.dataset, val.split, tc.features,
       [raw](std::span<const float> xs, std::span<double> out) {
         raw->predict_batch(xs, out);
       },
@@ -247,10 +272,7 @@ CycleResult UpdatePipeline::run_cycle(bool force) {
   auto step = run_gated_cycle(
       scheduler_, metrics_, store_->sample_count(), store_->last_hour(),
       force,
-      [this](std::int64_t from, std::int64_t to) {
-        return store_->read_window(from, to);
-      },
-      failed_, config_);
+      store_window(*store_), failed_, config_);
   CycleResult& r = step.result;
   r.generation = scorer_->generation();
   if (step.candidate != nullptr) {

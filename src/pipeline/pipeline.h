@@ -26,8 +26,12 @@
 #include <vector>
 
 #include "analysis/verifier.h"
+#include "common/rng.h"
 #include "core/predictor.h"
 #include "core/swappable.h"
+#include "data/dataset.h"
+#include "data/split.h"
+#include "data/training.h"
 #include "pipeline/scheduler.h"
 #include "smart/drive.h"
 
@@ -110,11 +114,58 @@ struct GateResult {
   std::string reason;  // human-readable rejection cause ("" when promoted)
 };
 
+// --- Windows: the read and the train/test split of one window of good-drive
+// telemetry, shared by the retrain cycle (train_and_gate) and the offline
+// updating simulation (update::simulate_long_term).
+
+// Reads a window: one DriveRecord per good drive, holding its samples with
+// hour in [from_hour, to_hour]. The live loop reads its store
+// (store_window); the simulation regenerates (sim::generate_good_window).
+using WindowSource = std::function<std::vector<smart::DriveRecord>(
+    std::int64_t from_hour, std::int64_t to_hour)>;
+
+// TelemetryStore::read_window as a source; `store` must outlive it.
+WindowSource store_window(const store::TelemetryStore& store);
+
+// A labeled failed pool split once, by a permutation drawn from `rng`:
+// its first round(pool.size() * train_fraction) drives train, the rest
+// test. ConfigError unless train_fraction is in (0, 1), the rule of
+// data::split_dataset (train_and_gate splits its goods by the same rule).
+// `pool` must outlive the split.
+struct FailedSplit {
+  FailedSplit(const std::vector<smart::DriveRecord>& pool,
+              double train_fraction, Rng& rng);
+
+  const std::vector<smart::DriveRecord>* pool;
+  std::vector<std::size_t> perm;
+  std::size_t n_train;
+};
+
+// One side of a window, as build_training_matrix and evaluate_batch take it.
+struct WindowSet {
+  data::DriveDataset dataset;
+  data::DatasetSplit split;
+};
+
+enum class WindowSide { kTrain, kTest };
+
+// The one train/test set assembly: the non-empty records of `goods` in
+// order, every sample of each train (kTrain) or test (kTest) data, then
+// `failed`'s drives of that side in permutation order. The train side
+// keeps every failed record; the test side skips empty ones.
+WindowSet window_set(WindowSide side, std::vector<smart::DriveRecord> goods,
+                     const FailedSplit& failed, std::string family);
+
+// `training` for a window `weeks` wide: good_samples_per_drive scaled by
+// max(1, weeks) keeps the per-week good sampling density constant as
+// windows grow.
+data::TrainingConfig window_training(data::TrainingConfig training,
+                                     int weeks);
+
 // Trains a candidate on a deterministic train_fraction split of `goods` +
 // `failed_pool` and runs it through the lint and guardrail gates.
-// `window_weeks` is the training window's width (scales the per-drive good
-// sampling density, matching update::simulate_long_term). Pure function of
-// its inputs — never touches a store or a live scorer.
+// `window_weeks` is the training window's width (window_training). Pure
+// function of its inputs — never touches a store or a live scorer.
 GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
                           const std::vector<smart::DriveRecord>& failed_pool,
                           int window_weeks, const PipelineConfig& config);
@@ -132,11 +183,6 @@ struct CycleResult {
   double val_fdr = 0.0;
   std::string reason;
 };
-
-// Reads the training window: one DriveRecord per good drive, holding its
-// samples with hour in [from_hour, to_hour].
-using WindowSource = std::function<std::vector<smart::DriveRecord>(
-    std::int64_t from_hour, std::int64_t to_hour)>;
 
 struct CycleStep {
   // `generation` is left for the caller, which owns the live scorer.

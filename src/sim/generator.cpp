@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numbers>
+#include <utility>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -324,69 +326,75 @@ FleetConfig paper_fleet_config(double scale, std::uint64_t seed,
 
 namespace {
 
-data::DriveDataset generate_impl(const FleetConfig& config, int good_from_week,
-                                 int good_to_week) {
-  HDD_REQUIRE(!config.families.empty(), "fleet has no families");
-  HDD_REQUIRE(good_from_week >= 0 && good_to_week <= config.observation_weeks &&
-                  good_from_week < good_to_week,
-              "bad good-drive week range");
-  const std::int64_t horizon = static_cast<std::int64_t>(
-      config.observation_weeks) * 7 * 24;
-  const std::int64_t good_begin = static_cast<std::int64_t>(good_from_week) * 168;
-  const std::int64_t good_end = static_cast<std::int64_t>(good_to_week) * 168 - 1;
-  const std::int64_t failed_span =
-      static_cast<std::int64_t>(config.failed_record_days) * 24;
-
-  data::DriveDataset ds;
-  std::size_t total = 0;
-  for (const auto& fam : config.families) total += fam.n_good + fam.n_failed;
-  ds.drives.resize(total);
-
-  std::size_t offset = 0;
-  for (std::size_t f = 0; f < config.families.size(); ++f) {
-    const FamilySpec& fam = config.families[f];
-    ds.family_names.push_back(fam.profile.name);
-    const TraceGenerator gen(fam.profile, config.seed, f);
-    const std::size_t base = offset;
-    const std::size_t n = fam.n_good + fam.n_failed;
-
-    ThreadPool::global().parallel_for(0, n, [&](std::size_t i) {
-      const bool failed = i >= fam.n_good;
-      const std::uint64_t index =
-          failed ? static_cast<std::uint64_t>(i - fam.n_good)
-                 : static_cast<std::uint64_t>(i);
-      const DriveLatent latent = gen.make_latent(index, failed, horizon);
-      smart::DriveRecord rec;
-      if (failed) {
-        rec = gen.materialize(latent,
-                              std::max<std::int64_t>(0, latent.fail_hour -
-                                                            failed_span),
-                              latent.fail_hour,
-                              config.sample_interval_hours);
-      } else {
-        rec = gen.materialize(latent, good_begin, good_end,
-                              config.sample_interval_hours);
-      }
-      rec.family = static_cast<int>(f);
-      rec.serial = fam.profile.name + (failed ? "-F" : "-G") +
-                   std::to_string(index);
-      ds.drives[base + i] = std::move(rec);
-    });
-    offset += n;
-  }
-  return ds;
+// Materializes every good (`failed` false) or failed drive of family
+// `family`, drive i over the hours `window(latent)` returns.
+template <class Window>
+std::vector<smart::DriveRecord> generate_drives(const FleetConfig& config,
+                                                std::size_t family,
+                                                bool failed, Window window) {
+  HDD_REQUIRE(family < config.families.size(), "no such family");
+  const FamilySpec& fam = config.families[family];
+  const TraceGenerator gen(fam.profile, config.seed, family);
+  const std::int64_t horizon =
+      static_cast<std::int64_t>(config.observation_weeks) * 168;
+  std::vector<smart::DriveRecord> out(failed ? fam.n_failed : fam.n_good);
+  ThreadPool::global().parallel_for(0, out.size(), [&](std::size_t i) {
+    const DriveLatent latent = gen.make_latent(i, failed, horizon);
+    const auto [from, to] = window(latent);
+    out[i] = gen.materialize(latent, from, to, config.sample_interval_hours);
+    out[i].family = static_cast<int>(family);
+    out[i].serial =
+        fam.profile.name + (failed ? "-F" : "-G") + std::to_string(i);
+  });
+  return out;
 }
 
 }  // namespace
 
+std::vector<smart::DriveRecord> generate_good_window(const FleetConfig& config,
+                                                     std::size_t family,
+                                                     std::int64_t from_hour,
+                                                     std::int64_t to_hour) {
+  return generate_drives(config, family, /*failed=*/false,
+                         [&](const DriveLatent&) {
+                           return std::pair{from_hour, to_hour};
+                         });
+}
+
+std::vector<smart::DriveRecord> generate_failed(const FleetConfig& config,
+                                                std::size_t family) {
+  const std::int64_t span =
+      static_cast<std::int64_t>(config.failed_record_days) * 24;
+  return generate_drives(config, family, /*failed=*/true,
+                         [span](const DriveLatent& d) {
+                           return std::pair{
+                               std::max<std::int64_t>(0, d.fail_hour - span),
+                               d.fail_hour};
+                         });
+}
+
 data::DriveDataset generate_fleet(const FleetConfig& config) {
-  return generate_impl(config, 0, config.observation_weeks);
+  return generate_fleet_window(config, 0, config.observation_weeks);
 }
 
 data::DriveDataset generate_fleet_window(const FleetConfig& config,
                                          int good_from_week,
                                          int good_to_week) {
-  return generate_impl(config, good_from_week, good_to_week);
+  HDD_REQUIRE(!config.families.empty(), "fleet has no families");
+  HDD_REQUIRE(good_from_week >= 0 && good_to_week <= config.observation_weeks &&
+                  good_from_week < good_to_week,
+              "bad good-drive week range");
+  data::DriveDataset ds;
+  for (std::size_t f = 0; f < config.families.size(); ++f) {
+    ds.family_names.push_back(config.families[f].profile.name);
+    auto good = generate_good_window(
+        config, f, static_cast<std::int64_t>(good_from_week) * 168,
+        static_cast<std::int64_t>(good_to_week) * 168 - 1);
+    auto failed = generate_failed(config, f);
+    std::move(good.begin(), good.end(), std::back_inserter(ds.drives));
+    std::move(failed.begin(), failed.end(), std::back_inserter(ds.drives));
+  }
+  return ds;
 }
 
 }  // namespace hdd::sim

@@ -109,9 +109,24 @@ struct FleetConfig {
 FleetConfig paper_fleet_config(double scale, std::uint64_t seed = 42,
                                int sample_interval_hours = 1);
 
-// Materializes a whole fleet. Good drives span the full observation period
-// limited to [good_from_week, good_to_week) when given (defaults: whole
-// period). Parallelized over drives.
+// The good drives of family `family` (its index in config.families, which
+// also salts its generator), each holding its samples with hour in
+// [from_hour, to_hour] on the fleet's sampling grid; serials "<name>-G<i>".
+// A drive with no sample in the window comes back empty. Parallelized over
+// drives, like every generator below.
+std::vector<smart::DriveRecord> generate_good_window(const FleetConfig& config,
+                                                     std::size_t family,
+                                                     std::int64_t from_hour,
+                                                     std::int64_t to_hour);
+
+// The failed drives of family `family`, each over the failed_record_days
+// before (and cut at) its failure hour; serials "<name>-F<i>".
+std::vector<smart::DriveRecord> generate_failed(const FleetConfig& config,
+                                                std::size_t family);
+
+// Materializes a whole fleet, family by family: the good drives over the
+// weeks [good_from_week, good_to_week) (default: the whole observation
+// period), then the failed drives.
 data::DriveDataset generate_fleet(const FleetConfig& config);
 data::DriveDataset generate_fleet_window(const FleetConfig& config,
                                          int good_from_week,

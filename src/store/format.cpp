@@ -256,26 +256,6 @@ std::optional<SegmentHeader> decode_segment_header(std::string_view bytes) {
   return SegmentHeader{sequence, flags};
 }
 
-std::string encode_drive_record(std::uint32_t id, std::string_view serial) {
-  std::string out;
-  put_drive_payload(out, id, serial);
-  return out;
-}
-
-std::string encode_sample_record(std::uint32_t drive,
-                                 const smart::Sample& sample) {
-  std::string out(kSamplePayloadBytes, '\0');
-  store_sample_payload(out.data(), drive, sample);
-  return out;
-}
-
-std::string encode_generation_record(std::uint64_t generation,
-                                     std::string_view model_text) {
-  std::string out;
-  put_generation_payload(out, generation, model_text);
-  return out;
-}
-
 std::string frame_record(std::string_view payload) {
   std::string out;
   const std::size_t at = open_frame(out);

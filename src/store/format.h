@@ -194,16 +194,6 @@ std::string encode_segment_header(std::uint64_t sequence, std::uint32_t flags);
 // header checksum fails.
 std::optional<SegmentHeader> decode_segment_header(std::string_view bytes);
 
-// Record payloads (unframed).
-std::string encode_drive_record(std::uint32_t id, std::string_view serial);
-std::string encode_sample_record(std::uint32_t drive,
-                                 const smart::Sample& sample);
-// A promoted model: its generation number plus its full serialized text.
-// The update pipeline journals one of these atomically with each hot-swap
-// so kill -> resume restores the promoted model byte-identically.
-std::string encode_generation_record(std::uint64_t generation,
-                                     std::string_view model_text);
-
 // Wraps a payload in a length + CRC frame.
 std::string frame_record(std::string_view payload);
 
@@ -213,6 +203,9 @@ std::string frame_record(std::string_view payload);
 // per write syscall on the batched path.
 void append_drive_frame(std::string& out, std::uint32_t id,
                         std::string_view serial);
+// A promoted model: its generation number plus its full serialized text.
+// The update pipeline journals one of these with each hot-swap so kill ->
+// resume restores the promoted model byte-identically.
 void append_generation_frame(std::string& out, std::uint64_t generation,
                              std::string_view model_text);
 

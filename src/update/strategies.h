@@ -7,24 +7,22 @@
 //                  samples and use that model for the next cycle.
 //
 // Failed drives are shared across all strategies (the paper uses the same
-// failed sample set throughout); good telemetry for each week is
-// materialized on demand from the deterministic generator, which is what
-// makes the eight-week horizon affordable in memory.
+// failed sample set throughout). Good telemetry for each window comes from
+// a pipeline::WindowSource and is split by pipeline::window_set, the live
+// retrain loop's window code: by default the source regenerates the window
+// from the deterministic generator (which makes the eight-week horizon
+// affordable in memory); pipeline::store_window reads it back from a
+// TelemetryStore, as a deployed node retrains.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "data/training.h"
 #include "eval/detection.h"
-#include "pipeline/scheduler.h"
+#include "pipeline/pipeline.h"
 #include "sim/generator.h"
-
-namespace hdd::store {
-class TelemetryStore;
-}
 
 namespace hdd::update {
 
@@ -56,69 +54,15 @@ struct WeeklyResult {
   double fdr = 0.0;
 };
 
-// Supplies good-drive telemetry windows to the long-term simulation.
-// The default source materializes windows from the deterministic generator;
-// the store-backed source reads accumulated history from a TelemetryStore,
-// which is how a deployed monitoring node would retrain (Section V-B3 with
-// real collected telemetry instead of regeneration).
-class TelemetrySource {
- public:
-  virtual ~TelemetrySource() = default;
-
-  // All good drives of the (single) family, each holding its samples with
-  // hour in [from_week*168, to_week*168), chronological on the fleet's
-  // sampling grid. Drives with no samples in the window come back empty.
-  virtual std::vector<smart::DriveRecord> good_window(int from_week,
-                                                      int to_week) const = 0;
-};
-
-// Materializes windows on demand from the trace generator (the memory-cheap
-// default used by the paper-reproduction runs).
-class GeneratorTelemetrySource final : public TelemetrySource {
- public:
-  // `fleet` must outlive the source and hold exactly one family.
-  explicit GeneratorTelemetrySource(const sim::FleetConfig& fleet);
-
-  std::vector<smart::DriveRecord> good_window(int from_week,
-                                              int to_week) const override;
-
- private:
-  const sim::FleetConfig* fleet_;
-  sim::TraceGenerator gen_;
-};
-
-// Reads windows back from a TelemetryStore previously filled by
-// ingest_good_telemetry (or by live journaled monitoring). Because the
-// generator aligns samples to the global grid, windows read from a
-// full-horizon ingest are byte-identical to regenerated ones.
-class StoreTelemetrySource final : public TelemetrySource {
- public:
-  // `store` must outlive the source; every drive in it is treated as good.
-  explicit StoreTelemetrySource(const store::TelemetryStore& store);
-
-  std::vector<smart::DriveRecord> good_window(int from_week,
-                                              int to_week) const override;
-
- private:
-  const store::TelemetryStore* store_;
-};
-
-// Materializes every good drive of the (single) family over the whole
-// observation horizon and appends its samples to `store`. Idempotent:
-// hours the store already holds for a drive are skipped. Returns the number
-// of samples appended.
-std::size_t ingest_good_telemetry(const sim::FleetConfig& fleet,
-                                  store::TelemetryStore& store);
-
 // Runs the long-term simulation for one drive family (config.families must
 // contain exactly one entry) and returns one result per test week
 // (weeks 2..observation_weeks). Good telemetry comes from `source`.
-std::vector<WeeklyResult> simulate_long_term(const sim::FleetConfig& fleet,
-                                             const ModelTrainer& trainer,
-                                             const LongTermConfig& config,
-                                             const TelemetrySource& source);
+std::vector<WeeklyResult> simulate_long_term(
+    const sim::FleetConfig& fleet, const ModelTrainer& trainer,
+    const LongTermConfig& config, const pipeline::WindowSource& source);
 
-// Convenience overload: generator-backed telemetry.
+// Convenience overload: the good windows regenerated by
+// sim::generate_good_window.
 std::vector<WeeklyResult> simulate_long_term(const sim::FleetConfig& fleet,
                                              const ModelTrainer& trainer,
                                              const LongTermConfig& config);

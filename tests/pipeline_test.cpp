@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -212,6 +213,69 @@ TEST(Scheduler, WindowHoursMatchesStrategy) {
 
 // ---------------------------------------------------------------------------
 // train_and_gate: every rejection path plus promotion
+
+// The split's fraction must lie in (0, 1): above 1 the failed split would
+// index past its permutation, and NaN has no size_t conversion.
+TEST(Gate, RejectsTrainFractionOutsideOpenUnitInterval) {
+  for (const double f : {1.5, std::numeric_limits<double>::quiet_NaN(), 0.0,
+                         1.0}) {
+    auto pc = test_config(nullptr);
+    pc.train_fraction = f;
+    EXPECT_THROW(train_and_gate(good_pool(), failed_pool(), 1, pc),
+                 ConfigError)
+        << f;
+  }
+}
+
+// window_set's rules: non-empty goods in order, all train or all test; the
+// failed side in permutation order, empty records kept on the train side
+// only.
+TEST(Window, SetKeepsEachSidesRules) {
+  std::vector<smart::DriveRecord> pool(5);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    pool[i].serial = "F" + std::to_string(i);
+    if (i != 1 && i != 4) pool[i].samples.resize(2);  // 1 and 4 empty
+  }
+  Rng rng(7);
+  const FailedSplit failed(pool, 0.6, rng);
+  ASSERT_EQ(failed.n_train, 3u);
+  const auto goods = [] {
+    std::vector<smart::DriveRecord> g(3);
+    g[0].serial = "G0";
+    g[0].samples.resize(4);
+    g[1].serial = "G1";  // empty: skipped on both sides
+    g[2].serial = "G2";
+    g[2].samples.resize(1);
+    return g;
+  };
+  for (const WindowSide side : {WindowSide::kTrain, WindowSide::kTest}) {
+    const bool train = side == WindowSide::kTrain;
+    const WindowSet w = window_set(side, goods(), failed, "fam");
+    EXPECT_EQ(w.dataset.family_names, std::vector<std::string>{"fam"});
+    ASSERT_EQ(w.split.good_drives, (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(w.dataset.drives[0].serial, "G0");
+    EXPECT_EQ(w.dataset.drives[1].serial, "G2");
+    EXPECT_EQ(w.split.good_test_begin,
+              (train ? std::vector<std::size_t>{4, 1}
+                     : std::vector<std::size_t>{0, 0}));
+    std::vector<std::string> want;
+    for (std::size_t k = train ? 0 : failed.n_train;
+         k < (train ? failed.n_train : pool.size()); ++k) {
+      const auto& f = pool[failed.perm[k]];
+      if (train || !f.empty()) want.push_back(f.serial);
+    }
+    const auto& ids = train ? w.split.train_failed : w.split.test_failed;
+    EXPECT_TRUE((train ? w.split.test_failed : w.split.train_failed).empty());
+    std::vector<std::string> got;
+    for (const std::size_t id : ids) got.push_back(w.dataset.drives[id].serial);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(w.dataset.drives.size(), 2 + want.size());
+  }
+  data::TrainingConfig tc;
+  tc.good_samples_per_drive = 3;
+  EXPECT_EQ(window_training(tc, 4).good_samples_per_drive, 12);
+  EXPECT_EQ(window_training(tc, 0).good_samples_per_drive, 3);
+}
 
 TEST(Gate, RejectsWhenWindowHoldsNoData) {
   const auto r =

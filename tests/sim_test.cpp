@@ -6,6 +6,8 @@
 #include "common/error.h"
 
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <set>
 
 #include "sim/generator.h"
@@ -384,22 +386,79 @@ TEST(Fleet, GenerationIsReproducible) {
   }
 }
 
+// `window` must be exactly the samples of `whole` with hour in [from, to]:
+// same count, same hours, same attribute bits.
+void expect_slice(const smart::DriveRecord& whole,
+                  const smart::DriveRecord& window, std::int64_t from,
+                  std::int64_t to, const std::string& what) {
+  const auto [first, last] = whole.samples_between(from, to);
+  ASSERT_EQ(window.samples.size(), last - first) << what;
+  for (std::size_t k = 0; k < window.samples.size(); ++k) {
+    const smart::Sample& w = whole.samples[first + k];
+    const smart::Sample& p = window.samples[k];
+    ASSERT_EQ(p.hour, w.hour) << what << ", sample " << k;
+    ASSERT_EQ(std::memcmp(p.attrs.data(), w.attrs.data(), sizeof p.attrs), 0)
+        << what << ", hour " << p.hour;
+  }
+}
+
 TEST(Fleet, WeekWindowsTile) {
-  // A drive's week-2 window regenerated alone matches the same hours from
-  // a full-span materialization (random access property).
-  auto config = paper_fleet_config(0.002, 5, 1);
-  config.families.resize(1);
-  const auto whole = generate_fleet_window(config, 0, 3);
-  const auto week2 = generate_fleet_window(config, 1, 2);
-  // Compare the first good drive.
-  const auto& w = whole.drives[0];
-  const auto& p = week2.drives[0];
-  ASSERT_EQ(w.serial, p.serial);
-  for (const auto& s : p.samples) {
-    const auto idx = w.last_sample_at_or_before(s.hour);
-    ASSERT_GE(idx, 0);
-    ASSERT_EQ(w.samples[static_cast<std::size_t>(idx)].hour, s.hour);
-    EXPECT_EQ(w.samples[static_cast<std::size_t>(idx)].attrs, s.attrs);
+  // Random access: a window of any drive, good or failed, regenerated alone
+  // equals the same hours of the drive's whole-horizon record, on every
+  // sampling interval and for windows off the sampling grid. The failed
+  // records and generate_fleet_window's week windows are such slices too.
+  std::mt19937_64 rng(5);
+  for (int interval = 1; interval <= 4; ++interval) {
+    const auto config = paper_fleet_config(0.002, 5, interval);
+    const std::int64_t horizon =
+        std::int64_t{config.observation_weeks} * 168;
+    const std::string at = "interval " + std::to_string(interval);
+    for (std::size_t f = 0; f < config.families.size(); ++f) {
+      const auto whole = generate_good_window(config, f, 0, horizon - 1);
+      for (int round = 0; round < 6; ++round) {
+        const auto from = static_cast<std::int64_t>(rng() % horizon);
+        const auto to =
+            from + static_cast<std::int64_t>(rng() % (horizon - from));
+        const auto part = generate_good_window(config, f, from, to);
+        ASSERT_EQ(part.size(), whole.size());
+        const std::size_t i = rng() % part.size();
+        EXPECT_EQ(part[i].serial, whole[i].serial);
+        expect_slice(whole[i], part[i], from, to,
+                     at + ", good " + whole[i].serial);
+      }
+
+      const TraceGenerator gen(config.families[f].profile, config.seed, f);
+      const auto failed = generate_failed(config, f);
+      for (std::size_t i = 0; i < failed.size(); ++i) {
+        const auto latent = gen.make_latent(i, /*failed=*/true, horizon);
+        const auto all = gen.materialize(latent, 0, horizon - 1, interval);
+        const std::string what = at + ", failed " + failed[i].serial;
+        expect_slice(all, failed[i],
+                     latent.fail_hour -
+                         std::int64_t{config.failed_record_days} * 24,
+                     latent.fail_hour, what);
+        for (int round = 0; round < 6; ++round) {
+          const auto from = static_cast<std::int64_t>(rng() % horizon);
+          const auto to =
+              from + static_cast<std::int64_t>(rng() % (horizon - from));
+          expect_slice(all, gen.materialize(latent, from, to, interval), from,
+                       to, what);
+        }
+      }
+    }
+
+    const int w0 = static_cast<int>(rng() % 8);
+    const int w1 = w0 + 1 + static_cast<int>(rng() % (8 - w0));
+    const auto weeks = generate_fleet_window(config, w0, w1);
+    const auto full = generate_fleet(config);
+    ASSERT_EQ(weeks.drives.size(), full.drives.size());
+    for (std::size_t d = 0; d < full.drives.size(); ++d) {
+      const bool failed = full.drives[d].failed;
+      expect_slice(full.drives[d], weeks.drives[d],
+                   failed ? 0 : std::int64_t{w0} * 168,
+                   failed ? horizon : std::int64_t{w1} * 168 - 1,
+                   at + ", fleet " + full.drives[d].serial);
+    }
   }
 }
 

@@ -40,6 +40,28 @@ smart::Sample make_sample(std::int64_t hour, float base = 0.0f) {
   return s;
 }
 
+// One record's frame as the store's writer builds it (append_*_frame).
+std::string drive_frame(std::uint32_t id, std::string_view serial) {
+  std::string frame;
+  append_drive_frame(frame, id, serial);
+  return frame;
+}
+std::string sample_frame(std::uint32_t drive, const smart::Sample& s) {
+  std::string frame;
+  append_sample_frames(frame, drive, &s, 1);
+  return frame;
+}
+std::string generation_frame(std::uint64_t generation,
+                             std::string_view model_text) {
+  std::string frame;
+  append_generation_frame(frame, generation, model_text);
+  return frame;
+}
+// A record's payload: its frame minus the 8-byte frame header.
+std::string payload_of(const std::string& frame) {
+  return frame.substr(kFrameHeaderBytes);
+}
+
 class StoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -99,7 +121,7 @@ TEST(Format, SegmentHeaderRejectsCorruption) {
 }
 
 TEST(Format, DriveRecordRoundTrip) {
-  const auto payload = encode_drive_record(3, "WD-XYZ-001");
+  const auto payload = payload_of(drive_frame(3, "WD-XYZ-001"));
   const auto rec = decode_record(payload);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->type, RecordType::kDrive);
@@ -109,7 +131,7 @@ TEST(Format, DriveRecordRoundTrip) {
 
 TEST(Format, SampleRecordRoundTripsBitExact) {
   const auto s = make_sample(1234, 0.875f);
-  const auto payload = encode_sample_record(9, s);
+  const auto payload = payload_of(sample_frame(9, s));
   const auto rec = decode_record(payload);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->type, RecordType::kSample);
@@ -123,12 +145,12 @@ TEST(Format, SampleRecordRoundTripsBitExact) {
 TEST(Format, DecodeRejectsMalformedPayloads) {
   EXPECT_FALSE(decode_record("").has_value());
   EXPECT_FALSE(decode_record("\x07junk").has_value());  // unknown type
-  const auto payload = encode_sample_record(1, make_sample(5));
+  const auto payload = payload_of(sample_frame(1, make_sample(5)));
   EXPECT_FALSE(decode_record(payload.substr(0, payload.size() - 3)));
 }
 
 TEST(Format, FrameCarriesPayloadCrc) {
-  const auto payload = encode_drive_record(0, "S");
+  const auto payload = payload_of(drive_frame(0, "S"));
   const auto framed = frame_record(payload);
   ASSERT_EQ(framed.size(), kFrameHeaderBytes + payload.size());
   const auto crc = crc32(payload.data(), payload.size());
@@ -298,7 +320,7 @@ TEST(Format, SampleFrameMatchesGoldenBytes) {
       "f9 c3 c1 2e"   // CRC-32 of the payload
   ) + payload;
   const smart::Sample s = golden_sample();
-  EXPECT_EQ(encode_sample_record(0x0a0b0c0du, s), payload);
+  EXPECT_EQ(payload_of(sample_frame(0x0a0b0c0du, s)), payload);
   EXPECT_EQ(frame_record(payload), frame);
   std::string out = "prefix";  // frames append after existing bytes
   append_sample_frames(out, 0x0a0b0c0du, &s, 1);
@@ -320,7 +342,7 @@ std::string frames_one_by_one(std::uint32_t drive,
                               const std::vector<smart::Sample>& run) {
   std::string out;
   for (const smart::Sample& s : run) {
-    const std::string payload = encode_sample_record(drive, s);
+    const std::string payload = payload_of(sample_frame(drive, s));
     put_u32(out, static_cast<std::uint32_t>(payload.size()));
     put_u32(out, crc32(payload.data(), payload.size()));
     out += payload;
@@ -385,7 +407,7 @@ TEST(Format, DriveRecordMatchesGoldenBytes) {
       "04 03 02 01"  // id 0x01020304
       "04 00"        // serial length
   ) + "SN-7";
-  EXPECT_EQ(encode_drive_record(0x01020304u, "SN-7"), payload);
+  EXPECT_EQ(payload_of(drive_frame(0x01020304u, "SN-7")), payload);
   const auto rec = decode_record(payload);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->type, RecordType::kDrive);
@@ -395,9 +417,9 @@ TEST(Format, DriveRecordMatchesGoldenBytes) {
 
 TEST(Format, EveryStrictPrefixOfARecordIsRejected) {
   const std::string records[] = {
-      encode_sample_record(9, golden_sample()),
-      encode_drive_record(3, "WD-XYZ-001"),
-      encode_generation_record(5, "model text"),
+      payload_of(sample_frame(9, golden_sample())),
+      payload_of(drive_frame(3, "WD-XYZ-001")),
+      payload_of(generation_frame(5, "model text")),
   };
   for (const std::string& full : records) {
     ASSERT_TRUE(decode_record(full).has_value());
@@ -961,8 +983,8 @@ TEST_F(StoreTest, SnapshotToProducesIndependentStore) {
 }
 
 // Compaction encodes its frames in place into one buffer; the segment it
-// writes is byte for byte the header plus frame_record(encode_*_record())
-// of every drive, the generation and each kept sample, in journal order.
+// writes is byte for byte the header plus the append_*_frame frames of
+// every drive, the generation and each kept sample, in journal order.
 // 3 drives x 600 hours of 61-byte frames cross the 64 KiB write chunk.
 TEST_F(StoreTest, CompactedSegmentMatchesFramesBuiltOneByOne) {
   const auto snap_dir = dir_.string() + "_bytes";
@@ -970,9 +992,9 @@ TEST_F(StoreTest, CompactedSegmentMatchesFramesBuiltOneByOne) {
   const std::vector<std::string> serials{"A", "WD-LONGER-SERIAL-01", "C"};
   std::string expected = encode_segment_header(1, kSegCompacted);
   for (std::uint32_t id = 0; id < serials.size(); ++id) {
-    expected += frame_record(encode_drive_record(id, serials[id]));
+    expected += drive_frame(id, serials[id]);
   }
-  expected += frame_record(encode_generation_record(3, "model text"));
+  expected += generation_frame(3, "model text");
   {
     TelemetryStore store(dir());
     for (const std::string& serial : serials) store.register_drive(serial);
@@ -981,7 +1003,7 @@ TEST_F(StoreTest, CompactedSegmentMatchesFramesBuiltOneByOne) {
       for (std::uint32_t id = 0; id < serials.size(); ++id) {
         const auto s = make_sample(h, static_cast<float>(id));
         store.append(id, s);
-        if (h >= 100) expected += frame_record(encode_sample_record(id, s));
+        if (h >= 100) expected += sample_frame(id, s);
       }
     }
     store.flush();
@@ -1097,8 +1119,7 @@ TEST_F(StoreTest, SamplesRecoveryDroppedStayOutOfEveryRead) {
   const auto segs = segment_files();
   ASSERT_EQ(segs.size(), 1u);
   write_bytes(segs[0], read_bytes(segs[0]) +
-                           frame_record(encode_sample_record(
-                               7, make_sample(5))));
+                           sample_frame(7, make_sample(5)));
   TelemetryStore store(dir());
   EXPECT_EQ(store.recovery().records_dropped, 1u);
   std::size_t scanned = 0;
@@ -1116,11 +1137,11 @@ TEST_F(StoreTest, ASampleAheadOfItsRegistrationIsReadNowhere) {
   fs::create_directories(dir_);
   write_bytes(dir_ / "seg-00000001.log",
               encode_segment_header(1, 0) +
-                  frame_record(encode_sample_record(0, make_sample(0))) +
-                  frame_record(encode_drive_record(0, "A")));
+                  sample_frame(0, make_sample(0)) +
+                  drive_frame(0, "A"));
   write_bytes(dir_ / "seg-00000002.log",
               encode_segment_header(2, 0) +
-                  frame_record(encode_sample_record(0, make_sample(1))));
+                  sample_frame(0, make_sample(1)));
   TelemetryStore store(dir());
   EXPECT_EQ(store.recovery().records_dropped, 1u);
   EXPECT_EQ(store.drive(0).n_samples, 1u);
@@ -1249,11 +1270,9 @@ TEST_F(StoreTest, AppendCountersCountOnlySamplesThatReachTheFile) {
   opt.env = &env;
   opt.metrics = &reg;
   opt.retry.sleep = false;
-  std::string drive_frame;
   {
     TelemetryStore store(dir(), opt);
     const std::uint32_t d = store.register_drive("A");
-    append_drive_frame(drive_frame, d, "A");
     for (std::int64_t h = 0; h < 5; ++h) store.append(d, make_sample(h));
     store.flush_to_os();
     for (std::int64_t h = 5; h < 35; ++h) store.append(d, make_sample(h));
@@ -1264,7 +1283,8 @@ TEST_F(StoreTest, AppendCountersCountOnlySamplesThatReachTheFile) {
   EXPECT_EQ(reg.counter("hdd_store_appends_total", "").value(),
             1 + reopened.sample_count());
   EXPECT_EQ(reg.counter("hdd_store_bytes_written_total", "").value(),
-            drive_frame.size() + reopened.sample_count() * kSampleFrameBytes);
+            drive_frame(0, "A").size() +
+                reopened.sample_count() * kSampleFrameBytes);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "common/error.h"
 
@@ -67,6 +68,16 @@ TEST(LongTerm, ValidatesInputs) {
   cfg.replace_cycle_weeks = 0;
   EXPECT_THROW(simulate_long_term(fleet, counting_trainer(calls), cfg),
                ConfigError);
+  // The split's fraction must lie in (0, 1): above 1 the failed split
+  // would index past its permutation, and NaN has no size_t conversion.
+  cfg = base_config();
+  for (const double f : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    cfg.train_fraction = f;
+    EXPECT_THROW(simulate_long_term(fleet, counting_trainer(calls), cfg),
+                 ConfigError)
+        << f;
+  }
+  EXPECT_EQ(calls, 0);
 }
 
 TEST(LongTerm, CoversWeeksTwoThroughLast) {
@@ -157,7 +168,8 @@ TEST(LongTerm, ModelAgingShowsUpForTheFixedStrategy) {
 
 // Retraining from store-read history must reproduce the generator-backed
 // simulation exactly: the generator aligns samples to the global grid, and
-// the store round-trips float attributes bit for bit.
+// the store round-trips float attributes bit for bit. The store is read
+// through pipeline::store_window, the live retrain loop's source.
 TEST(LongTerm, StoreBackedTelemetryMatchesGenerator) {
   auto fleet = tiny_fleet();
   fleet.families[0].n_good = 60;  // keep the double simulation quick
@@ -170,10 +182,14 @@ TEST(LongTerm, StoreBackedTelemetryMatchesGenerator) {
   std::filesystem::remove_all(dir);
   {
     store::TelemetryStore store(dir.string());
-    const std::size_t appended = ingest_good_telemetry(fleet, store);
-    EXPECT_GT(appended, 0u);
+    for (const smart::DriveRecord& d : sim::generate_good_window(
+             fleet, 0, 0, std::int64_t{fleet.observation_weeks} * 168 - 1)) {
+      const std::uint32_t id = store.register_drive(d.serial);
+      store.append_batch(id, d.samples.data(), d.samples.size());
+    }
+    store.flush();
     EXPECT_EQ(store.drive_count(), 60u);
-    EXPECT_EQ(ingest_good_telemetry(fleet, store), 0u);  // idempotent
+    EXPECT_GT(store.sample_count(), 0u);
 
     int calls_gen = 0;
     int calls_store = 0;
@@ -181,7 +197,7 @@ TEST(LongTerm, StoreBackedTelemetryMatchesGenerator) {
         simulate_long_term(fleet, counting_trainer(calls_gen), cfg);
     const auto stored =
         simulate_long_term(fleet, counting_trainer(calls_store), cfg,
-                           StoreTelemetrySource(store));
+                           pipeline::store_window(store));
     EXPECT_EQ(calls_store, calls_gen);
     ASSERT_EQ(stored.size(), baseline.size());
     for (std::size_t i = 0; i < baseline.size(); ++i) {

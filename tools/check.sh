@@ -362,15 +362,17 @@ tools/fuzz.sh --regress "${JOBS}"
 
 # ThreadSanitizer over the concurrency surfaces: the sharded-atomic
 # counters, the multi-threaded serve daemon, the hot-swap/shadow path of
-# the update pipeline and FleetScorer's parallel scoring blocks
+# the update pipeline, the updating simulation's parallel window
+# generation (update_test) and FleetScorer's parallel scoring blocks
 # (observe_interval/observe_samples/resume_from) all claim TSan-clean, so
 # hold them to that.
 echo "=== configure build-tsan (-DHDD_SANITIZE=thread) ==="
 cmake -B build-tsan -S . -DHDD_SANITIZE=thread
-echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test lock_order_test fleet_test durable_fleet_test) ==="
+echo "=== build build-tsan (obs_test trace_test serve_test pipeline_test retrain_loop_test update_test lock_order_test fleet_test durable_fleet_test) ==="
 cmake --build build-tsan -j "${JOBS}" \
     --target obs_test trace_test serve_test pipeline_test \
-        retrain_loop_test lock_order_test fleet_test durable_fleet_test
+        retrain_loop_test update_test lock_order_test fleet_test \
+        durable_fleet_test
 echo "=== ctest build-tsan (labels: obs serve pipeline concurrency) ==="
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
     -L 'obs|serve|pipeline|concurrency'
