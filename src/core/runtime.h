@@ -64,7 +64,6 @@ class FleetRuntime {
   FleetScorer& fleet() { return *fleet_; }
   const FleetScorer& fleet() const { return *fleet_; }
 
-  bool has_store() const { return store_ != nullptr; }
   store::TelemetryStore& store();
   const store::TelemetryStore& store() const;
 

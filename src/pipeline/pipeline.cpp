@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "core/model_io.h"
 #include "data/training.h"
 #include "eval/detection.h"
 #include "obs/metrics.h"
@@ -115,10 +115,10 @@ data::TrainingConfig window_training(data::TrainingConfig training,
   return training;
 }
 
-GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
-                          const std::vector<smart::DriveRecord>& failed_pool,
-                          int window_weeks, const PipelineConfig& config) {
-  GateResult res;
+CycleResult train_and_gate(std::vector<smart::DriveRecord> goods,
+                           const std::vector<smart::DriveRecord>& failed_pool,
+                           int window_weeks, const PipelineConfig& config) {
+  CycleResult res;
 
   // Deterministic held-back split of both pools: the same seed always
   // carves the same validation slice, so a rejected candidate re-trained
@@ -216,43 +216,103 @@ GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
   return res;
 }
 
-std::shared_ptr<const core::SampleScorer> load_generation_model(
-    const std::string& model_text) {
-  std::istringstream is(model_text);
-  // The model was linted at promotion time; a strict re-verify here could
-  // wedge resume on a rule added since, so load as-is.
-  core::LoadOptions load;
-  load.verify = core::VerifyMode::kOff;
-  return core::make_model_scorer(core::load_model(is, load));
+bool run_on(const StoreRunner& run, std::size_t k,
+            const std::function<void()>& task) {
+  if (run) return run(k, task);
+  task();
+  return true;
+}
+
+void install_generation(std::span<const LiveStore> stores,
+                        const StoreRunner& run,
+                        const std::shared_ptr<const core::SampleScorer>& model,
+                        const std::string& model_text,
+                        std::uint64_t generation) {
+  // Journal-first: a kill -9 after a prefix of the appends leaves mixed
+  // generations on disk, which ShardEngine::resume reconciles to the
+  // newest; once every record is durable the swaps are a formality.
+  for (std::size_t k = 0; k < stores.size(); ++k) {
+    if (stores[k].scorer->generation() >= generation) continue;
+    if (!run_on(run, k, [&] {
+          stores[k].store->append_generation(generation, model_text);
+        })) {
+      log_warn() << "generation " << generation << ": store " << k
+                 << " unavailable; its generation record is deferred to "
+                    "restart reconciliation";
+    }
+  }
+  // swap() is safe against concurrent scoring calls.
+  for (const LiveStore& s : stores) {
+    if (s.scorer->generation() < generation) s.scorer->swap(model, generation);
+  }
+}
+
+std::uint64_t promote_generation(
+    std::span<const LiveStore> stores, const StoreRunner& run,
+    const std::shared_ptr<const core::SampleScorer>& candidate,
+    const PipelineMetrics& metrics) {
+  std::ostringstream os;
+  candidate->save(os);
+  std::uint64_t newest = 0;
+  for (std::size_t k = 0; k < stores.size(); ++k) {
+    newest = std::max(newest, stores[k].scorer->generation());
+    (void)run_on(run, k, [&] {
+      const auto& rec = stores[k].store->latest_generation();
+      if (rec.has_value()) newest = std::max(newest, rec->generation);
+    });
+  }
+  install_generation(stores, run, candidate, std::move(os).str(), newest + 1);
+  metrics.promotions->inc();
+  metrics.generation->set(static_cast<double>(newest + 1));
+  return newest + 1;
 }
 
 UpdatePipeline::UpdatePipeline(core::SwappableScorer& scorer,
                                store::TelemetryStore& store,
                                std::vector<smart::DriveRecord> failed_pool,
                                PipelineConfig config)
-    : scorer_(&scorer),
-      store_(&store),
+    : live_{&store, &scorer},
       failed_(std::move(failed_pool)),
       config_(std::move(config)),
       scheduler_(config_.scheduler),
       metrics_(make_pipeline_metrics(config_.metrics)) {
-  metrics_.generation->set(static_cast<double>(scorer_->generation()));
+  metrics_.generation->set(static_cast<double>(scorer.generation()));
 }
 
-CycleStep run_gated_cycle(RetrainScheduler& scheduler,
-                          const PipelineMetrics& metrics, std::uint64_t total,
-                          std::int64_t last, bool force,
-                          const WindowSource& window,
-                          const std::vector<smart::DriveRecord>& failed_pool,
-                          const PipelineConfig& config) {
+CycleResult run_gated_cycle(RetrainScheduler& scheduler,
+                            const PipelineMetrics& metrics,
+                            std::span<const LiveStore> stores,
+                            const StoreRunner& run, bool force,
+                            const std::vector<smart::DriveRecord>& failed_pool,
+                            const PipelineConfig& config) {
+  std::uint64_t total = 0;
+  std::int64_t last = -1;
+  {
+    const obs::ScopedSpan span("pipeline.watermarks");
+    for (std::size_t k = 0; k < stores.size(); ++k) {
+      (void)run_on(run, k, [&] {
+        total += stores[k].store->sample_count();
+        last = std::max(last, stores[k].store->last_hour());
+      });
+    }
+  }
   if (!force && !scheduler.due(total, last)) {
-    return {{Outcome::kSkipped, 0, 0.0, 0.0, ""}, nullptr};
+    return {Outcome::kSkipped, 0, nullptr, 0.0, 0.0, 0, ""};
   }
   const auto hours = scheduler.window_hours(std::max<std::int64_t>(last, 0));
-  auto goods = [&] {
+  // Appended in store order: train_and_gate's split permutes the drives by
+  // index.
+  std::vector<smart::DriveRecord> goods;
+  {
     const obs::ScopedSpan span("pipeline.window");
-    return window(hours.first, hours.second - 1);
-  }();
+    for (std::size_t k = 0; k < stores.size(); ++k) {
+      (void)run_on(run, k, [&] {
+        auto part = store_window(*stores[k].store)(hours.first,
+                                                   hours.second - 1);
+        std::move(part.begin(), part.end(), std::back_inserter(goods));
+      });
+    }
+  }
   const int weeks = static_cast<int>((hours.second - hours.first) / 168);
   auto gate = train_and_gate(std::move(goods), failed_pool, weeks, config);
   scheduler.mark(total, last);
@@ -262,31 +322,18 @@ CycleStep run_gated_cycle(RetrainScheduler& scheduler,
     log_info() << "retrain: candidate " << outcome_name(gate.outcome)
                << (gate.reason.empty() ? "" : ": " + gate.reason);
   }
-  return {
-      {gate.outcome, 0, gate.val_far, gate.val_fdr, std::move(gate.reason)},
-      std::move(gate.candidate)};
+  return gate;
 }
 
 CycleResult UpdatePipeline::run_cycle(bool force) {
   const obs::ScopedSpan span("pipeline.cycle");
-  auto step = run_gated_cycle(
-      scheduler_, metrics_, store_->sample_count(), store_->last_hour(),
-      force,
-      store_window(*store_), failed_, config_);
-  CycleResult& r = step.result;
-  r.generation = scorer_->generation();
-  if (step.candidate != nullptr) {
-    std::ostringstream os;
-    step.candidate->save(os);
-    const std::uint64_t next_gen = r.generation + 1;
-    // Journal-first promotion: once the record is durable the swap is a
-    // formality — a crash between the two resumes to `next_gen`.
-    store_->append_generation(next_gen, os.str());
-    scorer_->swap(std::move(step.candidate), next_gen);
-    metrics_.promotions->inc();
-    metrics_.generation->set(static_cast<double>(next_gen));
-    r.generation = next_gen;
-    log_debug() << "pipeline: promoted generation " << next_gen
+  const std::span<const LiveStore> live(&live_, 1);
+  CycleResult r =
+      run_gated_cycle(scheduler_, metrics_, live, {}, force, failed_, config_);
+  r.generation = live_.scorer->generation();
+  if (r.candidate != nullptr) {
+    r.generation = promote_generation(live, {}, r.candidate, metrics_);
+    log_debug() << "pipeline: promoted generation " << r.generation
                 << " (val FAR " << r.val_far << ", FDR " << r.val_fdr << ")";
   }
   return r;

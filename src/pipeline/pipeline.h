@@ -12,16 +12,25 @@
 // Promotion is journal-first: the generation record (store/format.h type 3)
 // is fsynced before the in-memory swap, so kill -9 between the two steps
 // resumes to the *new* generation — the swap is the only non-durable step
-// and it is idempotent from the journal. Rejected candidates are dropped on
-// the floor (counted, never scored). Shadow scoring of a candidate against
-// the incumbent on live traffic lives in core::FleetScorer::set_shadow; the
-// serve retrain loop (serve/retrain_loop.h) stitches both together.
+// and it is idempotent from the journal. One step does it for every
+// caller (install_generation): this pipeline, the serve retrain loop
+// (serve/retrain_loop.h) and ShardEngine::resume's reconciliation. A
+// promotion's number comes from the journal: one above every generation
+// any of its stores holds and the live one (promote_generation), so a
+// retry after a partial promotion never reuses a number. The cycle itself
+// (run_gated_cycle) reads one store here and every shard's store in the
+// daemon, each through the same runner the appends use. Rejected
+// candidates are dropped on the floor (counted, never scored). Shadow
+// scoring of a candidate against the incumbent on live traffic lives in
+// core::FleetScorer::set_shadow; the serve retrain loop stitches both
+// together.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -91,7 +100,7 @@ struct PipelineConfig {
 
 // The hdd_pipeline_* control-loop instruments (DESIGN.md §10). Shadow
 // divergence counters live on FleetScorer, not here. run_gated_cycle counts
-// cycles and rejections; the caller counts a promotion once it swaps.
+// cycles and rejections, promote_generation promotions.
 struct PipelineMetrics {
   obs::Counter* cycles = nullptr;      // hdd_pipeline_retrain_cycles_total
   obs::Counter* promotions = nullptr;  // hdd_pipeline_promotions_total
@@ -103,10 +112,12 @@ struct PipelineMetrics {
 
 PipelineMetrics make_pipeline_metrics(obs::Registry* registry);
 
-struct GateResult {
+// What a gate, a cycle or a controller's tick did.
+struct CycleResult {
   Outcome outcome = Outcome::kNone;
-  // Non-null exactly when outcome == kPromoted (gates passed); the caller
-  // owns journaling + swapping it in.
+  // The live generation after the cycle; train_and_gate leaves it 0.
+  std::uint64_t generation = 0;
+  // The model that passed the gates, if any.
   std::shared_ptr<const core::SampleScorer> candidate;
   double val_far = 0.0;
   double val_fdr = 0.0;
@@ -119,7 +130,7 @@ struct GateResult {
 // updating simulation (update::simulate_long_term).
 
 // Reads a window: one DriveRecord per good drive, holding its samples with
-// hour in [from_hour, to_hour]. The live loop reads its store
+// hour in [from_hour, to_hour]. The live cycle reads each of its stores
 // (store_window); the simulation regenerates (sim::generate_good_window).
 using WindowSource = std::function<std::vector<smart::DriveRecord>(
     std::int64_t from_hour, std::int64_t to_hour)>;
@@ -166,47 +177,70 @@ data::TrainingConfig window_training(data::TrainingConfig training,
 // `failed_pool` and runs it through the lint and guardrail gates.
 // `window_weeks` is the training window's width (window_training). Pure
 // function of its inputs — never touches a store or a live scorer.
-GateResult train_and_gate(std::vector<smart::DriveRecord> goods,
-                          const std::vector<smart::DriveRecord>& failed_pool,
-                          int window_weeks, const PipelineConfig& config);
+CycleResult train_and_gate(std::vector<smart::DriveRecord> goods,
+                           const std::vector<smart::DriveRecord>& failed_pool,
+                           int window_weeks, const PipelineConfig& config);
 
-// Deserializes a journaled generation record's model text back into a
-// scorer (inverse of SampleScorer::save). Throws DataError on malformed
-// text.
-std::shared_ptr<const core::SampleScorer> load_generation_model(
-    const std::string& model_text);
+// --- Live stores: what a retrain cycle reads and a promotion installs
+// into. A generation record is turned back into a model only by
+// core::FleetRuntime, at start-up.
 
-struct CycleResult {
-  Outcome outcome = Outcome::kNone;
-  std::uint64_t generation = 0;  // live generation after the cycle
-  double val_far = 0.0;
-  double val_fdr = 0.0;
-  std::string reason;
+// A journaling store and the live scorer it serves.
+struct LiveStore {
+  store::TelemetryStore* store;
+  core::SwappableScorer* scorer;
 };
 
-struct CycleStep {
-  // `generation` is left for the caller, which owns the live scorer.
-  CycleResult result;
-  // Non-null exactly when the gates passed; promoting it is the caller's.
-  std::shared_ptr<const core::SampleScorer> candidate;
-};
+// Runs `task` on store k's thread; false when it cannot, and then the
+// task has not run.
+using StoreRunner =
+    std::function<bool(std::size_t k, const std::function<void()>& task)>;
 
-// The one retrain cycle under UpdatePipeline and serve::RetrainLoop. Given
-// the store watermarks (`total` samples, `last` hour), it skips unless the
-// scheduler is due or `force`; otherwise it reads the scheduler's window,
-// runs train_and_gate, marks the scheduler, counts the cycle (and the
-// rejection, which it also logs) and hands back the outcome.
-CycleStep run_gated_cycle(RetrainScheduler& scheduler,
-                          const PipelineMetrics& metrics, std::uint64_t total,
-                          std::int64_t last, bool force,
-                          const WindowSource& window,
-                          const std::vector<smart::DriveRecord>& failed_pool,
-                          const PipelineConfig& config);
+// `run`, or the caller's thread when `run` is empty.
+bool run_on(const StoreRunner& run, std::size_t k,
+            const std::function<void()>& task);
+
+// The one journal-then-swap step. Installs `model`, serialized as
+// `model_text`, as generation `generation` in every store whose scorer is
+// below it: journals the record into each such store through `run`, so it
+// serializes with that store's other writes (a store that cannot run it
+// is logged and left to restart reconciliation), and only after every
+// append swaps each scorer. An append that throws (I/O, or a model over
+// the record cap) ends the step with no scorer swapped.
+void install_generation(std::span<const LiveStore> stores,
+                        const StoreRunner& run,
+                        const std::shared_ptr<const core::SampleScorer>& model,
+                        const std::string& model_text,
+                        std::uint64_t generation);
+
+// Promotes `candidate` in every store: numbers it one above every
+// generation any store has journaled and every live one, so a retry after
+// a promotion that reached only some stores never reuses a number;
+// installs it; counts the promotion and sets the generation gauge.
+// Returns the new number.
+std::uint64_t promote_generation(
+    std::span<const LiveStore> stores, const StoreRunner& run,
+    const std::shared_ptr<const core::SampleScorer>& candidate,
+    const PipelineMetrics& metrics);
+
+// The one retrain cycle under UpdatePipeline and serve::RetrainLoop. It
+// reads the watermarks (samples, last hour) of every store through `run`
+// and skips unless the scheduler is due or `force`; otherwise it reads the
+// scheduler's window from every store in order, runs train_and_gate,
+// marks the scheduler, counts the cycle (and the rejection, which it also
+// logs) and hands back the outcome, with `generation` left 0 and a
+// candidate that passed the gates not yet promoted.
+CycleResult run_gated_cycle(RetrainScheduler& scheduler,
+                            const PipelineMetrics& metrics,
+                            std::span<const LiveStore> stores,
+                            const StoreRunner& run, bool force,
+                            const std::vector<smart::DriveRecord>& failed_pool,
+                            const PipelineConfig& config);
 
 // Store-backed pipeline over one TelemetryStore and one SwappableScorer
 // (the `autoretrain` CLI command and offline tests; the serve daemon runs
-// the multi-shard variant in serve/retrain_loop.h). Single-threaded by
-// contract — only the swap itself is concurrency-safe.
+// the same cycle and promotion over every shard in serve/retrain_loop.h).
+// Single-threaded by contract — only the swap itself is concurrency-safe.
 class UpdatePipeline {
  public:
   // All referenced objects must outlive the pipeline. Every drive in
@@ -222,8 +256,7 @@ class UpdatePipeline {
   CycleResult run_cycle(bool force = false);
 
  private:
-  core::SwappableScorer* scorer_;
-  store::TelemetryStore* store_;
+  LiveStore live_;
   std::vector<smart::DriveRecord> failed_;
   PipelineConfig config_;
   RetrainScheduler scheduler_;

@@ -1,11 +1,10 @@
 // RetrainLoop — the serve daemon's continuous model-update controller.
 //
 // A background thread runs pipeline::run_gated_cycle, the same cycle as
-// UpdatePipeline, against the daemon's own journals: the watermarks and
-// the training window come from every shard's TelemetryStore (each read on
-// that shard's worker, so reads never race ingest). What is left here is
-// what only the daemon has: the cross-shard watermarks, the shadow stage
-// and the fleet-wide, shard-by-shard promotion.
+// UpdatePipeline, over every shard's TelemetryStore: the watermarks and
+// the training window are read on each shard's worker (Server::
+// run_on_shard), so reads never race ingest. What is left here is what
+// only the daemon has: the shadow stage and the published outcome.
 //
 // Promotion state machine (DESIGN.md §10):
 //
@@ -18,11 +17,14 @@
 // "shadowing" installs the candidate as every shard's FleetScorer shadow:
 // it scores live traffic next to the incumbent (divergence counters in
 // /metrics) but cannot raise real alarms; promotion waits until the fleet
-// has shadow-scored the configured sample count. Promotion itself is
-// journal-first and shard-by-shard: each shard's generation record is
-// appended on that shard's worker (serialized with its ingest writes), and
-// only then is the SwappableScorer swapped — a kill -9 anywhere in between
-// is healed by ShardEngine::resume()'s generation reconciliation.
+// has shadow-scored the configured sample count. Promotion is
+// pipeline::promote_generation, the step UpdatePipeline takes too: the
+// generation number is one above every number any shard has journaled,
+// each shard's record is appended on that shard's worker (serialized with
+// its ingest writes), and only after every append does this thread swap
+// each shard's SwappableScorer. A kill -9 anywhere in between is healed by
+// ShardEngine::resume()'s reconciliation, which installs through the same
+// step.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +73,7 @@ class RetrainLoop {
   // regardless of accumulated shadow samples.
   pipeline::CycleResult tick(bool force = false);
 
-  bool shadowing() const { return pending_ != nullptr; }
+  bool shadowing() const { return pending_.candidate != nullptr; }
 
  private:
   pipeline::CycleResult maybe_promote(bool force);
@@ -82,12 +84,14 @@ class RetrainLoop {
   ShardEngine* engine_;
   Server* server_;
   RetrainLoopConfig config_;
+  // Every shard's store and live scorer, each reached on its worker.
+  std::vector<pipeline::LiveStore> stores_;
+  pipeline::StoreRunner run_;
   pipeline::RetrainScheduler scheduler_;
   pipeline::PipelineMetrics metrics_;
 
   // Shadowing state; only the tick caller touches it.
-  std::shared_ptr<const core::SampleScorer> pending_;
-  pipeline::CycleResult pending_gate_;  // its gate's outcome and rails
+  pipeline::CycleResult pending_;  // the candidate, its outcome and rails
   std::uint64_t shadow_baseline_ = 0;
 
   std::thread thread_;

@@ -520,10 +520,8 @@ void Server::handle_http(int fd, const std::string& first) {
 }
 
 StatsResponse Server::status() {
-  StatsResponse s = engine_.stats(
-      [this](std::size_t k, const std::function<void()>& task) {
-        return run_on_shard(k, task);
-      });
+  StatsResponse s =
+      engine_.stats(std::bind_front(&Server::run_on_shard, this));
   s.last_outcome = last_outcome_.load(std::memory_order_relaxed);
   return s;
 }

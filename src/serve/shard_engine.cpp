@@ -7,7 +7,6 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "obs/trace.h"
-#include "pipeline/pipeline.h"
 
 namespace fs = std::filesystem;
 
@@ -91,31 +90,35 @@ std::size_t ShardEngine::resume() {
 
   // Generation reconciliation: a promotion journals shard by shard, so a
   // crash mid-way leaves a prefix on generation N and the rest on N-1. The
-  // newest journaled record (same model text in every shard that has it)
-  // wins; lagging shards journal it and swap, restoring one fleet-wide
-  // model.
-  std::uint64_t newest = 0;
-  const store::GenerationRecord* best = nullptr;
-  for (Shard& sh : shards_) {
-    if (sh.runtime->swappable() == nullptr) continue;
-    const auto& rec = sh.runtime->store().latest_generation();
-    if (rec.has_value() && rec->generation > newest) {
-      newest = rec->generation;
-      best = &*rec;
-    }
+  // newest journaled generation wins: every runtime loaded its journal's
+  // newest record at start-up, so the lagging shards journal the newest
+  // shard's record and swap to the model that shard loaded from it,
+  // restoring one fleet-wide model.
+  const std::uint64_t gen = model_stats().generation;
+  const auto live = live_stores();
+  const auto newest =
+      std::find_if(live.begin(), live.end(), [&](const auto& s) {
+        return s.scorer->generation() == gen;
+      });
+  if (gen == 0 || newest == live.end()) return replayed;
+  for (const auto& s : live) {
+    if (s.scorer->generation() >= gen) continue;
+    log_warn() << "serve: shard missed generation " << gen
+               << " (crash mid-promotion); reconciling";
   }
-  if (best != nullptr) {
-    auto model = pipeline::load_generation_model(best->model_text);
-    for (Shard& sh : shards_) {
-      if (sh.runtime->swappable() == nullptr) continue;
-      if (sh.runtime->model_generation() >= newest) continue;
-      log_warn() << "serve: shard missed generation " << newest
-                 << " (crash mid-promotion); reconciling";
-      sh.runtime->store().append_generation(newest, best->model_text);
-      sh.runtime->swappable()->swap(model, newest);
-    }
-  }
+  pipeline::install_generation(live, {}, newest->scorer->current(),
+                               newest->store->latest_generation()->model_text,
+                               gen);
   return replayed;
+}
+
+std::vector<pipeline::LiveStore> ShardEngine::live_stores() {
+  std::vector<pipeline::LiveStore> out;
+  for (Shard& sh : shards_) {
+    core::SwappableScorer* scorer = sh.runtime->swappable();
+    if (scorer != nullptr) out.push_back({&sh.runtime->store(), scorer});
+  }
+  return out;
 }
 
 std::size_t ShardEngine::drive_index(Shard& shard, std::string_view serial) {
@@ -178,23 +181,16 @@ QueryResponse ShardEngine::query(const std::string& serial) const {
   return res;
 }
 
-StatsResponse ShardEngine::stats(const ShardRunner& run) const {
+StatsResponse ShardEngine::stats(const pipeline::StoreRunner& run) const {
   StatsResponse res = model_stats();
   for (std::size_t k = 0; k < shards_.size(); ++k) {
     const core::FleetRuntime& rt = *shards_[k].runtime;
-    bool answered = false;
-    const auto read = [&] {
+    const bool answered = pipeline::run_on(run, k, [&] {
       res.drives += rt.fleet().size();
       res.alarms += rt.fleet().alarm_count();
       res.samples += rt.store().sample_count();
       res.degraded = res.degraded || rt.fleet().degraded();
-      answered = true;
-    };
-    if (run) {
-      (void)run(k, read);
-    } else {
-      read();
-    }
+    });
     res.degraded = res.degraded || !answered;
   }
   return res;

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/runtime.h"
+#include "pipeline/pipeline.h"
 #include "serve/wire.h"
 
 namespace hdd::serve {
@@ -61,7 +62,8 @@ class ShardEngine {
   // hot-swappable runtime, also reconciles model generations across shards:
   // a crash mid-promotion journals the new generation into only a prefix of
   // the shards, so the lagging shards re-journal and swap to the newest
-  // generation found anywhere — after resume, every shard scores with one
+  // generation found anywhere (pipeline::install_generation, the step every
+  // promotion takes) — after resume, every shard scores with one
   // well-defined model again.
   std::size_t resume();
 
@@ -78,11 +80,6 @@ class ShardEngine {
 
   QueryResponse query(const std::string& serial) const;
 
-  // Runs a task on shard k's thread; false when the shard cannot (crashed
-  // or closed), and then the task has not run.
-  using ShardRunner =
-      std::function<bool(std::size_t k, const std::function<void()>& task)>;
-
   // The fleet-wide status, the one fold behind the wire stats op,
   // GET /debug/vars and the serve exit summary. Drives, samples on disk,
   // alarms and degraded are read per shard through `run` — the Server
@@ -92,7 +89,7 @@ class ShardEngine {
   // The default runs each read on the caller, which is only safe when
   // nothing is mutating any shard. last_outcome is left 0: the retrain
   // outcome is the Server's.
-  StatsResponse stats(const ShardRunner& run = {}) const;
+  StatsResponse stats(const pipeline::StoreRunner& run = {}) const;
   // The figures any thread may read, as atomics: the live generation
   // (newest across shards; 0 = the seed model everywhere) and the shadow
   // samples and divergence summed over shards. Every other field is 0.
@@ -102,6 +99,8 @@ class ShardEngine {
   void seal();
 
   core::FleetRuntime& shard(std::size_t k) { return *shards_[k].runtime; }
+  // Every hot-swappable shard's store and live scorer, in shard order.
+  std::vector<pipeline::LiveStore> live_stores();
 
  private:
   // Transparent, so a string_view finds a known serial without a copy.

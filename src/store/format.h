@@ -208,6 +208,12 @@ void append_drive_frame(std::string& out, std::uint32_t id,
 // resume restores the promoted model byte-identically.
 void append_generation_frame(std::string& out, std::uint64_t generation,
                              std::string_view model_text);
+// A generation record's payload size: type u8 | generation u64 |
+// model_len u32 | model text. A record is journaled only when this is at
+// most kMaxPayloadBytes, the largest frame recovery accepts.
+inline constexpr std::size_t generation_payload_bytes(std::size_t model_bytes) {
+  return 1 + 8 + 4 + model_bytes;
+}
 
 // A sample record's payload: type u8 | drive u32 | sample body.
 inline constexpr std::size_t kSamplePayloadBytes = 1 + 4 + kSampleBodyBytes;

@@ -478,8 +478,7 @@ void TelemetryStore::append_batch(std::uint32_t drive,
 
 void TelemetryStore::append_generation(std::uint64_t generation,
                                        std::string_view model_text) {
-  const std::size_t payload_bytes = 1 + 8 + 4 + model_text.size();
-  if (payload_bytes > kMaxPayloadBytes) {
+  if (generation_payload_bytes(model_text.size()) > kMaxPayloadBytes) {
     throw DataError("telemetry store: serialized model too large for a "
                     "generation record (" +
                     std::to_string(model_text.size()) + " bytes)");

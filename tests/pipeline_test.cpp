@@ -363,6 +363,33 @@ TEST_F(PipelineTest, PromotionIsJournalFirstAndBumpsGeneration) {
   EXPECT_EQ(reg.gauge("hdd_pipeline_generation", "").value(), 1.0);
 }
 
+// A store can hold a generation its scorer is not on: a promotion that
+// journaled but never swapped (or journaled into only some stores). The
+// next promotion numbers above the journal, so no number names two
+// models.
+TEST_F(PipelineTest, PromotionNumbersAboveTheJournaledGeneration) {
+  obs::Registry reg;
+  store::TelemetryStore st((base_dir_ / "s").string());
+  ingest_goods(st);
+  st.append_generation(1, "a model journaled but never swapped in");
+
+  const auto seed = train_and_gate(good_pool(), failed_pool(), 1,
+                                   test_config(nullptr));
+  ASSERT_EQ(seed.outcome, Outcome::kPromoted);
+  core::SwappableScorer slot(seed.candidate, 0);
+  UpdatePipeline pipe(slot, st, failed_pool(), test_config(&reg));
+  const auto r = pipe.run_cycle(/*force=*/true);
+  ASSERT_EQ(r.outcome, Outcome::kPromoted) << r.reason;
+  EXPECT_EQ(r.generation, 2u);
+  EXPECT_EQ(slot.generation(), 2u);
+  ASSERT_TRUE(st.latest_generation().has_value());
+  EXPECT_EQ(st.latest_generation()->generation, 2u);
+  std::ostringstream os;
+  slot.current()->save(os);
+  EXPECT_EQ(st.latest_generation()->model_text, os.str());
+  EXPECT_EQ(reg.gauge("hdd_pipeline_generation", "").value(), 2.0);
+}
+
 TEST_F(PipelineTest, RejectedCandidateNeverAltersScoring) {
   obs::Registry reg;
   store::TelemetryStore st((base_dir_ / "s").string());
@@ -617,12 +644,14 @@ TEST_F(PipelineTest, KillDuringPromotionResumesToJournaledGeneration) {
   // Reference: an unfaulted run's journaled model text (training is a pure
   // function of the store content + config seed).
   std::string ref_text;
+  std::shared_ptr<const core::SampleScorer> seed_model;
   {
     store::TelemetryStore st((base_dir_ / "ref").string());
     ingest_goods(st);
     const auto gate = train_and_gate(good_pool(), failed_pool(), 1,
                                      test_config(nullptr));
     ASSERT_EQ(gate.outcome, Outcome::kPromoted);
+    seed_model = gate.candidate;
     core::SwappableScorer slot(gate.candidate, 0);
     UpdatePipeline pipe(slot, st, failed_pool(), test_config(nullptr));
     ASSERT_EQ(pipe.run_cycle(/*force=*/true).outcome, Outcome::kPromoted);
@@ -691,9 +720,16 @@ TEST_F(PipelineTest, KillDuringPromotionResumesToJournaledGeneration) {
       EXPECT_EQ(st.latest_generation()->generation, 1u) << "seed " << seed;
       EXPECT_EQ(st.latest_generation()->model_text, ref_text)
           << "seed " << seed;
-      // The journaled text round-trips into a scorer.
-      EXPECT_NE(load_generation_model(st.latest_generation()->model_text),
-                nullptr);
+      // A restart's runtime loads the journaled text as its live model.
+      core::FleetRuntimeConfig rc;
+      rc.scorer = seed_model.get();
+      rc.store_dir = dir.string();
+      rc.features = two_features();
+      const core::FleetRuntime rt(rc);
+      EXPECT_EQ(rt.model_generation(), 1u) << "seed " << seed;
+      std::ostringstream os;
+      rt.scorer().save(os);
+      EXPECT_EQ(os.str(), ref_text) << "seed " << seed;
     } else {
       ++n_seed_model;
     }

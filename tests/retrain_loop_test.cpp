@@ -5,13 +5,18 @@
 // promoted generation fleet-wide, guardrail rejections leaving the
 // incumbent untouched, the shadow-then-promote deferral, and
 // ShardEngine::resume()'s generation reconciliation after a promotion that
-// only reached a subset of shards (the crash-mid-promotion heal), and a
-// promotion that fails partway dropping its candidate's shadow.
+// only reached a subset of shards (the crash-mid-promotion heal), a
+// promotion that fails partway dropping its candidate's shadow, and the
+// retry after it taking a fresh generation number.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -30,6 +35,7 @@
 #include "serve/retrain_loop.h"
 #include "serve/server.h"
 #include "serve/shard_engine.h"
+#include "store/format.h"
 #include "store/telemetry_store.h"
 
 namespace hdd::serve {
@@ -138,12 +144,12 @@ class RetrainLoopTest : public ::testing::Test {
 
   // Streams good-drive telemetry into the daemon over the wire.
   static void ingest_goods(Client& client, std::int64_t from,
-                           std::int64_t to) {
+                           std::int64_t to, float bias = 0.8f) {
     for (std::uint32_t d = 0; d < kGoods; ++d) {
       IngestBatch b;
       for (std::int64_t h = from; h < to; ++h) {
         b.serials.push_back(good_serial(d));
-        b.samples.push_back(sample_at(d, h, 0.8f));
+        b.samples.push_back(sample_at(d, h, bias));
       }
       const auto r = client.ingest(b);
       ASSERT_EQ(r.accepted, static_cast<std::uint64_t>(to - from));
@@ -437,6 +443,110 @@ TEST_F(RetrainLoopTest, FailedPromotionDropsTheShadow) {
   ingest_goods(client, kWeek, kWeek + 10);
   EXPECT_EQ(client.stats().shadow_samples, shadowed);
   server.stop();
+}
+
+// Every generation record in a shard's segments, in file order, read frame
+// by frame.
+std::vector<store::DecodedRecord> generation_records(const fs::path& dir) {
+  std::vector<fs::path> segs;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().filename().string().rfind("seg-", 0) == 0) {
+      segs.push_back(e.path());
+    }
+  }
+  std::sort(segs.begin(), segs.end());
+  std::vector<store::DecodedRecord> out;
+  for (const fs::path& seg : segs) {
+    std::ifstream in(seg, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    for (std::size_t pos = store::kSegmentHeaderBytes;;) {
+      const auto f = store::parse_frame(bytes, pos, store::kMaxPayloadBytes);
+      if (f.status != store::ParsedFrame::kFrame) break;
+      pos += store::kFrameHeaderBytes + f.payload.size();
+      auto rec = store::decode_record(f.payload);
+      if (rec && rec->type == store::RecordType::kGeneration) {
+        out.push_back(std::move(*rec));
+      }
+    }
+  }
+  return out;
+}
+
+// A promotion that journals into shard 0 but fails on shard 1 has used
+// generation 1 there. The retry must take generation 2, not reuse 1 for a
+// different model, and a restart must bring every shard up on one model.
+TEST_F(RetrainLoopTest, RetryAfterPartialPromotionTakesAFreshGeneration) {
+  const fs::path dir = base_dir_ / "s";
+  std::string live_text;
+  {
+    obs::Registry reg;
+    ShardOneSyncFails env;
+    ShardEngineConfig ec = engine_config(2, &reg);
+    ec.runtime.store.env = &env;
+    ShardEngine engine(ec);
+    ServeOptions so;
+    so.metrics = &reg;
+    Server server(engine, so);
+    server.start();
+
+    RetrainLoopConfig lc;
+    lc.pipeline = pipeline_config(&reg);
+    lc.failed_pool = failure_pool();
+    RetrainLoop loop(engine, server, std::move(lc));
+
+    Client client;
+    client.connect("127.0.0.1", server.port());
+    ingest_goods(client, 0, kWeek);
+
+    // Shard 0 journals generation 1; shard 1's record fails to sync.
+    env.armed = true;
+    EXPECT_THROW((void)loop.tick(/*force=*/true), DataError);
+    env.armed = false;
+    ASSERT_TRUE(engine.shard(0).store().latest_generation().has_value());
+    EXPECT_EQ(engine.shard(0).store().latest_generation()->generation, 1u);
+    EXPECT_EQ(engine.model_stats().generation, 0u);
+    const std::string failed_text =
+        engine.shard(0).store().latest_generation()->model_text;
+
+    // Drifted telemetry, so the retry trains a different model.
+    ingest_goods(client, kWeek, 2 * kWeek + 24, 0.3f);
+    const auto r = loop.tick(/*force=*/true);
+    ASSERT_EQ(r.outcome, pipeline::Outcome::kPromoted) << r.reason;
+    EXPECT_EQ(r.generation, 2u);
+    EXPECT_EQ(engine.model_stats().generation, 2u);
+    server.stop();
+    std::ostringstream os;
+    engine.shard(0).swappable()->current()->save(os);
+    live_text = os.str();
+    ASSERT_NE(live_text, failed_text);
+    engine.seal();
+  }
+
+  // No generation number carries two model texts, in any shard.
+  for (std::size_t k = 0; k < 2; ++k) {
+    std::map<std::uint64_t, std::string> text_of;
+    for (const auto& rec :
+         generation_records(dir / ("shard-" + std::to_string(k)))) {
+      const auto [it, fresh] =
+          text_of.emplace(rec.generation, rec.model_text);
+      EXPECT_TRUE(fresh || it->second == rec.model_text)
+          << "shard " << k << " holds two models as generation "
+          << rec.generation;
+    }
+    ASSERT_TRUE(text_of.count(2)) << "shard " << k;
+    EXPECT_EQ(text_of[2], live_text) << "shard " << k;
+  }
+
+  // A restart brings every shard up on the promoted generation's model.
+  ShardEngine engine(engine_config(2, nullptr));
+  engine.resume();
+  for (std::size_t k = 0; k < engine.shard_count(); ++k) {
+    EXPECT_EQ(engine.shard(k).model_generation(), 2u) << "shard " << k;
+    std::ostringstream os;
+    engine.shard(k).scorer().save(os);
+    EXPECT_EQ(os.str(), live_text) << "shard " << k;
+  }
 }
 
 TEST_F(RetrainLoopTest, ResumeReconcilesPartialPromotion) {

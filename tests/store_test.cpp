@@ -769,13 +769,42 @@ TEST_F(StoreTest, FirstWriteAfterReopenRespectsSegmentBytes) {
   const auto segs = segment_files();
   ASSERT_EQ(segs.size(), 5u);
   EXPECT_EQ(fs::file_size(segs[3]),
-            kSegmentHeaderBytes + kFrameHeaderBytes + 1 + 8 + 4 + 5000);
+            kSegmentHeaderBytes + kFrameHeaderBytes +
+                generation_payload_bytes(5000));
   EXPECT_EQ(fs::file_size(segs[4]), kSegmentHeaderBytes + kSampleFrameBytes);
   TelemetryStore reopened(dir(), opt);
   EXPECT_EQ(reopened.drive_count(), 2u);
   EXPECT_EQ(reopened.drive(0).n_samples, 59u);
   ASSERT_TRUE(reopened.latest_generation().has_value());
   EXPECT_EQ(reopened.latest_generation()->generation, 2u);
+}
+
+// A generation record whose payload is exactly kMaxPayloadBytes is
+// journaled and recovered; one byte more is refused before anything
+// reaches the journal.
+TEST_F(StoreTest, GenerationRecordAtThePayloadCapRoundTrips) {
+  const std::string at_cap(kMaxPayloadBytes - generation_payload_bytes(0),
+                           'm');
+  ASSERT_EQ(generation_payload_bytes(at_cap.size()), kMaxPayloadBytes);
+  {
+    TelemetryStore store(dir());
+    store.append_generation(1, at_cap);
+  }
+  TelemetryStore store(dir());
+  ASSERT_TRUE(store.latest_generation().has_value());
+  EXPECT_EQ(store.latest_generation()->generation, 1u);
+  EXPECT_EQ(store.latest_generation()->model_text, at_cap);
+
+  const auto sizes = [this] {
+    std::vector<std::uintmax_t> out;
+    for (const auto& p : segment_files()) out.push_back(fs::file_size(p));
+    return out;
+  };
+  const auto before = sizes();
+  EXPECT_THROW(store.append_generation(2, at_cap + "m"), DataError);
+  EXPECT_EQ(store.latest_generation()->generation, 1u);
+  EXPECT_EQ(store.latest_generation()->model_text, at_cap);
+  EXPECT_EQ(sizes(), before);
 }
 
 TEST_F(StoreTest, FlippedPayloadBitSkipsRecordAndStopsTheSegment) {

@@ -192,6 +192,20 @@ pipeline_smoke() {
     echo "pipeline smoke FAILED: hdd_pipeline_generation gauge not 1" >&2
     return 1
   }
+  # A second process on the same store resumes on the journaled generation
+  # and numbers the next promotion from it.
+  "${bin}" autoretrain --store "${tmp}/store" --model "${tmp}/m.tree" \
+      --failed-data "${tmp}/fleet.csv" --cycles 1 \
+      --metrics-out "${tmp}/metrics2.txt" > "${tmp}/out2.txt"
+  grep -q "generation 1 -> 2" "${tmp}/out2.txt" || {
+    echo "pipeline smoke FAILED: restart did not continue from generation 1" >&2
+    cat "${tmp}/out2.txt" >&2
+    return 1
+  }
+  grep -q "^hdd_pipeline_generation 2" "${tmp}/metrics2.txt" || {
+    echo "pipeline smoke FAILED: hdd_pipeline_generation gauge not 2" >&2
+    return 1
+  }
   echo "=== pipeline smoke passed ==="
 }
 
